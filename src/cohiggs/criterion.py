@@ -12,7 +12,6 @@ consistency check against the rank-r gap criterion.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .glr import SplittingType
@@ -52,9 +51,6 @@ class CriterionReport:
             ],
             "adjoint_degrees": list(self.adjoint_degrees.degrees),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def admits_stable_cohiggs(group: ReductiveGroup, hn: HNType) -> bool:

@@ -66,11 +66,6 @@ class CartanType:
         """Dimension of the simple Lie algebra of this type."""
         return _DIM_FORMULAS[self.family](self.rank)
 
-    @property
-    def is_a3_isomorphic(self) -> bool:
-        """True for D3, which is the A3 root system in disguise."""
-        return self.family == "D" and self.rank == 3
-
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
@@ -113,6 +108,15 @@ def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
+def _reflect(
+    a: tuple[tuple[int, ...], ...], root: tuple[int, ...], i: int
+) -> tuple[int, ...]:
+    """``c - (A[i] . c) e_i``: reflection through the i-th simple root."""
+    out = list(root)
+    out[i] -= sum(x * c for x, c in zip(a[i], root))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """The full root set of a simple type, in simple-root coordinates.
@@ -139,10 +143,7 @@ class RootSystem:
 
     def reflect(self, root: tuple[int, ...], i: int) -> tuple[int, ...]:
         """Reflect a coefficient vector through the i-th simple root."""
-        pairing = sum(self.cartan_matrix[i][j] * c for j, c in enumerate(root))
-        out = list(root)
-        out[i] -= pairing
-        return tuple(out)
+        return _reflect(self.cartan_matrix, root, i)
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,10 +163,7 @@ def build_root_system(ct: CartanType) -> RootSystem:
         fresh = []
         for c in frontier:
             for i in range(n):
-                pairing = sum(a[i][j] * c[j] for j in range(n))
-                r = list(c)
-                r[i] -= pairing
-                rt = tuple(r)
+                rt = _reflect(a, c, i)
                 if rt not in seen:
                     seen.add(rt)
                     fresh.append(rt)
@@ -326,20 +324,21 @@ def require_dominant(group: ReductiveGroup, hn: HNType) -> None:
 
 
 _FACTOR_RE = re.compile(r"([A-G])([0-9]+)")
-_GROUP_RE = re.compile(r"^([A-G][0-9]+(?:x[A-G][0-9]+)*)(?:\+z([0-9]+))?$")
+_GROUP_RE = re.compile(r"^([A-G][0-9]+(?:x[A-G][0-9]+)*)?(?:\+z([0-9]+))?$")
 
 
 def parse_group(text: str) -> ReductiveGroup:
-    """Parse a compact group string such as ``A2`` or ``C3xA1+z2``.
+    """Parse a compact group string such as ``A2``, ``C3xA1+z2`` or ``+z1``.
 
-    Grammar: TYPE := FACTOR ("x" FACTOR)* ("+z" UINT)? with FACTOR :=
-    [ABCDEFG] UINT.
+    Grammar: TYPE := FACTOR ("x" FACTOR)* ("+z" UINT)? | "+z" UINT with
+    FACTOR := [ABCDEFG] UINT; a pure torus needs a positive rank.
     """
     m = _GROUP_RE.match(text.strip())
-    if not m:
+    factors_text, central_text = m.groups("") if m else ("", "")
+    central = int(central_text or 0)
+    if not (factors_text or central):
         raise ValueError(f"cannot parse group {text!r}")
     factors = tuple(
-        CartanType(fam, int(rank)) for fam, rank in _FACTOR_RE.findall(m.group(1))
+        CartanType(fam, int(rank)) for fam, rank in _FACTOR_RE.findall(factors_text)
     )
-    central = int(m.group(2)) if m.group(2) else 0
     return ReductiveGroup(factors, central)

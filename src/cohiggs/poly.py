@@ -320,19 +320,3 @@ def random_nonzero_poly(field: Field, degree: int, rng: random.Random) -> HomogP
         p = random_poly(field, degree, rng)
         if not p.is_zero:
             return p
-
-
-def all_polys(field: PrimeField, degree: int) -> Iterator[HomogPoly]:
-    """Every form of a degree over a prime field, zero included."""
-    if degree < 0:
-        yield HomogPoly.zero(field)
-        return
-    n = degree + 1
-    total = field.p**n
-    for code in range(total):
-        coeffs = []
-        c = code
-        for _ in range(n):
-            c, r = divmod(c, field.p)
-            coeffs.append(r)
-        yield HomogPoly(field, degree, tuple(coeffs))

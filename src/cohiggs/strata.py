@@ -2,11 +2,12 @@
 
 Fixing the topological degree leaves finitely many allowed types: every
 simple-root value must lie in {0, 1, 2}.  Each stratum is the space of
-fields on the corresponding bundle modulo its automorphisms, and all three
-dimensions here are computed by direct summation of section counts over the
-root spaces.  The closed forms are evaluated as well and asserted against
-the direct sums on every call; the generic stratum (type zero) always has
-dimension twice the group dimension.
+fields on the corresponding bundle modulo its automorphisms.  All three
+dimensions are direct sums of section counts over the root spaces, and all
+of them, together with both closed forms, are read off one histogram of the
+root values per type.  The closed forms are asserted against the direct
+sums on every call; the generic stratum (type zero) always has dimension
+twice the group dimension.
 
 The field-space dimension deliberately avoids its tempting closed form: the
 consistent simplification adds ``value - 3`` per root value above 3, and the
@@ -17,6 +18,7 @@ suite pins the discrepancy.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -39,6 +41,28 @@ class StratumRecord:
     is_generic: bool
 
 
+def _dimensions(group: ReductiveGroup, hn: HNType) -> tuple[int, int, int]:
+    """Field-space, automorphism and stratum dimensions, in that order.
+
+    All three, and both closed forms asserted against them, depend only on
+    the multiset of root values, so one histogram of it serves every sum.
+    """
+    require_dominant(group, hn)
+    hist = Counter(all_root_values(group, hn)).items()
+    fields = 3 * group.rank + sum(n * max(0, v + 3) for v, n in hist)
+    aut = group.rank + sum(n * (v + 1) for v, n in hist if v > -1)
+    closed = group.dim + sum(n * (v - 1) for v, n in hist if v > 1)
+    assert aut == closed, f"BUG: automorphism forms disagree: {aut} != {closed}"
+    stratum = fields - aut
+    closed = (
+        2 * group.dim
+        - 2 * sum(n for v, n in hist if v > 3)
+        - sum(n * (v - 1) for v, n in hist if 1 < v <= 3)
+    )
+    assert stratum == closed, f"BUG: stratum forms disagree: {stratum} != {closed}"
+    return fields, aut, stratum
+
+
 def dim_cohiggs_space(group: ReductiveGroup, hn: HNType) -> int:
     """Dimension of the space of co-Higgs fields on a bundle of this type.
 
@@ -46,10 +70,7 @@ def dim_cohiggs_space(group: ReductiveGroup, hn: HNType) -> int:
     a line bundle of degree ``value + 2``: that is ``value + 3`` when the
     value is at least -3 and zero otherwise.
     """
-    require_dominant(group, hn)
-    return 3 * group.rank + sum(
-        max(0, v + 3) for v in all_root_values(group, hn)
-    )
+    return _dimensions(group, hn)[0]
 
 
 def dim_automorphisms(group: ReductiveGroup, hn: HNType) -> int:
@@ -59,12 +80,7 @@ def dim_automorphisms(group: ReductiveGroup, hn: HNType) -> int:
     nonnegative value.  The equivalent form dim(G) + sum of (value - 1) over
     roots with value > 1 is evaluated too and asserted equal.
     """
-    require_dominant(group, hn)
-    values = all_root_values(group, hn)
-    direct = group.rank + sum(v + 1 for v in values if v > -1)
-    closed = group.dim + sum(v - 1 for v in values if v > 1)
-    assert direct == closed, f"BUG: automorphism forms disagree: {direct} != {closed}"
-    return direct
+    return _dimensions(group, hn)[1]
 
 
 def dim_stratum(group: ReductiveGroup, hn: HNType) -> int:
@@ -74,16 +90,7 @@ def dim_stratum(group: ReductiveGroup, hn: HNType) -> int:
     1 < value <= 3 is asserted against the subtraction (the automorphisms
     act freely on a generic field, so dimensions subtract).
     """
-    require_dominant(group, hn)
-    direct = dim_cohiggs_space(group, hn) - dim_automorphisms(group, hn)
-    values = all_root_values(group, hn)
-    closed = (
-        2 * group.dim
-        - 2 * sum(1 for v in values if v > 3)
-        - sum(v - 1 for v in values if 1 < v <= 3)
-    )
-    assert direct == closed, f"BUG: stratum forms disagree: {direct} != {closed}"
-    return direct
+    return _dimensions(group, hn)[2]
 
 
 def enumerate_strata(
@@ -105,12 +112,6 @@ def enumerate_strata(
     for flat in product(range(MAX_SIMPLE_VALUE + 1), repeat=total_rank):
         hn = HNType.from_flat(group, flat, central)
         records.append(
-            StratumRecord(
-                hn=hn,
-                dim_cohiggs=dim_cohiggs_space(group, hn),
-                dim_aut=dim_automorphisms(group, hn),
-                dim_stratum=dim_stratum(group, hn),
-                is_generic=all(v == 0 for v in flat),
-            )
+            StratumRecord(hn, *_dimensions(group, hn), is_generic=not any(flat))
         )
     return records

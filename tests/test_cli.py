@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from cohiggs import parse_group
 from cohiggs.cli import main
 
 
@@ -65,6 +67,44 @@ def test_strata_json_schema(capsys):
         assert isinstance(row["a"], list) and len(row["a"]) == 2
         assert all(isinstance(row[k], int) for k in ("dim_VM", "dim_aut", "dim_stratum"))
         assert isinstance(row["generic"], bool)
+
+
+# sha256 of the strata output, pinned so that a rewrite of the dimension
+# arithmetic cannot change a single byte of what the CLI prints
+@pytest.mark.parametrize("argv,digest", [
+    (
+        ["strata", "--group=F4", "--format=csv"],
+        "bd2a545fce7ee2f78dd8371f3feccaad14e28ffc6c4d031f305c07531eabe979",
+    ),
+    (
+        ["strata", "--group=C3xA1+z2", "--central=1,-2", "--format=json"],
+        "d28f3ed57a89a4364d4b1faab0b33f44b5c360b24dda72d1d3f3477c6a4cc434",
+    ),
+    (
+        ["strata", "--group=G2xA2", "--format=text"],
+        "bc84dd01eb4b1504b99cd35387758dd13e24ad8354db419a69f40acd8ed24be7",
+    ),
+])
+def test_strata_output_byte_identical(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# one splitting per rank 1-4 (the group depends only on the rank) and one
+# symplectic splitting per r = 1-3
+@pytest.mark.parametrize("argv", [
+    ["glr-check", "--splitting", s] for s in ("3", "2,-1", "2,0,-2", "3,1,0,-4")
+] + [
+    ["sp-check", "--half-degrees", h] for h in ("1", "2,1", "2,1,0")
+])
+def test_printed_group_parses_back(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    printed = json.loads(out)["group"]
+    g = parse_group(printed)
+    assert str(g) == printed
+    assert parse_group(str(g)) == g
 
 
 def test_sp_check(capsys):

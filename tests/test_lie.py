@@ -36,12 +36,6 @@ def test_unknown_family_rejected():
         CartanType("H", 2)
 
 
-def test_d3_flagged_as_a3():
-    assert CartanType("D", 3).is_a3_isomorphic
-    assert not CartanType("D", 4).is_a3_isomorphic
-    assert not CartanType("A", 3).is_a3_isomorphic
-
-
 @pytest.mark.parametrize("family,rank,dim", ALL_TYPES)
 def test_root_counts_match_dimensions(family, rank, dim):
     ct = CartanType(family, rank)
@@ -182,6 +176,7 @@ def test_multi_factor_root_values_concatenate():
     ("C3xA1+z2", ("C3", "A1"), 2),
     ("A1xA1", ("A1", "A1"), 0),
     ("E8+z1", ("E8",), 1),
+    ("+z1", (), 1),
 ])
 def test_parse_group(text, factors, central):
     g = parse_group(text)
@@ -190,10 +185,23 @@ def test_parse_group(text, factors, central):
     assert str(g) == text
 
 
-@pytest.mark.parametrize("text", ["", "H2", "A", "A2+z", "A2x", "a2", "A2xz1", "A0", "z1"])
+@pytest.mark.parametrize("text", [
+    "", "H2", "A", "A2+z", "A2x", "a2", "A2xz1", "A0", "z1", "+z0", "+z",
+])
 def test_parse_group_rejects(text):
     with pytest.raises(ValueError):
         parse_group(text)
+
+
+@pytest.mark.parametrize("g", [
+    ReductiveGroup((), 1),
+    ReductiveGroup((), 3),
+    ReductiveGroup((CartanType("A", 2),)),
+    ReductiveGroup((CartanType("C", 3), CartanType("A", 1)), 2),
+    ReductiveGroup((CartanType("G", 2), CartanType("E", 8))),
+], ids=str)
+def test_parse_group_round_trip(g):
+    assert parse_group(str(g)) == g
 
 
 def test_hntype_from_flat_splits_by_factor():

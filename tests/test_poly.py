@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cohiggs import QQ, HomogPoly, PrimeField
-from cohiggs.poly import all_polys, gcd_many, random_nonzero_poly, random_poly
+from cohiggs.poly import gcd_many, random_nonzero_poly, random_poly
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -130,10 +130,3 @@ def test_random_polys_deterministic_per_seed():
         random_poly(QQ, 2, random.Random(0))
     with pytest.raises(ValueError):
         random_nonzero_poly(F5, -1, random.Random(0))
-
-
-def test_all_polys_counts():
-    assert sum(1 for _ in all_polys(F2, 2)) == 8
-    assert sum(1 for _ in all_polys(F5, 1)) == 25
-    zs = list(all_polys(F5, -1))
-    assert len(zs) == 1 and zs[0].is_zero

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+import cohiggs.strata
 from cohiggs import (
     CartanType,
     HNType,
@@ -68,6 +69,47 @@ def test_automorphism_forms_agree_on_big_sweep():
         g = ReductiveGroup((ct,))
         for values in product(range(6), repeat=ct.rank):
             dim_automorphisms(g, HNType((values,)))
+
+
+def reference_dimensions(g, hn):
+    """Slow reference: one pass over the root values per sum, five in all."""
+    fields = 3 * g.rank + sum(max(0, v + 3) for v in all_root_values(g, hn))
+    aut = g.rank + sum(v + 1 for v in all_root_values(g, hn) if v > -1)
+    aut_closed = g.dim + sum(v - 1 for v in all_root_values(g, hn) if v > 1)
+    stratum_closed = (
+        2 * g.dim
+        - 2 * sum(1 for v in all_root_values(g, hn) if v > 3)
+        - sum(v - 1 for v in all_root_values(g, hn) if 1 < v <= 3)
+    )
+    assert aut == aut_closed
+    assert fields - aut == stratum_closed
+    return fields, aut, fields - aut
+
+
+@pytest.mark.parametrize("g", [ReductiveGroup((ct,)) for ct in SWEEP_TYPES] + [
+    ReductiveGroup((CartanType("A", 1), CartanType("A", 1)), central_rank=1),
+], ids=str)
+def test_dimensions_match_per_root_reference(g):
+    # values 3 and 4 reach the max(0, v + 3) cutoff and the v > 3 branch
+    central = (1,) * g.central_rank
+    for values in product(range(5), repeat=g.semisimple_rank):
+        hn = HNType.from_flat(g, values, central)
+        assert (
+            dim_cohiggs_space(g, hn), dim_automorphisms(g, hn), dim_stratum(g, hn)
+        ) == reference_dimensions(g, hn), (str(g), values)
+
+
+def test_enumerate_strata_one_root_value_pass_per_record(monkeypatch):
+    seen = []
+
+    def counting(group, hn):
+        seen.append(hn)
+        return all_root_values(group, hn)
+
+    monkeypatch.setattr(cohiggs.strata, "all_root_values", counting)
+    records = enumerate_strata(ReductiveGroup((CartanType("G", 2),)))
+    assert len(records) == 9
+    assert seen == [r.hn for r in records]
 
 
 def test_non_dominant_rejected():
