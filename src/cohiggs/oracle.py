@@ -26,14 +26,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .glr import SplittingType, glr_admits_semistable, hom_degree
-from .poly import (
-    Field,
-    HomogPoly,
-    PrimeField,
-    gcd_many,
-    random_nonzero_poly,
-    random_poly,
-)
+from .poly import HomogPoly, PrimeField, gcd_many, random_nonzero_poly, random_poly
 
 ORACLE_MAX_RANK = 3
 
@@ -48,7 +41,7 @@ class CoHiggsMatrix:
     """A co-Higgs field as a matrix of forms with the entrywise degrees."""
 
     splitting: SplittingType
-    field: Field
+    field: PrimeField
     entries: tuple[tuple[HomogPoly, ...], ...]
 
     def __post_init__(self) -> None:
@@ -100,7 +93,7 @@ class CoHiggsMatrix:
         }
 
 
-def _zero_matrix_entries(st: SplittingType, field: Field) -> list[list[HomogPoly]]:
+def _zero_matrix_entries(st: SplittingType, field: PrimeField) -> list[list[HomogPoly]]:
     r = st.rank
     return [
         [HomogPoly.zero(field, _expected_entry(st, i, j)) for j in range(r)]
@@ -108,16 +101,16 @@ def _zero_matrix_entries(st: SplittingType, field: Field) -> list[list[HomogPoly
     ]
 
 
-def zero_field(st: SplittingType, field: Field) -> CoHiggsMatrix:
+def zero_field(st: SplittingType, field: PrimeField) -> CoHiggsMatrix:
     """The zero co-Higgs field."""
     return CoHiggsMatrix(st, field, tuple(map(tuple, _zero_matrix_entries(st, field))))
 
 
-def _rng(kind: str, st: SplittingType, field: Field, seed: int) -> random.Random:
+def _rng(kind: str, st: SplittingType, field: PrimeField, seed: int) -> random.Random:
     return random.Random(f"{kind}:{st}:{field.name}:{seed}")
 
 
-def build_model_field(st: SplittingType, field: Field, seed: int = 0) -> CoHiggsMatrix:
+def build_model_field(st: SplittingType, field: PrimeField, seed: int = 0) -> CoHiggsMatrix:
     """The chained subdiagonal field: one nonzero form per simple gap.
 
     Entry (i+1, i) is a nonzero form of degree ``m_(i+1) - m_i + 2``; all
@@ -136,7 +129,7 @@ def build_model_field(st: SplittingType, field: Field, seed: int = 0) -> CoHiggs
     return CoHiggsMatrix(st, field, tuple(map(tuple, entries)))
 
 
-def random_field(st: SplittingType, field: Field, seed: int = 0) -> CoHiggsMatrix:
+def random_field(st: SplittingType, field: PrimeField, seed: int = 0) -> CoHiggsMatrix:
     """A field with every admissible entry drawn uniformly at random.
 
     Entries whose space has negative degree stay zero regardless of the
@@ -167,7 +160,7 @@ class LineSubbundle:
     def __init__(
         self,
         splitting: SplittingType,
-        field: Field,
+        field: PrimeField,
         degree: int,
         sections: Sequence[HomogPoly],
     ) -> None:
@@ -196,14 +189,6 @@ class LineSubbundle:
             self._saturated = g is not None and g.is_constant()
         return self._saturated
 
-    def scale(self, c) -> "LineSubbundle":
-        return LineSubbundle(
-            self.splitting,
-            self.field,
-            self.degree,
-            tuple(p.scale(c) if p.degree >= 0 else p for p in self.sections),
-        )
-
     def section_strings(self) -> list[str]:
         return [str(p) for p in self.sections]
 
@@ -220,11 +205,8 @@ def apply_field(phi: CoHiggsMatrix, line: LineSubbundle) -> tuple[HomogPoly, ...
     for i in range(r):
         expected = phi.splitting.degrees[i] - line.degree + 2
         acc = HomogPoly.zero(phi.field, max(expected, -1))
-        for j in range(r):
-            e = phi.entries[i][j]
-            p = line.sections[j]
-            if e.degree >= 0 and p.degree >= 0:
-                acc = acc + e * p
+        for e, p in zip(phi.entries[i], line.sections):
+            acc = acc + e * p
         assert acc.degree == max(expected, -1) or acc.is_zero, (
             f"BUG: output entry {i} has degree {acc.degree}, expected {expected}"
         )
@@ -239,24 +221,13 @@ def is_invariant(phi: CoHiggsMatrix, line: LineSubbundle) -> bool:
     two-by-two wedges ``p_i (phi p)_j - p_j (phi p)_i`` vanish identically.
     """
     image = apply_field(phi, line)
+    s = line.sections
     r = phi.rank
-    for i in range(r):
-        p_i = line.sections[i]
-        for j in range(i + 1, r):
-            p_j = line.sections[j]
-            left = p_i * image[j] if p_i.degree >= 0 and image[j].degree >= 0 else None
-            right = p_j * image[i] if p_j.degree >= 0 and image[i].degree >= 0 else None
-            if left is None and right is None:
-                continue
-            if left is None:
-                if not right.is_zero:
-                    return False
-            elif right is None:
-                if not left.is_zero:
-                    return False
-            elif not (left - right).is_zero:
-                return False
-    return True
+    return all(
+        (s[i] * image[j] - s[j] * image[i]).is_zero
+        for i in range(r)
+        for j in range(i + 1, r)
+    )
 
 
 def enumerate_line_subbundles(
@@ -268,8 +239,6 @@ def enumerate_line_subbundles(
     summands in order, coefficients within each section in order) equals 1;
     the stream is empty when the degree exceeds the largest summand degree.
     """
-    if not field.finite:
-        raise ValueError("subbundle enumeration needs a finite field")
     section_degrees = [m - degree for m in st.degrees]
     slots = [
         (i, k)
@@ -294,7 +263,7 @@ def enumerate_line_subbundles(
         free = slots[pivot + 1 :]
         for combo in product(elements, repeat=len(free)):
             values = dict(zip(free, combo))
-            values[slots[pivot]] = field.one
+            values[slots[pivot]] = 1
             line = build(values)
             if line.is_saturated:
                 yield line
@@ -367,8 +336,6 @@ def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
     fld = phi.field
     if st.rank > ORACLE_MAX_RANK:
         raise ValueError(f"oracle supports rank <= {ORACLE_MAX_RANK}, got {st.rank}")
-    if not fld.finite:
-        raise ValueError("oracle needs a finite coefficient field")
     mu = st.slope
     threshold = _violation_threshold(mode, mu)
 

@@ -1,15 +1,15 @@
-"""Exact homogeneous polynomial arithmetic in two variables.
+"""Exact homogeneous polynomial arithmetic in two variables over GF(p).
 
 Sections of a degree-d line bundle on the projective line are homogeneous
 forms of degree d in x and y.  A form is stored as the coefficient tuple
-(c_0, ..., c_d) against the basis x^d, x^(d-1) y, ..., y^d, over an exact
-coefficient field: a prime field GF(p) with elements as integers in
-[0, p), or the rationals with elements as ``Fraction``.
+(c_0, ..., c_d) against the basis x^d, x^(d-1) y, ..., y^d, with
+coefficients in a prime field GF(p) held as integers in [0, p).
 
 Degree -1 encodes the zero-only section space of a negative-degree bundle;
-its only inhabitant is the zero form with an empty coefficient tuple.  The
-zero form is also representable at every nonnegative degree (all-zero
-coefficients), so degree bookkeeping survives arithmetic.
+its only inhabitant is the zero form with an empty coefficient tuple.  It is
+neutral in sums and absorbing in products, where the marker itself is
+returned.  The zero form is also representable at every nonnegative degree
+(all-zero coefficients), so degree bookkeeping survives arithmetic.
 
 The gcd of two binary forms is computed exactly: split off the common power
 of y, run the Euclidean algorithm on the dehomogenizations at y = 1, and
@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 def _is_prime(n: int) -> bool:
@@ -47,34 +46,9 @@ class PrimeField:
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    finite = True
-
     @property
     def name(self) -> str:
         return f"F{self.p}"
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    def coerce(self, x: int) -> int:
-        return int(x) % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
@@ -89,59 +63,23 @@ class PrimeField:
 
 
 @dataclass(frozen=True)
-class RationalField:
-    """The rational numbers; elements are ``Fraction``."""
-
-    finite = False
-    name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, x) -> Fraction:
-        return Fraction(x)
-
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
-
-    def inv(self, a: Fraction) -> Fraction:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return 1 / a
-
-    def __str__(self) -> str:
-        return self.name
-
-
-QQ = RationalField()
-
-Field = PrimeField | RationalField
-
-
-@dataclass(frozen=True)
 class HomogPoly:
-    """A homogeneous form in two variables over an exact field.
+    """A homogeneous form in two variables over a prime field.
 
     ``coeffs`` has length ``degree + 1`` (empty at the zero-only degree -1),
-    entry k multiplying x^(degree-k) y^k.
+    entry k multiplying x^(degree-k) y^k.  The constructor reduces every
+    coefficient mod p, so arithmetic may hand it unreduced integers.
     """
 
-    field: Field
+    field: PrimeField
     degree: int
     coeffs: tuple
 
     def __post_init__(self) -> None:
         if self.degree < -1:
             raise ValueError("degree must be >= -1")
-        coeffs = tuple(self.field.coerce(c) for c in self.coeffs)
+        p = self.field.p
+        coeffs = tuple(int(c) % p for c in self.coeffs)
         if len(coeffs) != self.degree + 1:
             raise ValueError(
                 f"degree {self.degree} needs {self.degree + 1} coefficients, "
@@ -150,18 +88,14 @@ class HomogPoly:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def zero(cls, field: Field, degree: int = -1) -> "HomogPoly":
+    def zero(cls, field: PrimeField, degree: int = -1) -> "HomogPoly":
         if degree < 0:
             return cls(field, -1, ())
-        return cls(field, degree, (field.zero,) * (degree + 1))
-
-    @classmethod
-    def constant(cls, field: Field, value) -> "HomogPoly":
-        return cls(field, 0, (value,))
+        return cls(field, degree, (0,) * (degree + 1))
 
     @property
     def is_zero(self) -> bool:
-        return all(c == self.field.zero for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __add__(self, other: "HomogPoly") -> "HomogPoly":
         self._check_field(other)
@@ -173,35 +107,36 @@ class HomogPoly:
             raise ValueError(
                 f"cannot add forms of degrees {self.degree} and {other.degree}"
             )
-        f = self.field
         return HomogPoly(
-            f, self.degree, tuple(f.add(a, b) for a, b in zip(self.coeffs, other.coeffs))
+            self.field,
+            self.degree,
+            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
         )
 
     def __neg__(self) -> "HomogPoly":
-        f = self.field
-        return HomogPoly(f, self.degree, tuple(f.neg(c) for c in self.coeffs))
+        if self.degree == -1:
+            return self
+        return HomogPoly(self.field, self.degree, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         self._check_field(other)
-        if self.degree == -1 or other.degree == -1:
-            return HomogPoly.zero(self.field)
-        f = self.field
-        out = [f.zero] * (self.degree + other.degree + 1)
+        if self.degree == -1:
+            return self
+        if other.degree == -1:
+            return other
+        out = [0] * (self.degree + other.degree + 1)
         for i, a in enumerate(self.coeffs):
-            if a == f.zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return HomogPoly(f, self.degree + other.degree, tuple(out))
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return HomogPoly(self.field, self.degree + other.degree, tuple(out))
 
     def scale(self, c) -> "HomogPoly":
-        f = self.field
-        c = f.coerce(c)
-        return HomogPoly(f, self.degree, tuple(f.mul(c, a) for a in self.coeffs))
+        c = int(c)
+        return HomogPoly(self.field, self.degree, tuple(c * a for a in self.coeffs))
 
     def _check_field(self, other: "HomogPoly") -> None:
         if self.field != other.field:
@@ -211,7 +146,7 @@ class HomogPoly:
     def y_multiplicity(self) -> int:
         """Largest k with y^k dividing the form; degree + 1 for zero."""
         for k, c in enumerate(self.coeffs):
-            if c != self.field.zero:
+            if c:
                 return k
         return self.degree + 1
 
@@ -228,21 +163,19 @@ class HomogPoly:
             return self._monic()
         ys = min(self.y_multiplicity, other.y_multiplicity)
         core = _univariate_gcd(self.field, self._dehomogenize(), other._dehomogenize())
-        coeffs = (self.field.zero,) * ys + tuple(reversed(core))
+        coeffs = (0,) * ys + tuple(reversed(core))
         return HomogPoly(self.field, len(coeffs) - 1, coeffs)
 
     def _monic(self) -> "HomogPoly":
         if self.is_zero:
             return self
-        f = self.field
-        lead = next(c for c in self.coeffs if c != f.zero)
-        return self.scale(f.inv(lead))
+        lead = next(c for c in self.coeffs if c)
+        return self.scale(self.field.inv(lead))
 
     def _dehomogenize(self) -> list:
         """Coefficients of f(x, 1) in increasing powers of x, trimmed."""
-        f = self.field
         low_to_high = list(reversed(self.coeffs))
-        while low_to_high and low_to_high[-1] == f.zero:
+        while low_to_high and not low_to_high[-1]:
             low_to_high.pop()
         return low_to_high
 
@@ -252,25 +185,26 @@ class HomogPoly:
         d = self.degree
         terms = []
         for k, c in enumerate(self.coeffs):
-            if c == self.field.zero:
+            if not c:
                 continue
             xs = f"x^{d - k}" if d - k > 1 else ("x" if d - k == 1 else "")
             ys = f"y^{k}" if k > 1 else ("y" if k == 1 else "")
             mono = "*".join(t for t in (xs, ys) if t)
             if not mono:
                 terms.append(str(c))
-            elif c == self.field.one:
+            elif c == 1:
                 terms.append(mono)
             else:
                 terms.append(f"{c}*{mono}")
         return " + ".join(terms)
 
 
-def _univariate_gcd(field: Field, a: list, b: list) -> list:
+def _univariate_gcd(field: PrimeField, a: list, b: list) -> list:
     """Euclidean gcd of univariate coefficient lists (increasing powers)."""
+    p = field.p
 
     def trim(u: list) -> list:
-        while u and u[-1] == field.zero:
+        while u and not u[-1]:
             u.pop()
         return u
 
@@ -279,15 +213,15 @@ def _univariate_gcd(field: Field, a: list, b: list) -> list:
         inv_lead = field.inv(b[-1])
         while len(a) >= len(b):
             shift = len(a) - len(b)
-            factor = field.mul(a[-1], inv_lead)
+            factor = a[-1] * inv_lead
             for k in range(len(b)):
-                a[shift + k] = field.sub(a[shift + k], field.mul(factor, b[k]))
+                a[shift + k] = (a[shift + k] - factor * b[k]) % p
             trim(a)
             if not a:
                 break
         a, b = b, a
     inv_lead = field.inv(a[-1])
-    return [field.mul(c, inv_lead) for c in a]
+    return [c * inv_lead % p for c in a]
 
 
 def gcd_many(polys: Iterable[HomogPoly]) -> HomogPoly | None:
@@ -302,17 +236,15 @@ def gcd_many(polys: Iterable[HomogPoly]) -> HomogPoly | None:
     return acc
 
 
-def random_poly(field: Field, degree: int, rng: random.Random) -> HomogPoly:
-    """A form with coefficients drawn uniformly (prime fields only)."""
-    if not field.finite:
-        raise ValueError("random draws need a finite field")
+def random_poly(field: PrimeField, degree: int, rng: random.Random) -> HomogPoly:
+    """A form with coefficients drawn uniformly."""
     if degree < 0:
         return HomogPoly.zero(field)
     coeffs = tuple(rng.randrange(field.p) for _ in range(degree + 1))
     return HomogPoly(field, degree, coeffs)
 
 
-def random_nonzero_poly(field: Field, degree: int, rng: random.Random) -> HomogPoly:
+def random_nonzero_poly(field: PrimeField, degree: int, rng: random.Random) -> HomogPoly:
     """A nonzero form of a nonnegative degree, by rejection."""
     if degree < 0:
         raise ValueError("no nonzero forms in negative degree")

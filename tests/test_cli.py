@@ -91,6 +91,48 @@ def test_strata_output_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the oracle and model-field output with the exit code, pinned so
+# that a rewrite of the form arithmetic or the subbundle search cannot change
+# a verdict, a witness or a printed coefficient
+@pytest.mark.parametrize("argv,exit_code,digest", [
+    (
+        ["oracle", "--splitting=3,0", "--prime=2", "--mode=semistable"],
+        2,
+        "78545704b17797babcfa210587a4a89269b895254e40e28f354dc31374614e86",
+    ),
+    (
+        ["oracle", "--splitting=1,0,-1", "--prime=7", "--mode=stable", "--seed=4"],
+        0,
+        "1db64207d582b8eac00485a602c6a3b7c6b3e16fac1013b32492d011041081b6",
+    ),
+    (
+        ["oracle", "--splitting=0,0", "--prime=5", "--mode=stable", "--model",
+         "--format=text"],
+        2,
+        "2749382fe63ebba1ff22e9f8aa6269ceb042910a7376d43c0c0009760795aaa5",
+    ),
+    (   # a rank-1 witness with polynomial sections
+        ["oracle", "--splitting=1,0,-1", "--prime=3", "--mode=stable", "--seed=53"],
+        2,
+        "dbb2fcf0a37dd77ac1a85d262f1b2271afaed916ce1fa882ce21d2af7ad6b563",
+    ),
+    (   # a rank-2 witness found through the dual search
+        ["oracle", "--splitting=1,1,0", "--prime=3", "--mode=semistable", "--seed=38"],
+        2,
+        "3ffb64d555491ba92a18266b0fadfb98c9f14d60a79f0e6badf455d8d124650d",
+    ),
+    (   # contains entries in zero spaces
+        ["model-field", "--splitting=1,-1,-3", "--prime=5", "--seed=2", "--format=json"],
+        0,
+        "90f629ce40c264c95d8ada4f0a8783a82cc99b1119a06843f3ad4fc3b2f120d1",
+    ),
+])
+def test_oracle_output_byte_identical(capsys, argv, exit_code, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # one splitting per rank 1-4 (the group depends only on the rank) and one
 # symplectic splitting per r = 1-3
 @pytest.mark.parametrize("argv", [

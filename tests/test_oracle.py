@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from cohiggs import (
@@ -5,7 +8,6 @@ from cohiggs import (
     HomogPoly,
     LineSubbundle,
     PrimeField,
-    QQ,
     SplittingType,
     apply_field,
     build_model_field,
@@ -171,7 +173,8 @@ def test_invariance_is_scale_invariant():
             for L in enumerate_line_subbundles(st, d, F5):
                 verdict = is_invariant(phi, L)
                 for c in (2, 3, 4):
-                    assert is_invariant(phi, L.scale(c)) == verdict
+                    scaled = LineSubbundle(st, F5, d, [p.scale(c) for p in L.sections])
+                    assert is_invariant(phi, scaled) == verdict
 
 
 # ------------------------------------------------------------ enumeration
@@ -199,11 +202,6 @@ def test_enumeration_normalizes_first_nonzero_coefficient():
         assert lead == 1
 
 
-def test_enumeration_requires_finite_field():
-    with pytest.raises(ValueError):
-        next(enumerate_line_subbundles(SplittingType((0, 0)), 0, QQ))
-
-
 def test_subbundle_validation():
     st = SplittingType((1, -1))
     with pytest.raises(ValueError):
@@ -217,8 +215,6 @@ def test_subbundle_validation():
 def test_oracle_rejects_big_ranks_and_infinite_fields():
     with pytest.raises(ValueError):
         semistability_oracle(zero_field(SplittingType((0, 0, 0, 0)), F5), "stable")
-    with pytest.raises(ValueError):
-        semistability_oracle(zero_field(SplittingType((0, 0)), QQ), "stable")
     with pytest.raises(ValueError):
         semistability_oracle(zero_field(SplittingType((0, 0)), F5), "almost")
 
@@ -337,6 +333,20 @@ def test_model_field_sufficiency_across_primes():
                     semistability_oracle(build_model_field(st, p, 0), "stable").passes
                     for p in primes
                 ), st
+
+
+def test_exhaustive_verdicts_pinned():
+    # every verdict and witness of every field on (1,0) and (2,-1) over F2 in
+    # both modes (16384 verdicts), pinned by sha256
+    verdicts = [
+        semistability_oracle(phi, mode).to_json_dict()
+        for degs in ((1, 0), (2, -1))
+        for phi in enumerate_all_fields(SplittingType(degs), F2)
+        for mode in ("stable", "semistable")
+    ]
+    assert len(verdicts) == 16384
+    digest = hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest()
+    assert digest == "9f24ac1fa20a159c5e46e9e0aa776044b5b3e38373ef135c7353302e2bfdaf86"
 
 
 def test_verdict_json_shape():

@@ -1,9 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from cohiggs import QQ, HomogPoly, PrimeField
+from cohiggs import HomogPoly, PrimeField
 from cohiggs.poly import gcd_many, random_nonzero_poly, random_poly
 
 F2 = PrimeField(2)
@@ -23,21 +22,11 @@ def test_prime_field_validation():
 
 
 def test_prime_field_arithmetic():
-    assert F5.add(3, 4) == 2
-    assert F5.mul(3, 4) == 2
-    assert F5.neg(2) == 3
-    assert F5.mul(F5.inv(3), 3) == 1
+    assert F5.inv(3) * 3 % 5 == 1
     assert list(F2.elements()) == [0, 1]
     with pytest.raises(ZeroDivisionError):
         F5.inv(0)
-
-
-def test_rational_field_is_exact():
-    assert QQ.coerce(2) == Fraction(2)
-    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
-    p = P(QQ, 1, Fraction(1, 3), Fraction(1, 6))
-    q = p.scale(6)
-    assert q.coeffs == (Fraction(2), Fraction(1))
+    assert HomogPoly(F5, 1, (7, -1)).coeffs == (2, 4)
 
 
 def test_construction_validates_lengths_and_degree():
@@ -71,6 +60,8 @@ def test_zero_marker_neutral_in_addition_absorbing_in_product():
     f = P(F5, 2, 1, 0, 3)
     assert (f + z).coeffs == f.coeffs
     assert (f * z).is_zero
+    # the marker is immutable, so products and negation hand it back as is
+    assert f * z is z and z * f is z and -z is z
 
 
 def test_gcd_basic():
@@ -100,10 +91,10 @@ def test_gcd_with_zero_and_monic_normalization():
     assert z.gcd(f).coeffs == (1, 2)
 
 
-def test_gcd_over_rationals():
-    f = P(QQ, 2, 1, 2, 1)    # (x + y)^2
-    g = P(QQ, 1, 2, 2)       # 2(x + y)
-    assert f.gcd(g).coeffs == (Fraction(1), Fraction(1))
+def test_gcd_drops_scalar_factor():
+    f = P(F5, 2, 1, 2, 1)    # (x + y)^2
+    g = P(F5, 1, 2, 2)       # 2(x + y)
+    assert f.gcd(g).coeffs == (1, 1)
 
 
 def test_gcd_many_detects_coprimality():
@@ -126,7 +117,5 @@ def test_random_polys_deterministic_per_seed():
     b = random_poly(F5, 3, random.Random("k:1"))
     assert a.coeffs == b.coeffs
     assert not random_nonzero_poly(F2, 0, random.Random(0)).is_zero
-    with pytest.raises(ValueError):
-        random_poly(QQ, 2, random.Random(0))
     with pytest.raises(ValueError):
         random_nonzero_poly(F5, -1, random.Random(0))
