@@ -1,4 +1,4 @@
-"""Instance-level co-Higgs fields and an exhaustive semistability oracle.
+"""Instance-level co-Higgs fields and an exact semistability oracle.
 
 A co-Higgs field on a split rank-r bundle is an r x r matrix whose (i, j)
 entry is a form of degree ``m_i - m_j + 2`` (the zero-only marker when that
@@ -6,14 +6,22 @@ degree is negative).  A line subbundle of degree d is a section tuple with
 entry i of degree ``m_i - d``, saturated when the nonzero entries share no
 projective zero, i.e. their gcd is a nonzero constant.
 
-Over a prime field the oracle enumerates every saturated line subbundle
-down to the destabilizing slope threshold, checks invariance exactly, and
-for rank 3 repeats the search on the dual splitting with the transposed
+A saturated line is invariant exactly when ``phi s = form * s`` for a
+degree-2 form (the spectral picture of a Higgs field).  Over a prime field
+the oracle takes the candidate forms from the eigenvalues of the numeric
+matrices phi([1:0]), phi([0:1]) and phi([1:1]), and from the top degree
+down to the destabilizing slope threshold looks for a nonzero kernel of
+``phi - form`` on the section space, by Gaussian elimination over GF(p).
+For rank 3 it repeats the search on the dual splitting with the transposed
 matrix, which detects invariant rank-2 subbundles through their annihilator
 lines.  A FAILS verdict is a certificate; a PASSES verdict only rules out
 destabilizing subbundles rational over the chosen field, so confidence
-comes from passing at several primes.  All randomness is driven by seeds
-through ``random.Random``, so every run is reproducible bit for bit.
+comes from passing at several primes.
+
+``enumerate_line_subbundles`` and ``is_invariant`` remain as the slow
+reference: the kernel search returns the witness they would find first.
+All randomness is driven by seeds through ``random.Random``, so every run
+is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +59,10 @@ class CoHiggsMatrix:
             raise ValueError(f"expected an {r} x {r} entry grid")
         for i, row in enumerate(entries):
             for j, p in enumerate(row):
+                if p.field != self.field:
+                    raise ValueError(
+                        f"entry ({i}, {j}) is over {p.field}, the matrix over {self.field}"
+                    )
                 want = _expected_entry(self.splitting, i, j)
                 if want == -1:
                     if not p.is_zero:
@@ -168,6 +180,8 @@ class LineSubbundle:
         if len(sections) != splitting.rank:
             raise ValueError("one section per summand required")
         for m, p in zip(splitting.degrees, sections):
+            if p.field != field:
+                raise ValueError(f"section is over {p.field}, the subbundle over {field}")
             want = m - degree
             if want < 0:
                 if not p.is_zero:
@@ -323,14 +337,169 @@ def _violation_threshold(mode: str, slope: Fraction) -> int:
     raise ValueError(f"mode must be 'stable' or 'semistable', not {mode!r}")
 
 
+def _eigenvalues(m: list[list[int]], p: int) -> list[int]:
+    """Eigenvalues in GF(p) of a 2 x 2 or 3 x 3 integer matrix: the roots
+    of its characteristic polynomial, found by trying every t."""
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        charpoly = (1, -(a + d), a * d - b * c)
+    else:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        charpoly = (
+            1,
+            -(a + e + i),
+            a * e - b * d + a * i - c * g + e * i - f * h,
+            -(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)),
+        )
+    roots = []
+    for t in range(p):
+        acc = 0
+        for k in charpoly:
+            acc = acc * t + k
+        if acc % p == 0:
+            roots.append(t)
+    return roots
+
+
+def _eigen_forms(phi: CoHiggsMatrix) -> list[tuple[int, int, int]]:
+    """Every degree-2 form ``a x^2 + b xy + c y^2`` that can act on an
+    invariant line subbundle, as its coefficient triple.
+
+    A saturated invariant line never vanishes, so at each of the points
+    [1:0], [0:1] and [1:1] the form's value is an eigenvalue of the numeric
+    matrix phi(point); those three values fix the form.
+    """
+    p = phi.field.p
+    # the zero-only marker has no coefficients and evaluates to 0
+    coeffs = [[e.coeffs or (0,) for e in row] for row in phi.entries]
+    at_x = _eigenvalues([[c[0] for c in row] for row in coeffs], p)
+    at_y = at_x and _eigenvalues([[c[-1] for c in row] for row in coeffs], p)
+    at_one = at_y and _eigenvalues([[sum(c) for c in row] for row in coeffs], p)
+    return [(a, (v - a - c) % p, c) for a in at_x for c in at_y for v in at_one]
+
+
+def _blocks(st: SplittingType, degree: int) -> tuple[list[tuple[int, int]], int]:
+    """Coefficient layout of H^0(E(-degree)): the start slot and the form
+    degree of each summand (no slots when that degree is negative), plus
+    the total slot count."""
+    blocks, n = [], 0
+    for m in st.degrees:
+        blocks.append((n, m - degree))
+        n += max(m - degree + 1, 0)
+    return blocks, n
+
+
+def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row-echelon form over GF(p) of an integer matrix, computed in
+    place: the nonzero rows, reduced mod p, and their pivot columns."""
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        for pr in range(r, len(rows)):
+            if rows[pr][col] % p:
+                break
+        else:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        pivot_row = rows[r] = [c * inv % p for c in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col] % p
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, pivot_row)]
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return rows[: len(pivots)], pivots
+
+
+def _kernels(
+    phi: CoHiggsMatrix, forms: list[tuple[int, int, int]], degree: int
+) -> list[list[list[int]]]:
+    """For each form whose ``s -> (phi - form) s`` has a nonzero kernel on
+    H^0(E(-degree)), a basis of that kernel over GF(p), one vector per free
+    column.
+
+    The map goes to H^0(E(-degree + 2)); columns follow the enumerator's
+    slot order: summand, then coefficient.
+    """
+    p = phi.field.p
+    cols, ncols = _blocks(phi.splitting, degree)
+    rows, nrows = _blocks(phi.splitting, degree - 2)
+    live = [(j, c0, e) for j, (c0, e) in enumerate(cols) if e >= 0]
+    base = [[0] * ncols for _ in range(nrows)]
+    for j, c0, e in live:
+        for i, (r0, _) in enumerate(rows):
+            for a, c in enumerate(phi.entries[i][j].coeffs):
+                for k in range(e + 1):
+                    base[r0 + a + k][c0 + k] += c
+    out = []
+    for form in forms:
+        matrix = [row[:] for row in base]
+        for j, c0, e in live:
+            r0 = rows[j][0]
+            for a, c in enumerate(form):
+                for k in range(e + 1):
+                    matrix[r0 + a + k][c0 + k] -= c
+        reduced, pivots = _rref(matrix, p)
+        if len(pivots) == ncols:
+            continue
+        basis = []
+        for f in sorted(set(range(ncols)) - set(pivots)):
+            v = [0] * ncols
+            v[f] = 1
+            for row, pc in zip(reduced, pivots):
+                v[pc] = -row[f] % p
+            basis.append(v)
+        out.append(basis)
+    return out
+
+
+def _top_invariant_line(
+    phi: CoHiggsMatrix, threshold: int
+) -> tuple[int, tuple[str, ...]] | None:
+    """The invariant line subbundle ``enumerate_line_subbundles`` and
+    ``is_invariant`` would find first, from the top degree down to the
+    threshold, as its degree and section strings; None when there is none.
+
+    A saturated line is invariant iff its section tuple lies in the kernel
+    of ``phi - form`` for one of the eigen-forms.  At the highest degree
+    with a kernel every kernel vector is saturated, since a common factor
+    would leave an invariant line of higher degree.  The enumerator's first
+    hit there is the first row of the kernel's reduced echelon form (pivot
+    1, every later free slot 0); the smallest pivot slot, then the smallest
+    vector, wins across forms.
+    """
+    st, fld = phi.splitting, phi.field
+    degrees = range(st.degrees[0], threshold - 1, -1)
+    forms = _eigen_forms(phi) if degrees else []
+    if not forms:
+        return None
+    for d in degrees:
+        hits = []
+        for kernel in _kernels(phi, forms, d):
+            (first, *_), (pivot, *_) = _rref(kernel, fld.p)
+            hits.append((pivot, first))
+        if hits:
+            _, vector = min(hits)
+            sections = [
+                HomogPoly(fld, e, vector[c0 : c0 + e + 1]) if e >= 0 else HomogPoly.zero(fld)
+                for c0, e in _blocks(st, d)[0]
+            ]
+            return d, tuple(map(str, sections))
+    return None
+
+
 def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
     """Search for a destabilizing invariant subbundle over the prime field.
 
-    Line subbundles are enumerated from the top degree down to the slope
-    threshold; for rank 3, invariant rank-2 subbundles are found as
-    invariant annihilator lines of the dual splitting under the transposed
-    field.  First witness wins.  PASSES only certifies the absence of
-    destabilizing subbundles rational over this field.
+    Invariant line subbundles are found from the top degree down to the
+    slope threshold as kernels of ``phi - form`` for the eigen-forms of the
+    field; for rank 3, invariant rank-2 subbundles are found as invariant
+    annihilator lines of the dual splitting under the transposed field.
+    The witness is the one the enumerator would return: top degree first,
+    first nonzero coefficient 1, smallest tuple.  PASSES only certifies the
+    absence of destabilizing subbundles rational over this field.
     """
     st = phi.splitting
     fld = phi.field
@@ -346,27 +515,19 @@ def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
         # a line bundle has no proper subbundles at all
         return passes()
 
-    for d in range(st.degrees[0], threshold - 1, -1):
-        for line in enumerate_line_subbundles(st, d, fld):
-            if is_invariant(phi, line):
-                witness = OracleWitness(
-                    rank=1, degree=d, sections=tuple(line.section_strings())
-                )
-                return OracleVerdict(False, mode, fld.name, mu, (witness,))
+    hit = _top_invariant_line(phi, threshold)
+    if hit is not None:
+        d, sections = hit
+        witness = OracleWitness(rank=1, degree=d, sections=sections)
+        return OracleVerdict(False, mode, fld.name, mu, (witness,))
 
     if st.rank == 3:
         phi_t = phi.transpose_dual()
-        dual = phi_t.splitting
-        dual_threshold = _violation_threshold(mode, dual.slope)
-        for d in range(dual.degrees[0], dual_threshold - 1, -1):
-            for line in enumerate_line_subbundles(dual, d, fld):
-                if is_invariant(phi_t, line):
-                    witness = OracleWitness(
-                        rank=2,
-                        degree=st.degree + d,
-                        dual_sections=tuple(line.section_strings()),
-                    )
-                    return OracleVerdict(False, mode, fld.name, mu, (witness,))
+        hit = _top_invariant_line(phi_t, _violation_threshold(mode, phi_t.splitting.slope))
+        if hit is not None:
+            d, sections = hit
+            witness = OracleWitness(rank=2, degree=st.degree + d, dual_sections=sections)
+            return OracleVerdict(False, mode, fld.name, mu, (witness,))
 
     return passes()
 

@@ -20,6 +20,7 @@ which is the saturation test for line subbundles.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -68,7 +69,8 @@ class HomogPoly:
 
     ``coeffs`` has length ``degree + 1`` (empty at the zero-only degree -1),
     entry k multiplying x^(degree-k) y^k.  The constructor reduces every
-    coefficient mod p, so arithmetic may hand it unreduced integers.
+    coefficient mod p, so arithmetic may hand it unreduced integers; a
+    coefficient that is not an integer raises ``TypeError``.
     """
 
     field: PrimeField
@@ -79,7 +81,7 @@ class HomogPoly:
         if self.degree < -1:
             raise ValueError("degree must be >= -1")
         p = self.field.p
-        coeffs = tuple(int(c) % p for c in self.coeffs)
+        coeffs = tuple(operator.index(c) % p for c in self.coeffs)
         if len(coeffs) != self.degree + 1:
             raise ValueError(
                 f"degree {self.degree} needs {self.degree + 1} coefficients, "
@@ -135,7 +137,7 @@ class HomogPoly:
         return HomogPoly(self.field, self.degree + other.degree, tuple(out))
 
     def scale(self, c) -> "HomogPoly":
-        c = int(c)
+        c = operator.index(c)
         return HomogPoly(self.field, self.degree, tuple(c * a for a in self.coeffs))
 
     def _check_field(self, other: "HomogPoly") -> None:

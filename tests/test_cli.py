@@ -188,6 +188,15 @@ def test_oracle_exit_codes(capsys):
     assert json.loads(out)["verdict"] == "PASSES"
 
 
+def test_oracle_large_prime_passes(capsys):
+    # out of reach for enumeration: about p^3 = 10^6 section tuples per degree
+    code, out, _ = run(
+        capsys, "oracle", "--splitting=2,0,-2", "--prime=101", "--mode=stable"
+    )
+    assert code == 0
+    assert "PASSES" in out
+
+
 def test_oracle_output_deterministic(capsys):
     args = ["oracle", "--splitting", "1,0,-1", "--prime", "7", "--mode", "stable", "--seed", "4"]
     code1, out1, _ = run(capsys, *args)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 
@@ -7,6 +8,8 @@ from cohiggs import (
     CoHiggsMatrix,
     HomogPoly,
     LineSubbundle,
+    OracleVerdict,
+    OracleWitness,
     PrimeField,
     SplittingType,
     apply_field,
@@ -20,6 +23,7 @@ from cohiggs import (
     semistability_oracle,
     zero_field,
 )
+from cohiggs.oracle import _violation_threshold
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -55,6 +59,13 @@ def test_matrix_rejects_entries_in_zero_spaces():
     rows[1][0] = HomogPoly(F5, 0, (1,))
     with pytest.raises(ValueError):
         CoHiggsMatrix(st, F5, tuple(map(tuple, rows)))
+
+
+def test_matrix_rejects_entries_over_another_field():
+    st = SplittingType((1, -1))
+    entries = build_model_field(st, PrimeField(7)).entries
+    with pytest.raises(ValueError, match="F7.*F5"):
+        CoHiggsMatrix(st, F5, entries)
 
 
 def test_model_field_shape():
@@ -208,6 +219,8 @@ def test_subbundle_validation():
         LineSubbundle(st, F5, 1, (HomogPoly.zero(F5), HomogPoly.zero(F5)))
     with pytest.raises(ValueError):
         LineSubbundle(st, F5, 1, (HomogPoly(F5, 2, (1, 0, 0)), HomogPoly.zero(F5)))
+    with pytest.raises(ValueError, match="F3.*F5"):
+        LineSubbundle(st, F5, 1, (HomogPoly(F3, 0, (1,)), HomogPoly.zero(F5)))
 
 
 # ----------------------------------------------------------------- oracle
@@ -356,3 +369,82 @@ def test_verdict_json_shape():
     assert payload["field"] == "F5"
     assert payload["mode"] == "semistable"
     assert payload["witnesses"][0]["degree"] == 1
+
+
+# ------------------------------------------ kernel search vs the enumerator
+
+@functools.lru_cache(maxsize=None)
+def _lines(st, degree, field):
+    # the enumeration does not depend on the field instance; sweeps reuse it
+    return tuple(enumerate_line_subbundles(st, degree, field))
+
+
+def _reference_oracle(phi, mode):
+    # the enumerate-and-test oracle the kernel search replaced: every
+    # saturated line from the top degree down, first invariant one wins;
+    # for rank 3 the same on the dual splitting under the transposed field
+    st, fld = phi.splitting, phi.field
+    mu = st.slope
+    if st.rank > 1:
+        for d in range(st.degrees[0], _violation_threshold(mode, mu) - 1, -1):
+            for L in _lines(st, d, fld):
+                if is_invariant(phi, L):
+                    w = OracleWitness(rank=1, degree=d, sections=tuple(L.section_strings()))
+                    return OracleVerdict(False, mode, fld.name, mu, (w,))
+    if st.rank == 3:
+        phi_t = phi.transpose_dual()
+        dual = phi_t.splitting
+        for d in range(dual.degrees[0], _violation_threshold(mode, dual.slope) - 1, -1):
+            for L in _lines(dual, d, fld):
+                if is_invariant(phi_t, L):
+                    w = OracleWitness(
+                        rank=2, degree=st.degree + d, dual_sections=tuple(L.section_strings())
+                    )
+                    return OracleVerdict(False, mode, fld.name, mu, (w,))
+    return OracleVerdict(True, mode, fld.name, mu)
+
+
+def _assert_matches_reference(fields):
+    witness_ranks = set()
+    for phi in fields:
+        for mode in ("stable", "semistable"):
+            got = semistability_oracle(phi, mode).to_json_dict()
+            assert got == _reference_oracle(phi, mode).to_json_dict(), (phi.to_json_dict(), mode)
+            witness_ranks.update(w["rank"] for w in got["witnesses"])
+    return witness_ranks
+
+
+@pytest.mark.parametrize("degrees", [(1, 0), (0, 0), (1, 1), (2, 0), (3, 0), (2, -1)])
+def test_kernel_search_matches_enumerator_exhaustive(degrees):
+    # every field over F2 (4096 per splitting), verdict and witness alike
+    _assert_matches_reference(enumerate_all_fields(SplittingType(degrees), F2))
+
+
+def test_kernel_search_matches_enumerator_sampled():
+    fields = [
+        random_field(SplittingType(degrees), PrimeField(p), seed)
+        for p in (2, 3, 5, 7, 11, 13)
+        for degrees in ((1, -1), (2, 0), (3, 0), (1, 0, 0), (1, 0, -1), (2, 1, 0))
+        for seed in range(4)
+    ]
+    _assert_matches_reference(fields)
+
+
+def _block_triangular(st, field, seed, zeros):
+    rows = [list(r) for r in random_field(st, field, seed).entries]
+    for i, j in zeros:
+        rows[i][j] = HomogPoly.zero(field, rows[i][j].degree)
+    return CoHiggsMatrix(st, field, tuple(map(tuple, rows)))
+
+
+def test_kernel_search_matches_enumerator_on_reducible_rank_three():
+    # forced zeros below the top 2 x 2 block make its rank-2 subbundle
+    # invariant, so rank-2 dual witnesses occur next to line witnesses
+    fields = [
+        _block_triangular(SplittingType(degrees), PrimeField(p), seed, zeros)
+        for p in (2, 3, 5, 7)
+        for degrees in ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 0, -1))
+        for seed in range(3)
+        for zeros in (((2, 0), (2, 1)), ((1, 0), (2, 0)))
+    ]
+    assert _assert_matches_reference(fields) == {1, 2}

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,21 @@ def test_prime_field_arithmetic():
     with pytest.raises(ZeroDivisionError):
         F5.inv(0)
     assert HomogPoly(F5, 1, (7, -1)).coeffs == (2, 4)
+
+
+def test_coefficients_must_be_integers():
+    # non-integers are rejected, never truncated; plain ints are reduced
+    with pytest.raises(TypeError):
+        HomogPoly(F5, 0, (Fraction(1, 2),))
+    with pytest.raises(TypeError):
+        HomogPoly(F5, 0, (1.7,))
+    with pytest.raises(TypeError):
+        P(F5, 0, 1).scale(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        P(F5, 0, 1).scale(1.7)
+    assert HomogPoly(F5, 0, (-1,)).coeffs == (4,)
+    assert HomogPoly(F5, 0, (12,)).coeffs == (2,)
+    assert P(F5, 1, 1, 2).scale(-3).coeffs == (2, 4)
 
 
 def test_construction_validates_lengths_and_degree():
