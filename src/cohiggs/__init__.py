@@ -23,13 +23,11 @@ from .lie import (
     CartanType,
     HNType,
     ReductiveGroup,
-    RootSystem,
     all_root_values,
     build_root_system,
     cartan_matrix,
     is_dominant,
     parse_group,
-    root_value,
 )
 from .oracle import (
     CoHiggsMatrix,
@@ -68,7 +66,6 @@ __all__ = [
     "OracleWitness",
     "PrimeField",
     "ReductiveGroup",
-    "RootSystem",
     "RootViolation",
     "SplittingType",
     "StratumRecord",
@@ -97,7 +94,6 @@ __all__ = [
     "is_invariant",
     "parse_group",
     "random_field",
-    "root_value",
     "semistability_oracle",
     "semistable_obstruction",
     "sp_admits_stable",

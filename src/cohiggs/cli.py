@@ -1,12 +1,12 @@
 """Command-line frontend.
 
 Subcommands: criterion, strata, glr-check, sp-check, model-field, oracle,
-adjoint.  Output is a text report by default; ``--format json`` emits a
-canonical JSON document (sorted keys) and ``--format csv`` is available for
-the strata table.  Informational subcommands exit 0 whatever the verdict;
-``oracle`` exits 0 on PASSES and 2 on FAILS; usage errors exit 1.  All
-randomness is seed-controlled, so output is a deterministic function of
-argv.
+adjoint.  Output is a text report by default, except for ``oracle``,
+which defaults to JSON; ``--format json`` emits a canonical JSON document
+(sorted keys) and ``--format csv`` is available for the strata table.
+Informational subcommands exit 0 whatever the verdict; ``oracle`` exits 0
+on PASSES and 2 on FAILS; usage errors exit 1.  All randomness is
+seed-controlled, so output is a deterministic function of argv.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Sequence
 
-from .criterion import evaluate_criterion
+from .criterion import adjoint_splitting, evaluate_criterion
 from .glr import SplittingType, glr_admits_semistable, splitting_to_hn
 from .lie import HNType, parse_group
 from .oracle import build_model_field, random_field, semistability_oracle
@@ -74,12 +74,11 @@ def _cmd_criterion(args) -> int:
 
 
 def _cmd_adjoint(args) -> int:
-    group, hn = _group_and_hn(args)
-    report = evaluate_criterion(group, hn)
+    adjoint = adjoint_splitting(*_group_and_hn(args))
     if args.format == "json":
-        _emit_json({"adjoint_degrees": list(report.adjoint_degrees.degrees)})
+        _emit_json({"adjoint_degrees": list(adjoint.degrees)})
         return 0
-    print(report.adjoint_degrees)
+    print(adjoint)
     return 0
 
 
@@ -242,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_model_field)
 
-    p = sub.add_parser("oracle", help="exhaustive invariant-subbundle semistability test")
+    p = sub.add_parser("oracle", help="invariant-subbundle (semi)stability test over a prime field")
     p.add_argument("--splitting", type=_int_list, required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--mode", choices=("stable", "semistable"), required=True)

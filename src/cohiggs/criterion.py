@@ -38,7 +38,6 @@ class RootViolation:
 @dataclass(frozen=True)
 class CriterionReport:
     admits_stable: bool
-    obstructed_semistable: bool
     violating_roots: tuple[RootViolation, ...]
     adjoint_degrees: SplittingType
 
@@ -92,9 +91,8 @@ def hom_vanishing_certificate(
     require_dominant(group, hn)
     if not (0 <= factor < len(group.simple_factors)):
         raise ValueError(f"no factor {factor}")
-    rs = group.root_systems()[factor]
     vec = hn.simple_values[factor]
-    if not (0 <= root < rs.simple_root_count):
+    if not (0 <= root < len(vec)):
         raise ValueError(f"no simple root {root} in factor {factor}")
     if vec[root] < OBSTRUCTION_BOUND:
         raise ValueError(
@@ -102,7 +100,7 @@ def hom_vanishing_certificate(
             f"{OBSTRUCTION_BOUND}; nothing to certify"
         )
     summands = []
-    for pos in rs.positive_roots:
+    for pos in group.root_systems()[factor]:
         if pos[root] == 0:
             continue
         neg = tuple(-c for c in pos)
@@ -129,7 +127,6 @@ def evaluate_criterion(group: ReductiveGroup, hn: HNType) -> CriterionReport:
     violations = semistable_obstruction(group, hn)
     return CriterionReport(
         admits_stable=not violations,
-        obstructed_semistable=bool(violations),
         violating_roots=tuple(violations),
         adjoint_degrees=adjoint_splitting(group, hn),
     )

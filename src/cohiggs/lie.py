@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _FAMILIES = "ABCDEFG"
 
@@ -117,42 +117,15 @@ def _reflect(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """The full root set of a simple type, in simple-root coordinates.
-
-    ``positive_roots`` is deduplicated and ordered by nondecreasing height
-    (sum of coefficients); the first ``simple_root_count`` entries are the
-    simple roots themselves.
-    """
-
-    cartan_matrix: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[tuple[int, ...], ...]
-    simple_root_count: int
-    _root_set: frozenset[tuple[int, ...]] = field(repr=False, compare=False, default=frozenset())
-
-    @property
-    def all_roots(self) -> tuple[tuple[int, ...], ...]:
-        """Positive roots followed by their negatives."""
-        return self.positive_roots + tuple(
-            tuple(-c for c in r) for r in self.positive_roots
-        )
-
-    def contains(self, root: tuple[int, ...]) -> bool:
-        return tuple(root) in self._root_set
-
-    def reflect(self, root: tuple[int, ...], i: int) -> tuple[int, ...]:
-        """Reflect a coefficient vector through the i-th simple root."""
-        return _reflect(self.cartan_matrix, root, i)
-
-
 @functools.lru_cache(maxsize=None)
-def build_root_system(ct: CartanType) -> RootSystem:
-    """Generate the root system of a simple type.
+def build_root_system(ct: CartanType) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of a simple type in simple-root coordinates.
 
     The root set is the closure of the simple roots under all simple
     reflections; the count is validated against the known Lie-algebra
-    dimension, which catches any generation or Cartan-matrix bug.
+    dimension, which catches any generation or Cartan-matrix bug.  The
+    positive roots come deduplicated and ordered by nondecreasing height
+    (sum of coefficients), then lexicographically.
     """
     n = ct.rank
     a = cartan_matrix(ct)
@@ -178,12 +151,7 @@ def build_root_system(ct: CartanType) -> RootSystem:
         f"BUG: {ct} produced {len(positive)} positive roots, expected {expected}"
     )
     assert len(seen) == 2 * expected
-    return RootSystem(
-        cartan_matrix=a,
-        positive_roots=tuple(positive),
-        simple_root_count=n,
-        _root_set=frozenset(seen),
-    )
+    return tuple(positive)
 
 
 @dataclass(frozen=True)
@@ -210,7 +178,8 @@ class ReductiveGroup:
     def dim(self) -> int:
         return self.central_rank + sum(f.dim for f in self.simple_factors)
 
-    def root_systems(self) -> tuple[RootSystem, ...]:
+    def root_systems(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The positive roots of each simple factor (``build_root_system``)."""
         return tuple(build_root_system(f) for f in self.simple_factors)
 
     def __str__(self) -> str:
@@ -280,20 +249,6 @@ def check_shapes(group: ReductiveGroup, hn: HNType) -> None:
         )
 
 
-def root_value(rs: RootSystem, root: tuple[int, ...], values: tuple[int, ...]) -> int:
-    """Pair a root (either sign) against the simple-root values of one factor.
-
-    With roots in simple-root coordinates the pairing is the dot product of
-    the coefficient vector with the value vector; it is linear in both.
-    """
-    root = tuple(root)
-    if not rs.contains(root):
-        raise ValueError(f"{root} is not a root of this system")
-    if len(values) != rs.simple_root_count:
-        raise ValueError("value vector length does not match the rank")
-    return sum(c * a for c, a in zip(root, values))
-
-
 def all_root_values(group: ReductiveGroup, hn: HNType) -> list[int]:
     """The multiset of pairings over the full root set of the group.
 
@@ -304,8 +259,8 @@ def all_root_values(group: ReductiveGroup, hn: HNType) -> list[int]:
     """
     check_shapes(group, hn)
     out: list[int] = []
-    for rs, vec in zip(group.root_systems(), hn.simple_values):
-        for root in rs.positive_roots:
+    for roots, vec in zip(group.root_systems(), hn.simple_values):
+        for root in roots:
             v = sum(c * a for c, a in zip(root, vec))
             out.append(v)
             out.append(-v)

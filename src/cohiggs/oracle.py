@@ -11,7 +11,9 @@ degree-2 form (the spectral picture of a Higgs field).  Over a prime field
 the oracle takes the candidate forms from the eigenvalues of the numeric
 matrices phi([1:0]), phi([0:1]) and phi([1:1]), and from the top degree
 down to the destabilizing slope threshold looks for a nonzero kernel of
-``phi - form`` on the section space, by Gaussian elimination over GF(p).
+``phi - form`` on the section space.  One Gaussian elimination over GF(p),
+from the last column to the first, yields the kernel vector leading at the
+first free column, which is the witness the enumeration meets first.
 For rank 3 it repeats the search on the dual splitting with the transposed
 matrix, which detects invariant rank-2 subbundles through their annihilator
 lines.  A FAILS verdict is a certificate; a PASSES verdict only rules out
@@ -39,11 +41,6 @@ from .poly import HomogPoly, PrimeField, gcd_many, random_nonzero_poly, random_p
 ORACLE_MAX_RANK = 3
 
 
-def _expected_entry(splitting: SplittingType, i: int, j: int) -> int:
-    d = hom_degree(splitting, i, j)
-    return d if d >= 0 else -1
-
-
 @dataclass(frozen=True)
 class CoHiggsMatrix:
     """A co-Higgs field as a matrix of forms with the entrywise degrees."""
@@ -63,14 +60,13 @@ class CoHiggsMatrix:
                     raise ValueError(
                         f"entry ({i}, {j}) is over {p.field}, the matrix over {self.field}"
                     )
-                want = _expected_entry(self.splitting, i, j)
-                if want == -1:
+                want = hom_degree(self.splitting, i, j)
+                if want < 0:
                     if not p.is_zero:
                         raise ValueError(
-                            f"entry ({i}, {j}) must vanish: its space has "
-                            f"degree {hom_degree(self.splitting, i, j)}"
+                            f"entry ({i}, {j}) must vanish: its space has degree {want}"
                         )
-                elif p.degree != want and not (p.degree == -1 and p.is_zero):
+                elif p.degree not in (want, -1):
                     raise ValueError(
                         f"entry ({i}, {j}) has degree {p.degree}, expected {want}"
                     )
@@ -105,17 +101,14 @@ class CoHiggsMatrix:
         }
 
 
-def _zero_matrix_entries(st: SplittingType, field: PrimeField) -> list[list[HomogPoly]]:
-    r = st.rank
-    return [
-        [HomogPoly.zero(field, _expected_entry(st, i, j)) for j in range(r)]
-        for i in range(r)
-    ]
-
-
 def zero_field(st: SplittingType, field: PrimeField) -> CoHiggsMatrix:
     """The zero co-Higgs field."""
-    return CoHiggsMatrix(st, field, tuple(map(tuple, _zero_matrix_entries(st, field))))
+    r = st.rank
+    entries = tuple(
+        tuple(HomogPoly.zero(field, hom_degree(st, i, j)) for j in range(r))
+        for i in range(r)
+    )
+    return CoHiggsMatrix(st, field, entries)
 
 
 def _rng(kind: str, st: SplittingType, field: PrimeField, seed: int) -> random.Random:
@@ -135,10 +128,17 @@ def build_model_field(st: SplittingType, field: PrimeField, seed: int = 0) -> Co
             f"splitting {st} has a gap above 2; a subdiagonal space is zero"
         )
     rng = _rng("model", st, field, seed)
-    entries = _zero_matrix_entries(st, field)
-    for i in range(st.rank - 1):
-        entries[i + 1][i] = random_nonzero_poly(field, hom_degree(st, i + 1, i), rng)
-    return CoHiggsMatrix(st, field, tuple(map(tuple, entries)))
+    r = st.rank
+    entries = tuple(
+        tuple(
+            random_nonzero_poly(field, hom_degree(st, i, j), rng)
+            if i == j + 1
+            else HomogPoly.zero(field, hom_degree(st, i, j))
+            for j in range(r)
+        )
+        for i in range(r)
+    )
+    return CoHiggsMatrix(st, field, entries)
 
 
 def random_field(st: SplittingType, field: PrimeField, seed: int = 0) -> CoHiggsMatrix:
@@ -148,14 +148,12 @@ def random_field(st: SplittingType, field: PrimeField, seed: int = 0) -> CoHiggs
     seed.  Deterministic per (splitting, field, seed).
     """
     rng = _rng("random", st, field, seed)
-    entries = _zero_matrix_entries(st, field)
     r = st.rank
-    for i in range(r):
-        for j in range(r):
-            d = hom_degree(st, i, j)
-            if d >= 0:
-                entries[i][j] = random_poly(field, d, rng)
-    return CoHiggsMatrix(st, field, tuple(map(tuple, entries)))
+    entries = tuple(
+        tuple(random_poly(field, hom_degree(st, i, j), rng) for j in range(r))
+        for i in range(r)
+    )
+    return CoHiggsMatrix(st, field, entries)
 
 
 class LineSubbundle:
@@ -389,16 +387,25 @@ def _blocks(st: SplittingType, degree: int) -> tuple[list[tuple[int, int]], int]
     return blocks, n
 
 
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row-echelon form over GF(p) of an integer matrix, computed in
-    place: the nonzero rows, reduced mod p, and their pivot columns."""
-    pivots: list[int] = []
-    for col in range(len(rows[0]) if rows else 0):
+def _kernel_head(rows: list[list[int]], p: int) -> tuple[int, list[int]] | None:
+    """The first row of the reduced echelon form of the kernel over GF(p) of
+    an integer matrix, with its leading slot; None when the kernel is zero.
+
+    Columns are eliminated in place from the last to the first.  Afterwards
+    each pivot row is nonzero only at its pivot and at free columns to its
+    left, so no kernel vector leads before the first free column f, and
+    ``e_f - sum(row_c[f] e_c)`` over the pivot rows has leading entry 1 and
+    0 at every other free column.
+    """
+    pivots: list[tuple[int, int]] = []
+    first_free = None
+    for col in reversed(range(len(rows[0]))):
         r = len(pivots)
         for pr in range(r, len(rows)):
             if rows[pr][col] % p:
                 break
         else:
+            first_free = col
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = pow(rows[r][col], p - 2, p)
@@ -407,52 +414,14 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
             f = row[col] % p
             if f and i != r:
                 rows[i] = [(x - f * y) % p for x, y in zip(row, pivot_row)]
-        pivots.append(col)
-        if len(pivots) == len(rows):
-            break
-    return rows[: len(pivots)], pivots
-
-
-def _kernels(
-    phi: CoHiggsMatrix, forms: list[tuple[int, int, int]], degree: int
-) -> list[list[list[int]]]:
-    """For each form whose ``s -> (phi - form) s`` has a nonzero kernel on
-    H^0(E(-degree)), a basis of that kernel over GF(p), one vector per free
-    column.
-
-    The map goes to H^0(E(-degree + 2)); columns follow the enumerator's
-    slot order: summand, then coefficient.
-    """
-    p = phi.field.p
-    cols, ncols = _blocks(phi.splitting, degree)
-    rows, nrows = _blocks(phi.splitting, degree - 2)
-    live = [(j, c0, e) for j, (c0, e) in enumerate(cols) if e >= 0]
-    base = [[0] * ncols for _ in range(nrows)]
-    for j, c0, e in live:
-        for i, (r0, _) in enumerate(rows):
-            for a, c in enumerate(phi.entries[i][j].coeffs):
-                for k in range(e + 1):
-                    base[r0 + a + k][c0 + k] += c
-    out = []
-    for form in forms:
-        matrix = [row[:] for row in base]
-        for j, c0, e in live:
-            r0 = rows[j][0]
-            for a, c in enumerate(form):
-                for k in range(e + 1):
-                    matrix[r0 + a + k][c0 + k] -= c
-        reduced, pivots = _rref(matrix, p)
-        if len(pivots) == ncols:
-            continue
-        basis = []
-        for f in sorted(set(range(ncols)) - set(pivots)):
-            v = [0] * ncols
-            v[f] = 1
-            for row, pc in zip(reduced, pivots):
-                v[pc] = -row[f] % p
-            basis.append(v)
-        out.append(basis)
-    return out
+        pivots.append((col, r))
+    if first_free is None:
+        return None
+    vector = [0] * len(rows[0])
+    vector[first_free] = 1
+    for col, r in pivots:
+        vector[col] = -rows[r][first_free] % p
+    return first_free, vector
 
 
 def _top_invariant_line(
@@ -466,25 +435,46 @@ def _top_invariant_line(
     of ``phi - form`` for one of the eigen-forms.  At the highest degree
     with a kernel every kernel vector is saturated, since a common factor
     would leave an invariant line of higher degree.  The enumerator's first
-    hit there is the first row of the kernel's reduced echelon form (pivot
-    1, every later free slot 0); the smallest pivot slot, then the smallest
+    hit there is the first row of the kernel's reduced echelon form (leading
+    entry 1, every later free slot 0), which ``_kernel_head`` reads off one
+    right-to-left elimination; the smallest leading slot, then the smallest
     vector, wins across forms.
     """
-    st, fld = phi.splitting, phi.field
+    st, p = phi.splitting, phi.field.p
     degrees = range(st.degrees[0], threshold - 1, -1)
     forms = _eigen_forms(phi) if degrees else []
     if not forms:
         return None
     for d in degrees:
-        hits = []
-        for kernel in _kernels(phi, forms, d):
-            (first, *_), (pivot, *_) = _rref(kernel, fld.p)
-            hits.append((pivot, first))
-        if hits:
-            _, vector = min(hits)
+        # s -> (phi - form) s from H^0(E(-d)) to H^0(E(-d + 2)); columns
+        # follow the enumerator's slot order: summand, then coefficient
+        cols, ncols = _blocks(st, d)
+        rows, nrows = _blocks(st, d - 2)
+        live = [(j, c0, e) for j, (c0, e) in enumerate(cols) if e >= 0]
+        base = [[0] * ncols for _ in range(nrows)]
+        for j, c0, e in live:
+            for i, (r0, _) in enumerate(rows):
+                for a, c in enumerate(phi.entries[i][j].coeffs):
+                    for k in range(e + 1):
+                        base[r0 + a + k][c0 + k] += c
+        heads = []
+        for form in forms:
+            matrix = [row[:] for row in base]
+            for j, c0, e in live:
+                r0 = rows[j][0]
+                for a, c in enumerate(form):
+                    for k in range(e + 1):
+                        matrix[r0 + a + k][c0 + k] -= c
+            head = _kernel_head(matrix, p)
+            if head is not None:
+                heads.append(head)
+        if heads:
+            _, vector = min(heads)
             sections = [
-                HomogPoly(fld, e, vector[c0 : c0 + e + 1]) if e >= 0 else HomogPoly.zero(fld)
-                for c0, e in _blocks(st, d)[0]
+                HomogPoly(phi.field, e, vector[c0 : c0 + e + 1])
+                if e >= 0
+                else HomogPoly.zero(phi.field)
+                for c0, e in cols
             ]
             return d, tuple(map(str, sections))
     return None
@@ -540,16 +530,9 @@ def enumerate_all_fields(st: SplittingType, field: PrimeField) -> Iterator[CoHig
     certification sweeps.
     """
     r = st.rank
-    free = [
-        (i, j, hom_degree(st, i, j))
-        for i in range(r)
-        for j in range(r)
-        if hom_degree(st, i, j) >= 0
-    ]
-    slot_counts = [d + 1 for (_, _, d) in free]
+    degrees = [max(hom_degree(st, i, j), -1) for i in range(r) for j in range(r)]
     elements = list(field.elements())
-    for combo in product(*(product(elements, repeat=n) for n in slot_counts)):
-        entries = _zero_matrix_entries(st, field)
-        for (i, j, d), coeffs in zip(free, combo):
-            entries[i][j] = HomogPoly(field, d, coeffs)
-        yield CoHiggsMatrix(st, field, tuple(map(tuple, entries)))
+    # a zero-only entry has no slots and contributes one empty tuple
+    for combo in product(*(product(elements, repeat=d + 1) for d in degrees)):
+        forms = [HomogPoly(field, d, coeffs) for d, coeffs in zip(degrees, combo)]
+        yield CoHiggsMatrix(st, field, tuple(tuple(forms[i * r : i * r + r]) for i in range(r)))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -195,6 +196,17 @@ def test_oracle_large_prime_passes(capsys):
     )
     assert code == 0
     assert "PASSES" in out
+
+
+def test_oracle_composite_modulus_rejected_quickly(capsys):
+    # 1000000007 * 1000000009: trial division to its square root took minutes
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "oracle", "--splitting", "1,0", "--prime", "1000000016000000063",
+        "--mode", "stable",
+    )
+    assert code == 1 and "not prime" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_oracle_output_deterministic(capsys):

@@ -8,10 +8,11 @@ from cohiggs import (
     ReductiveGroup,
     all_root_values,
     build_root_system,
+    cartan_matrix,
     is_dominant,
     parse_group,
-    root_value,
 )
+from cohiggs.lie import _reflect
 
 ALL_TYPES = [
     ("A", 1, 3), ("A", 2, 8), ("A", 3, 15), ("A", 4, 24), ("A", 5, 35),
@@ -40,75 +41,44 @@ def test_unknown_family_rejected():
 def test_root_counts_match_dimensions(family, rank, dim):
     ct = CartanType(family, rank)
     assert ct.dim == dim
-    rs = build_root_system(ct)
-    assert len(rs.positive_roots) == (dim - rank) // 2
-    assert len(rs.all_roots) == dim - rank
+    assert len(build_root_system(ct)) == (dim - rank) // 2
 
 
 @pytest.mark.parametrize("family,rank,dim", ALL_TYPES)
 def test_positive_roots_nonnegative_and_height_sorted(family, rank, dim):
-    rs = build_root_system(CartanType(family, rank))
-    heights = [sum(r) for r in rs.positive_roots]
+    roots = build_root_system(CartanType(family, rank))
+    heights = [sum(r) for r in roots]
     assert heights == sorted(heights)
-    assert all(all(c >= 0 for c in r) for r in rs.positive_roots)
+    assert all(all(c >= 0 for c in r) for r in roots)
     # the height-1 roots are exactly the simple roots
-    simple = [r for r in rs.positive_roots if sum(r) == 1]
+    simple = [r for r in roots if sum(r) == 1]
     assert sorted(simple) == sorted(
         tuple(int(i == j) for j in range(rank)) for i in range(rank)
     )
-    assert len(set(rs.positive_roots)) == len(rs.positive_roots)
+    assert len(set(roots)) == len(roots)
 
 
 @pytest.mark.parametrize("family,rank,dim", ALL_TYPES)
 def test_closure_under_simple_reflections(family, rank, dim):
-    rs = build_root_system(CartanType(family, rank))
-    for root in rs.all_roots:
+    ct = CartanType(family, rank)
+    a = cartan_matrix(ct)
+    positive = build_root_system(ct)
+    roots = set(positive) | {tuple(-c for c in r) for r in positive}
+    assert len(roots) == dim - rank
+    for root in roots:
         for i in range(rank):
-            assert rs.contains(rs.reflect(root, i))
+            assert _reflect(a, root, i) in roots
 
 
 def test_a1_and_a2_positive_roots():
-    assert build_root_system(CartanType("A", 1)).positive_roots == ((1,),)
-    a2 = build_root_system(CartanType("A", 2))
-    assert set(a2.positive_roots) == {(1, 0), (0, 1), (1, 1)}
+    assert build_root_system(CartanType("A", 1)) == ((1,),)
+    assert set(build_root_system(CartanType("A", 2))) == {(1, 0), (0, 1), (1, 1)}
 
 
 def test_g2_has_six_positive_roots_with_highest_3_2():
     g2 = build_root_system(CartanType("G", 2))
-    assert len(g2.positive_roots) == 6
-    assert g2.positive_roots[-1] == (3, 2)
-
-
-def test_root_value_examples():
-    a2 = build_root_system(CartanType("A", 2))
-    assert root_value(a2, (1, 1), (2, 1)) == 3
-    assert root_value(a2, (1, 1), (0, 0)) == 0
-    g2 = build_root_system(CartanType("G", 2))
-    assert root_value(g2, (3, 2), (2, 2)) == 10
-
-
-def test_root_value_rejects_non_roots():
-    a2 = build_root_system(CartanType("A", 2))
-    with pytest.raises(ValueError):
-        root_value(a2, (2, 0), (1, 1))
-    with pytest.raises(ValueError):
-        root_value(a2, (1, 0, 0), (1, 1))
-
-
-def test_root_value_additive_on_root_triples():
-    rng = random.Random(7)
-    for family, rank, _ in ALL_TYPES[:8]:
-        rs = build_root_system(CartanType(family, rank))
-        values = tuple(rng.randrange(-4, 5) for _ in range(rank))
-        roots = rs.all_roots
-        for r1 in roots:
-            for r2 in roots:
-                s = tuple(a + b for a, b in zip(r1, r2))
-                if rs.contains(s):
-                    assert root_value(rs, s, values) == root_value(
-                        rs, r1, values
-                    ) + root_value(rs, r2, values)
-            break  # one r1 per system keeps this quick
+    assert len(g2) == 6
+    assert g2[-1] == (3, 2)
 
 
 def test_all_root_values_examples():

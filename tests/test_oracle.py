@@ -1,6 +1,8 @@
 import functools
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
@@ -23,7 +25,7 @@ from cohiggs import (
     semistability_oracle,
     zero_field,
 )
-from cohiggs.oracle import _violation_threshold
+from cohiggs.oracle import _kernel_head, _violation_threshold
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -372,6 +374,45 @@ def test_verdict_json_shape():
 
 
 # ------------------------------------------ kernel search vs the enumerator
+
+def _brute_kernel_head(rows, p):
+    # scan the vectors with leading entry 1 by leading slot, then in
+    # lexicographic order; the first kernel vector met is the smallest
+    # (leading slot, vector)
+    n = len(rows[0])
+    for lead in range(n):
+        for tail in itertools.product(range(p), repeat=n - lead - 1):
+            v = [0] * lead + [1, *tail]
+            if all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in rows):
+                return lead, v
+    return None
+
+
+def _check_kernel_head(rows, p):
+    want = _brute_kernel_head(rows, p)
+    assert _kernel_head([row[:] for row in rows], p) == want, (rows, p)
+    return want
+
+
+@pytest.mark.parametrize("p,shape", [(2, (2, 4)), (3, (2, 4)), (2, (3, 2)), (3, (3, 2))])
+def test_kernel_head_matches_brute_force_exhaustive(p, shape):
+    nrows, ncols = shape
+    heads = [
+        _check_kernel_head([list(flat[i * ncols : (i + 1) * ncols]) for i in range(nrows)], p)
+        for flat in itertools.product(range(p), repeat=nrows * ncols)
+    ]
+    # a 3 x 2 matrix has a zero kernel unless its rank drops
+    assert (None in heads) == (nrows > ncols)
+
+
+def test_kernel_head_matches_brute_force_sampled():
+    # unreduced and negative entries, as the kernel search builds them
+    rng = random.Random(20)
+    for _ in range(2000):
+        p = rng.choice((2, 3, 5, 7))
+        rows = [[rng.randrange(-2 * p, 2 * p) for _ in range(5)] for _ in range(3)]
+        _check_kernel_head(rows, p)
+
 
 @functools.lru_cache(maxsize=None)
 def _lines(st, degree, field):

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from cohiggs import HomogPoly, PrimeField
-from cohiggs.poly import gcd_many, random_nonzero_poly, random_poly
+from cohiggs.poly import _is_prime, gcd_many, random_nonzero_poly, random_poly
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -20,6 +21,32 @@ def test_prime_field_validation():
     with pytest.raises(ValueError):
         PrimeField(1)
     assert PrimeField(7).name == "F7"
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_agrees_with_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)
+    ]
+
+
+def test_primality_of_large_moduli():
+    assert PrimeField(1000000000039).p == 1000000000039
+    assert _is_prime(2**61 - 1)
+    # 1000000007 * 1000000009, and the least strong pseudoprime to the
+    # first 12 prime bases (caught by the 13th)
+    for n in (1000000016000000063, 318665857834031151167461):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(n)
+    # from the least strong pseudoprime to all 13 bases on there is no
+    # exact answer, so the modulus is refused rather than guessed
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(n)
 
 
 def test_prime_field_arithmetic():
