@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from typing import Sequence
@@ -50,10 +49,13 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _central(args, group) -> tuple[int, ...]:
+    return args.central if args.central is not None else (0,) * group.central_rank
+
+
 def _group_and_hn(args) -> tuple:
     group = parse_group(args.group)
-    central = args.central if args.central is not None else (0,) * group.central_rank
-    hn = HNType.from_flat(group, args.hn, central)
+    hn = HNType.from_flat(group, args.hn, _central(args, group))
     return group, hn
 
 
@@ -84,43 +86,41 @@ def _cmd_adjoint(args) -> int:
 
 def _cmd_strata(args) -> int:
     group = parse_group(args.group)
-    central = args.central if args.central is not None else (0,) * group.central_rank
-    records = enumerate_strata(group, central)
-    rows = [
-        {
-            "a": list(r.hn.flat_values),
-            "dim_VM": r.dim_cohiggs,
-            "dim_aut": r.dim_aut,
-            "dim_stratum": r.dim_stratum,
-            "generic": r.is_generic,
-        }
-        for r in records
-    ]
+    records = enumerate_strata(group, _central(args, group))
     if args.format == "json":
-        _emit_json(rows)
+        _emit_json(
+            [
+                {
+                    "a": list(r.hn.flat_values),
+                    "dim_VM": r.dim_cohiggs,
+                    "dim_aut": r.dim_aut,
+                    "dim_stratum": r.dim_stratum,
+                    "generic": r.is_generic,
+                }
+                for r in records
+            ]
+        )
         return 0
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["a", "dim_VM", "dim_aut", "dim_stratum", "generic"])
-        for row in rows:
+        for r in records:
             writer.writerow(
                 [
-                    ",".join(map(str, row["a"])),
-                    row["dim_VM"],
-                    row["dim_aut"],
-                    row["dim_stratum"],
-                    str(row["generic"]).lower(),
+                    ",".join(map(str, r.hn.flat_values)),
+                    r.dim_cohiggs,
+                    r.dim_aut,
+                    r.dim_stratum,
+                    str(r.is_generic).lower(),
                 ]
             )
-        sys.stdout.write(buf.getvalue())
         return 0
     print(f"{'a':>12} {'dim_VM':>7} {'dim_aut':>8} {'dim_stratum':>12} {'generic':>8}")
-    for row in rows:
-        a = ",".join(map(str, row["a"])) or "-"
+    for r in records:
+        a = ",".join(map(str, r.hn.flat_values)) or "-"
         print(
-            f"{a:>12} {row['dim_VM']:>7} {row['dim_aut']:>8} "
-            f"{row['dim_stratum']:>12} {str(row['generic']).lower():>8}"
+            f"{a:>12} {r.dim_cohiggs:>7} {r.dim_aut:>8} "
+            f"{r.dim_stratum:>12} {str(r.is_generic).lower():>8}"
         )
     return 0
 

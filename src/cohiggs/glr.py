@@ -10,7 +10,7 @@ field exactly when consecutive gaps never exceed 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,21 +22,16 @@ class SplittingType:
     """A weakly decreasing list of line-bundle degrees.
 
     The criterion is meaningless on unsorted degree lists, so the constructor
-    sorts unconditionally and records where each input entry went:
-    ``input_order[k]`` is the position in the original input of the k-th
-    sorted degree (ties resolved by input position).
+    sorts unconditionally.
     """
 
     degrees: tuple[int, ...]
-    input_order: tuple[int, ...] = field(compare=False, default=())
 
     def __post_init__(self) -> None:
-        degrees = tuple(int(m) for m in self.degrees)
+        degrees = sorted((int(m) for m in self.degrees), reverse=True)
         if not degrees:
             raise ValueError("a splitting type needs at least one summand")
-        order = sorted(range(len(degrees)), key=lambda k: (-degrees[k], k))
-        object.__setattr__(self, "degrees", tuple(degrees[k] for k in order))
-        object.__setattr__(self, "input_order", tuple(order))
+        object.__setattr__(self, "degrees", tuple(degrees))
 
     @property
     def rank(self) -> int:

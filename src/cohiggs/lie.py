@@ -108,50 +108,39 @@ def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-def _reflect(
-    a: tuple[tuple[int, ...], ...], root: tuple[int, ...], i: int
-) -> tuple[int, ...]:
-    """``c - (A[i] . c) e_i``: reflection through the i-th simple root."""
-    out = list(root)
-    out[i] -= sum(x * c for x, c in zip(a[i], root))
-    return tuple(out)
-
-
 @functools.lru_cache(maxsize=None)
 def build_root_system(ct: CartanType) -> tuple[tuple[int, ...], ...]:
     """The positive roots of a simple type in simple-root coordinates.
 
-    The root set is the closure of the simple roots under all simple
-    reflections; the count is validated against the known Lie-algebra
-    dimension, which catches any generation or Cartan-matrix bug.  The
-    positive roots come deduplicated and ordered by nondecreasing height
-    (sum of coefficients), then lexicographically.
+    A non-simple positive root pairs positively with some simple coroot,
+    and its reflection there is a positive root of smaller height
+    (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+    10.2).  So the positive roots are the closure of the simple roots under
+    the raising reflections ``c -> c - k e_i`` with ``k = A[i] . c < 0``.
+    The count is checked against the Lie-algebra dimension, which catches
+    any generation or Cartan-matrix bug.  Roots come ordered by height (sum
+    of coefficients), then lexicographically.
     """
     n = ct.rank
-    a = cartan_matrix(ct)
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    seen: set[tuple[int, ...]] = set(simple)
-    frontier = list(simple)
+    # a Dynkin node has at most 3 neighbours, so each row is short
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in cartan_matrix(ct)]
+    frontier = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen = set(frontier)
     while frontier:
-        fresh = []
-        for c in frontier:
-            for i in range(n):
-                rt = _reflect(a, c, i)
+        c = frontier.pop()
+        for i, row in enumerate(rows):
+            k = sum(x * c[j] for j, x in row)
+            if k < 0:
+                rt = c[:i] + (c[i] - k,) + c[i + 1 :]
                 if rt not in seen:
                     seen.add(rt)
-                    fresh.append(rt)
-        frontier = fresh
+                    frontier.append(rt)
 
-    positive = sorted(
-        (r for r in seen if all(c >= 0 for c in r)),
-        key=lambda r: (sum(r), r),
-    )
     expected = (ct.dim - n) // 2
-    assert len(positive) == expected, (
-        f"BUG: {ct} produced {len(positive)} positive roots, expected {expected}"
+    assert len(seen) == expected, (
+        f"BUG: {ct} produced {len(seen)} positive roots, expected {expected}"
     )
-    assert len(seen) == 2 * expected
-    return tuple(positive)
+    return tuple(sorted(seen, key=lambda r: (sum(r), r)))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from cohiggs import parse_group
+from cohiggs import build_root_system, parse_group
 from cohiggs.cli import main
 
 
@@ -207,6 +207,24 @@ def test_oracle_composite_modulus_rejected_quickly(capsys):
     )
     assert code == 1 and "not prime" in err
     assert time.perf_counter() - start < 1
+
+
+# sha256 of the JSON output, recorded from the full +/- reflection closure,
+# which took about 9.5 s on A100 and 3.1 s on D60
+@pytest.mark.parametrize("group,rank,digest", [
+    ("A100", 100, "7894247d0adc4e8ad22b5d245b92e8d5cac8f88adbdbef071e91b3d4293d09d4"),
+    ("D60", 60, "3e91d7112c7bb17ed6920cdb8168d7c1094b3b8c37c7fb4815bc83eb73ebbe81"),
+])
+def test_criterion_large_group_answers_quickly(capsys, group, rank, digest):
+    build_root_system.cache_clear()  # time the closure, not a cache hit
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "criterion", f"--group={group}", "--hn=" + ",".join(["0"] * rank),
+        "--format=json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert time.perf_counter() - start < 3
 
 
 def test_oracle_output_deterministic(capsys):

@@ -18,7 +18,6 @@ from cohiggs import (
 def test_constructor_sorts_and_records_order():
     st = SplittingType((0, 3, 1))
     assert st.degrees == (3, 1, 0)
-    assert st.input_order == (1, 2, 0)
     assert st.rank == 3 and st.degree == 4
 
 

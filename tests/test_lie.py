@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,7 +13,6 @@ from cohiggs import (
     is_dominant,
     parse_group,
 )
-from cohiggs.lie import _reflect
 
 ALL_TYPES = [
     ("A", 1, 3), ("A", 2, 8), ("A", 3, 15), ("A", 4, 24), ("A", 5, 35),
@@ -67,7 +67,30 @@ def test_closure_under_simple_reflections(family, rank, dim):
     assert len(roots) == dim - rank
     for root in roots:
         for i in range(rank):
-            assert _reflect(a, root, i) in roots
+            # s_i c = c - (A[i] . c) e_i
+            k = sum(x * c for x, c in zip(a[i], root))
+            assert root[:i] + (root[i] - k,) + root[i + 1 :] in roots
+
+
+# sha256 over repr(build_root_system(ct)) in this order, recorded from the
+# full +/- reflection closure: every type the criterion benchmark builds, and
+# two large classical ones
+PINNED_TYPES = (
+    [("A", n) for n in range(1, 25)]
+    + [("B", n) for n in range(2, 25)]
+    + [("C", n) for n in range(2, 25)]
+    + [("D", n) for n in range(3, 25)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2), ("A", 100), ("D", 60)]
+)
+
+
+def test_root_tuples_byte_identical():
+    h = hashlib.sha256()
+    for family, rank in PINNED_TYPES:
+        h.update(repr(build_root_system(CartanType(family, rank))).encode())
+    assert h.hexdigest() == (
+        "3a6a348cb64ef32a55416aecd75b21c5727860c6bdf0ec8ed8f7379b7c96103c"
+    )
 
 
 def test_a1_and_a2_positive_roots():
