@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import chain
 from typing import Sequence
 
 from .criterion import adjoint_splitting, evaluate_criterion
@@ -68,9 +69,8 @@ def _cmd_criterion(args) -> int:
     print(f"group: {group}")
     print(f"simple-root values: {','.join(map(str, hn.flat_values))}")
     print(f"admits_stable: {str(report.admits_stable).lower()}")
-    if report.violating_roots:
-        for v in report.violating_roots:
-            print(f"obstruction: factor {v.factor} simple root {v.root} value {v.value}")
+    for v in report.violating_roots:
+        print(f"obstruction: factor {v.factor} simple root {v.root} value {v.value}")
     print(f"adjoint splitting: {report.adjoint_degrees}")
     return 0
 
@@ -84,44 +84,31 @@ def _cmd_adjoint(args) -> int:
     return 0
 
 
+_STRATA_COLUMNS = ("a", "dim_VM", "dim_aut", "dim_stratum", "generic")
+_STRATA_WIDTHS = (12, 7, 8, 12, 8)
+
+
 def _cmd_strata(args) -> int:
     group = parse_group(args.group)
-    records = enumerate_strata(group, _central(args, group))
+    rows = (
+        (r.hn.flat_values, r.dim_cohiggs, r.dim_aut, r.dim_stratum, r.is_generic)
+        for r in enumerate_strata(group, _central(args, group))
+    )
     if args.format == "json":
-        _emit_json(
-            [
-                {
-                    "a": list(r.hn.flat_values),
-                    "dim_VM": r.dim_cohiggs,
-                    "dim_aut": r.dim_aut,
-                    "dim_stratum": r.dim_stratum,
-                    "generic": r.is_generic,
-                }
-                for r in records
-            ]
-        )
+        _emit_json([dict(zip(_STRATA_COLUMNS, row)) for row in rows])
         return 0
+    cells = (
+        (",".join(map(str, a)), vm, aut, dim, str(generic).lower())
+        for a, vm, aut, dim, generic in rows
+    )
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["a", "dim_VM", "dim_aut", "dim_stratum", "generic"])
-        for r in records:
-            writer.writerow(
-                [
-                    ",".join(map(str, r.hn.flat_values)),
-                    r.dim_cohiggs,
-                    r.dim_aut,
-                    r.dim_stratum,
-                    str(r.is_generic).lower(),
-                ]
-            )
+        writer.writerow(_STRATA_COLUMNS)
+        writer.writerows(cells)
         return 0
-    print(f"{'a':>12} {'dim_VM':>7} {'dim_aut':>8} {'dim_stratum':>12} {'generic':>8}")
-    for r in records:
-        a = ",".join(map(str, r.hn.flat_values)) or "-"
-        print(
-            f"{a:>12} {r.dim_cohiggs:>7} {r.dim_aut:>8} "
-            f"{r.dim_stratum:>12} {str(r.is_generic).lower():>8}"
-        )
+    # a group without simple factors has an empty first cell, printed as "-"
+    for a, *rest in chain([_STRATA_COLUMNS], cells):
+        print(" ".join(f"{c:>{w}}" for c, w in zip((a or "-", *rest), _STRATA_WIDTHS)))
     return 0
 
 
@@ -166,10 +153,14 @@ def _cmd_sp_check(args) -> int:
     return 0
 
 
-def _cmd_model_field(args) -> int:
+def _field(args, build) -> tuple:
     st = SplittingType(args.splitting)
     fld = PrimeField(args.prime)
-    phi = build_model_field(st, fld, args.seed)
+    return st, fld, build(st, fld, args.seed)
+
+
+def _cmd_model_field(args) -> int:
+    st, fld, phi = _field(args, build_model_field)
     if args.format == "json":
         _emit_json(phi.to_json_dict() | {"seed": args.seed})
         return 0
@@ -180,12 +171,7 @@ def _cmd_model_field(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    st = SplittingType(args.splitting)
-    fld = PrimeField(args.prime)
-    if args.model:
-        phi = build_model_field(st, fld, args.seed)
-    else:
-        phi = random_field(st, fld, args.seed)
+    _, fld, phi = _field(args, build_model_field if args.model else random_field)
     verdict = semistability_oracle(phi, args.mode)
     if args.format == "text":
         print(f"{verdict.verdict} ({args.mode} mode over {fld.name})")
@@ -196,60 +182,49 @@ def _cmd_oracle(args) -> int:
     return 0 if verdict.passes else FAILS_ERROR
 
 
-def _add_format(parser: argparse.ArgumentParser, choices=("text", "json"), default="text") -> None:
-    parser.add_argument("--format", choices=choices, default=default)
+# options shared by several subcommands, each declared once
+_OPTIONS = {
+    "--group": dict(required=True, help="e.g. A2, C3xA1+z2"),
+    "--hn": dict(type=_int_list, required=True, help="comma list of simple-root values"),
+    "--central": dict(type=_int_list, default=None, help="comma list of central degrees"),
+    "--splitting": dict(type=_int_list, required=True, help="e.g. 3,1,0"),
+    "--prime": dict(type=int, required=True),
+    "--seed": dict(type=int, default=0),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cohiggs", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("criterion", help="stable/semistable existence for a group and HN type")
-    p.add_argument("--group", required=True, help="e.g. A2, C3xA1+z2")
-    p.add_argument("--hn", type=_int_list, required=True, help="comma list of simple-root values")
-    p.add_argument("--central", type=_int_list, default=None, help="comma list of central degrees")
-    _add_format(p)
-    p.set_defaults(func=_cmd_criterion)
+    def command(name, func, help, *options, formats=("text", "json")) -> None:
+        # an option is a shared name or a (flag, keyword arguments) pair;
+        # the first format is the default
+        p = sub.add_parser(name, help=help)
+        for option in options:
+            flag, kwargs = (option, _OPTIONS[option]) if isinstance(option, str) else option
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("adjoint", help="splitting type of the adjoint bundle")
-    p.add_argument("--group", required=True)
-    p.add_argument("--hn", type=_int_list, required=True)
-    p.add_argument("--central", type=_int_list, default=None)
-    _add_format(p)
-    p.set_defaults(func=_cmd_adjoint)
-
-    p = sub.add_parser("strata", help="enumerate moduli strata with dimensions")
-    p.add_argument("--group", required=True)
-    p.add_argument("--central", type=_int_list, default=None)
-    _add_format(p, choices=("text", "json", "csv"))
-    p.set_defaults(func=_cmd_strata)
-
-    p = sub.add_parser("glr-check", help="gap criterion for a splitting type")
-    p.add_argument("--splitting", type=_int_list, required=True, help="e.g. 3,1,0")
-    _add_format(p)
-    p.set_defaults(func=_cmd_glr_check)
-
-    p = sub.add_parser("sp-check", help="symplectic criterion from half-degrees")
-    p.add_argument("--half-degrees", type=_int_list, required=True, help="e.g. 2,1")
-    _add_format(p)
-    p.set_defaults(func=_cmd_sp_check)
-
-    p = sub.add_parser("model-field", help="print the chained subdiagonal model field")
-    p.add_argument("--splitting", type=_int_list, required=True)
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_format(p)
-    p.set_defaults(func=_cmd_model_field)
-
-    p = sub.add_parser("oracle", help="invariant-subbundle (semi)stability test over a prime field")
-    p.add_argument("--splitting", type=_int_list, required=True)
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--mode", choices=("stable", "semistable"), required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model", action="store_true", help="use the model field instead of a random one")
-    _add_format(p, choices=("json", "text"), default="json")
-    p.set_defaults(func=_cmd_oracle)
-
+    command("criterion", _cmd_criterion, "stable/semistable existence for a group and HN type",
+            "--group", "--hn", "--central")
+    command("adjoint", _cmd_adjoint, "splitting type of the adjoint bundle",
+            "--group", "--hn", "--central")
+    command("strata", _cmd_strata, "enumerate moduli strata with dimensions",
+            "--group", "--central", formats=("text", "json", "csv"))
+    command("glr-check", _cmd_glr_check, "gap criterion for a splitting type", "--splitting")
+    command("sp-check", _cmd_sp_check, "symplectic criterion from half-degrees",
+            ("--half-degrees", dict(type=_int_list, required=True, help="e.g. 2,1")))
+    command("model-field", _cmd_model_field, "print the chained subdiagonal model field",
+            "--splitting", "--prime", "--seed")
+    command("oracle", _cmd_oracle, "invariant-subbundle (semi)stability test over a prime field",
+            "--splitting", "--prime",
+            ("--mode", dict(choices=("stable", "semistable"), required=True)),
+            "--seed",
+            ("--model", dict(action="store_true",
+                             help="use the model field instead of a random one")),
+            formats=("json", "text"))
     return parser
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .lie import CartanType, HNType, ReductiveGroup, check_shapes
@@ -140,15 +141,7 @@ def hom_space_dim(st: SplittingType | Sequence[int], i: int, j: int) -> int:
 def enumerate_splitting_types(
     rank: int, min_degree: int, max_degree: int
 ) -> Iterable[SplittingType]:
-    """All weakly decreasing degree lists of a rank within a degree box."""
-    def rec(prefix: list[int], hi: int) -> Iterable[tuple[int, ...]]:
-        if len(prefix) == rank:
-            yield tuple(prefix)
-            return
-        for m in range(hi, min_degree - 1, -1):
-            prefix.append(m)
-            yield from rec(prefix, m)
-            prefix.pop()
-
-    for degrees in rec([], max_degree):
-        yield SplittingType(degrees)
+    """All weakly decreasing degree lists of a rank within a degree box,
+    in lexicographically decreasing order."""
+    degrees = range(max_degree, min_degree - 1, -1)
+    return (SplittingType(d) for d in combinations_with_replacement(degrees, rank))

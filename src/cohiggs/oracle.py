@@ -16,9 +16,12 @@ from the last column to the first, yields the kernel vector leading at the
 first free column, which is the witness the enumeration meets first.
 For rank 3 it repeats the search on the dual splitting with the transposed
 matrix, which detects invariant rank-2 subbundles through their annihilator
-lines.  A FAILS verdict is a certificate; a PASSES verdict only rules out
-destabilizing subbundles rational over the chosen field, so confidence
-comes from passing at several primes.
+lines.  The dual's numeric matrices are anti-transposes of phi's, so both
+searches share one list of eigen-forms, and a field without one passes at
+once: it has no invariant subbundle of any rank.  A FAILS verdict is a
+certificate; a PASSES verdict only rules out destabilizing subbundles
+rational over the chosen field, so confidence comes from passing at
+several primes.
 
 ``enumerate_line_subbundles`` and ``is_invariant`` remain as the slow
 reference: the kernel search returns the witness they would find first.
@@ -41,6 +44,19 @@ from .poly import HomogPoly, PrimeField, gcd_many, random_nonzero_poly, random_p
 ORACLE_MAX_RANK = 3
 
 
+def _check_form(p: HomogPoly, field: PrimeField, want: int, what: str) -> None:
+    """The rule for a form in a space of degree ``want``: over ``field``,
+    and the zero-only marker when ``want`` is negative, else of degree
+    ``want`` or the marker."""
+    if p.field != field:
+        raise ValueError(f"{what} is over {p.field}, expected {field}")
+    if want < 0:
+        if not p.is_zero:
+            raise ValueError(f"{what} must vanish: its space has degree {want}")
+    elif p.degree not in (want, -1):
+        raise ValueError(f"{what} has degree {p.degree}, expected {want}")
+
+
 @dataclass(frozen=True)
 class CoHiggsMatrix:
     """A co-Higgs field as a matrix of forms with the entrywise degrees."""
@@ -56,20 +72,7 @@ class CoHiggsMatrix:
             raise ValueError(f"expected an {r} x {r} entry grid")
         for i, row in enumerate(entries):
             for j, p in enumerate(row):
-                if p.field != self.field:
-                    raise ValueError(
-                        f"entry ({i}, {j}) is over {p.field}, the matrix over {self.field}"
-                    )
-                want = hom_degree(self.splitting, i, j)
-                if want < 0:
-                    if not p.is_zero:
-                        raise ValueError(
-                            f"entry ({i}, {j}) must vanish: its space has degree {want}"
-                        )
-                elif p.degree not in (want, -1):
-                    raise ValueError(
-                        f"entry ({i}, {j}) has degree {p.degree}, expected {want}"
-                    )
+                _check_form(p, self.field, hom_degree(self.splitting, i, j), f"entry ({i}, {j})")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -94,21 +97,22 @@ class CoHiggsMatrix:
         return {
             "splitting": list(self.splitting.degrees),
             "field": self.field.name,
-            "entries": [
-                [list(p.coeffs) if p.degree >= 0 else [] for p in row]
-                for row in self.entries
-            ],
+            # the zero-only marker has no coefficients
+            "entries": [[list(p.coeffs) for p in row] for row in self.entries],
         }
+
+
+def _grid(st: SplittingType, field: PrimeField, entry) -> CoHiggsMatrix:
+    """The field whose (i, j) entry is ``entry(i, j, degree)``, filled row
+    by row, so a seeded stream is drawn in row-major order."""
+    r = st.rank
+    entries = tuple(tuple(entry(i, j, hom_degree(st, i, j)) for j in range(r)) for i in range(r))
+    return CoHiggsMatrix(st, field, entries)
 
 
 def zero_field(st: SplittingType, field: PrimeField) -> CoHiggsMatrix:
     """The zero co-Higgs field."""
-    r = st.rank
-    entries = tuple(
-        tuple(HomogPoly.zero(field, hom_degree(st, i, j)) for j in range(r))
-        for i in range(r)
-    )
-    return CoHiggsMatrix(st, field, entries)
+    return _grid(st, field, lambda i, j, d: HomogPoly.zero(field, d))
 
 
 def _rng(kind: str, st: SplittingType, field: PrimeField, seed: int) -> random.Random:
@@ -128,17 +132,8 @@ def build_model_field(st: SplittingType, field: PrimeField, seed: int = 0) -> Co
             f"splitting {st} has a gap above 2; a subdiagonal space is zero"
         )
     rng = _rng("model", st, field, seed)
-    r = st.rank
-    entries = tuple(
-        tuple(
-            random_nonzero_poly(field, hom_degree(st, i, j), rng)
-            if i == j + 1
-            else HomogPoly.zero(field, hom_degree(st, i, j))
-            for j in range(r)
-        )
-        for i in range(r)
-    )
-    return CoHiggsMatrix(st, field, entries)
+    return _grid(st, field, lambda i, j, d: (
+        random_nonzero_poly(field, d, rng) if i == j + 1 else HomogPoly.zero(field, d)))
 
 
 def random_field(st: SplittingType, field: PrimeField, seed: int = 0) -> CoHiggsMatrix:
@@ -148,12 +143,7 @@ def random_field(st: SplittingType, field: PrimeField, seed: int = 0) -> CoHiggs
     seed.  Deterministic per (splitting, field, seed).
     """
     rng = _rng("random", st, field, seed)
-    r = st.rank
-    entries = tuple(
-        tuple(random_poly(field, hom_degree(st, i, j), rng) for j in range(r))
-        for i in range(r)
-    )
-    return CoHiggsMatrix(st, field, entries)
+    return _grid(st, field, lambda i, j, d: random_poly(field, d, rng))
 
 
 class LineSubbundle:
@@ -177,15 +167,8 @@ class LineSubbundle:
         sections = tuple(sections)
         if len(sections) != splitting.rank:
             raise ValueError("one section per summand required")
-        for m, p in zip(splitting.degrees, sections):
-            if p.field != field:
-                raise ValueError(f"section is over {p.field}, the subbundle over {field}")
-            want = m - degree
-            if want < 0:
-                if not p.is_zero:
-                    raise ValueError(f"section into a degree-{m} summand must vanish")
-            elif p.degree != want and not (p.degree == -1 and p.is_zero):
-                raise ValueError(f"section has degree {p.degree}, expected {want}")
+        for i, (m, p) in enumerate(zip(splitting.degrees, sections)):
+            _check_form(p, field, m - degree, f"section {i}")
         if all(p.is_zero for p in sections):
             raise ValueError("the zero tuple defines no subbundle")
         self.splitting = splitting
@@ -425,27 +408,23 @@ def _kernel_head(rows: list[list[int]], p: int) -> tuple[int, list[int]] | None:
 
 
 def _top_invariant_line(
-    phi: CoHiggsMatrix, threshold: int
+    phi: CoHiggsMatrix, forms: list[tuple[int, int, int]], threshold: int
 ) -> tuple[int, tuple[str, ...]] | None:
     """The invariant line subbundle ``enumerate_line_subbundles`` and
     ``is_invariant`` would find first, from the top degree down to the
     threshold, as its degree and section strings; None when there is none.
 
     A saturated line is invariant iff its section tuple lies in the kernel
-    of ``phi - form`` for one of the eigen-forms.  At the highest degree
-    with a kernel every kernel vector is saturated, since a common factor
-    would leave an invariant line of higher degree.  The enumerator's first
+    of ``phi - form`` for one of the eigen-forms ``forms``.  At the highest
+    degree with a kernel every kernel vector is saturated, since a common
+    factor would leave an invariant line of higher degree.  The enumerator's first
     hit there is the first row of the kernel's reduced echelon form (leading
     entry 1, every later free slot 0), which ``_kernel_head`` reads off one
     right-to-left elimination; the smallest leading slot, then the smallest
     vector, wins across forms.
     """
     st, p = phi.splitting, phi.field.p
-    degrees = range(st.degrees[0], threshold - 1, -1)
-    forms = _eigen_forms(phi) if degrees else []
-    if not forms:
-        return None
-    for d in degrees:
+    for d in range(st.degrees[0], threshold - 1, -1):
         # s -> (phi - form) s from H^0(E(-d)) to H^0(E(-d + 2)); columns
         # follow the enumerator's slot order: summand, then coefficient
         cols, ncols = _blocks(st, d)
@@ -486,40 +465,32 @@ def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
     Invariant line subbundles are found from the top degree down to the
     slope threshold as kernels of ``phi - form`` for the eigen-forms of the
     field; for rank 3, invariant rank-2 subbundles are found as invariant
-    annihilator lines of the dual splitting under the transposed field.
-    The witness is the one the enumerator would return: top degree first,
-    first nonzero coefficient 1, smallest tuple.  PASSES only certifies the
-    absence of destabilizing subbundles rational over this field.
+    annihilator lines of the dual splitting under the transposed field,
+    whose eigen-forms are phi's.  The witness is the one the enumerator
+    would return: top degree first, first nonzero coefficient 1, smallest
+    tuple.  PASSES only certifies the absence of destabilizing subbundles
+    rational over this field.
     """
     st = phi.splitting
-    fld = phi.field
     if st.rank > ORACLE_MAX_RANK:
         raise ValueError(f"oracle supports rank <= {ORACLE_MAX_RANK}, got {st.rank}")
     mu = st.slope
     threshold = _violation_threshold(mode, mu)
-
-    def passes() -> OracleVerdict:
-        return OracleVerdict(True, mode, fld.name, mu)
-
-    if st.rank == 1:
-        # a line bundle has no proper subbundles at all
-        return passes()
-
-    hit = _top_invariant_line(phi, threshold)
-    if hit is not None:
-        d, sections = hit
-        witness = OracleWitness(rank=1, degree=d, sections=sections)
-        return OracleVerdict(False, mode, fld.name, mu, (witness,))
-
-    if st.rank == 3:
-        phi_t = phi.transpose_dual()
-        hit = _top_invariant_line(phi_t, _violation_threshold(mode, phi_t.splitting.slope))
+    # a line bundle has no proper subbundles, and a constant splitting in
+    # semistable mode no degree to visit, on phi or on its dual
+    forms = _eigen_forms(phi) if st.rank > 1 and st.degrees[0] >= threshold else []
+    witnesses: tuple[OracleWitness, ...] = ()
+    if forms:
+        hit = _top_invariant_line(phi, forms, threshold)
         if hit is not None:
             d, sections = hit
-            witness = OracleWitness(rank=2, degree=st.degree + d, dual_sections=sections)
-            return OracleVerdict(False, mode, fld.name, mu, (witness,))
-
-    return passes()
+            witnesses = (OracleWitness(rank=1, degree=d, sections=sections),)
+        elif st.rank == 3:
+            hit = _top_invariant_line(phi.transpose_dual(), forms, _violation_threshold(mode, -mu))
+            if hit is not None:
+                d, sections = hit
+                witnesses = (OracleWitness(rank=2, degree=st.degree + d, dual_sections=sections),)
+    return OracleVerdict(not witnesses, mode, phi.field.name, mu, witnesses)
 
 
 def enumerate_all_fields(st: SplittingType, field: PrimeField) -> Iterator[CoHiggsMatrix]:

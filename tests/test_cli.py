@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import time
@@ -5,7 +6,7 @@ import time
 import pytest
 
 from cohiggs import build_root_system, parse_group
-from cohiggs.cli import main
+from cohiggs.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -261,3 +262,28 @@ def test_model_field_gap_error(capsys):
     code, _, err = run(capsys, "model-field", "--splitting", "3,0", "--prime", "5")
     assert code == 1
     assert "gap" in err
+
+
+_OPTION_TABLE = {
+    "criterion": ({"--central", "--group", "--hn"}, ("text", "json"), "text"),
+    "adjoint": ({"--central", "--group", "--hn"}, ("text", "json"), "text"),
+    "strata": ({"--central", "--group"}, ("text", "json", "csv"), "text"),
+    "glr-check": ({"--splitting"}, ("text", "json"), "text"),
+    "sp-check": ({"--half-degrees"}, ("text", "json"), "text"),
+    "model-field": ({"--prime", "--seed", "--splitting"}, ("text", "json"), "text"),
+    "oracle": ({"--mode", "--model", "--prime", "--seed", "--splitting"}, ("json", "text"), "json"),
+}
+
+
+def test_option_table_pinned():
+    # long options, --format choices and --format default of every subcommand
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert set(subparsers.choices) == set(_OPTION_TABLE)
+    for name, (options, choices, default) in _OPTION_TABLE.items():
+        actions = subparsers.choices[name]._actions
+        longs = {o for a in actions for o in a.option_strings if o.startswith("--")}
+        assert longs == options | {"--format", "--help"}, name
+        (fmt,) = [a for a in actions if "--format" in a.option_strings]
+        assert (tuple(fmt.choices), fmt.default) == (choices, default), name

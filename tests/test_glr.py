@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from cohiggs import (
@@ -111,3 +113,19 @@ def test_adjoint_splitting_is_endomorphism_degree_multiset():
 def test_dual_reverses_and_negates():
     assert SplittingType((3, 1, -2)).dual().degrees == (2, -1, -3)
     assert SplittingType((3, 1, -2)).dual().dual().degrees == (3, 1, -2)
+
+
+@pytest.mark.parametrize("rank", range(1, 6))
+def test_splitting_type_enumeration_order(rank):
+    # every weakly decreasing tuple of the box, in the order a filter over
+    # the lexicographically decreasing product meets them
+    for lo in range(-4, 5):
+        for hi in range(-4, 5):
+            box = range(hi, lo - 1, -1)
+            want = [
+                d
+                for d in itertools.product(box, repeat=rank)
+                if all(a >= b for a, b in zip(d, d[1:]))
+            ]
+            got = [st.degrees for st in enumerate_splitting_types(rank, lo, hi)]
+            assert got == want, (rank, lo, hi)

@@ -25,7 +25,8 @@ from cohiggs import (
     semistability_oracle,
     zero_field,
 )
-from cohiggs.oracle import _kernel_head, _violation_threshold
+from cohiggs import oracle
+from cohiggs.oracle import _eigen_forms, _kernel_head, _violation_threshold
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -489,3 +490,58 @@ def test_kernel_search_matches_enumerator_on_reducible_rank_three():
         for zeros in (((2, 0), (2, 1)), ((1, 0), (2, 0)))
     ]
     assert _assert_matches_reference(fields) == {1, 2}
+
+
+# ------------------------------------------------------ shared eigen-forms
+
+_RANK_THREE = ((1, 0, -1), (2, 0, -2), (0, 0, 0), (2, 1, 0), (1, 1, -2), (2, 2, -4))
+
+
+def _seeded_fields(splittings, primes, seeds):
+    return [
+        random_field(SplittingType(degrees), PrimeField(p), seed)
+        for p in primes
+        for degrees in splittings
+        for seed in seeds
+    ]
+
+
+def test_eigen_forms_shared_with_the_dual():
+    # the dual's numeric matrices are anti-transposes of phi's at every
+    # point, so their characteristic polynomials and eigen-forms agree
+    fields = _seeded_fields(((1, 0), (1, -1), (2, 0), (0, 0)) + _RANK_THREE, (2, 3, 5, 7), range(8))
+    assert any(_eigen_forms(phi) for phi in fields)
+    for phi in fields:
+        assert _eigen_forms(phi.transpose_dual()) == _eigen_forms(phi), phi.to_json_dict()
+
+
+def test_one_eigen_form_pass_per_call(monkeypatch):
+    calls = []
+    eigenvalues = oracle._eigenvalues
+
+    def counted(m, p):
+        calls.append(p)
+        return eigenvalues(m, p)
+
+    monkeypatch.setattr(oracle, "_eigenvalues", counted)
+    for phi in _seeded_fields(_RANK_THREE, (3, 5, 7), range(6)):
+        for mode in ("stable", "semistable"):
+            calls.clear()
+            semistability_oracle(phi, mode)
+            assert len(calls) <= 3, (phi.to_json_dict(), mode)
+
+
+def test_no_eigen_form_passes_without_the_dual(monkeypatch):
+    # with no eigen-form there is no invariant subbundle of any rank, so the
+    # dual field is never built
+    def refuse(self):
+        raise AssertionError("transpose_dual called")
+
+    fields = [
+        phi for phi in _seeded_fields(_RANK_THREE, (2, 3, 5), range(20)) if not _eigen_forms(phi)
+    ]
+    assert len(fields) >= 10
+    monkeypatch.setattr(CoHiggsMatrix, "transpose_dual", refuse)
+    for phi in fields:
+        for mode in ("stable", "semistable"):
+            assert semistability_oracle(phi, mode).passes
