@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from itertools import chain
@@ -193,7 +194,9 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # parsing leaves a parser unchanged, so one serves every call of main
     parser = _Parser(prog="cohiggs", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -229,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -10,6 +10,7 @@ field exactly when consecutive gaps never exceed 2.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -23,13 +24,14 @@ class SplittingType:
     """A weakly decreasing list of line-bundle degrees.
 
     The criterion is meaningless on unsorted degree lists, so the constructor
-    sorts unconditionally.
+    sorts unconditionally; a degree that is not an integer raises
+    ``TypeError``.
     """
 
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        degrees = sorted((int(m) for m in self.degrees), reverse=True)
+        degrees = sorted(map(operator.index, self.degrees), reverse=True)
         if not degrees:
             raise ValueError("a splitting type needs at least one summand")
         object.__setattr__(self, "degrees", tuple(degrees))
@@ -61,7 +63,7 @@ class SplittingType:
 def _as_splitting(st: SplittingType | Sequence[int]) -> SplittingType:
     if isinstance(st, SplittingType):
         return st
-    degrees = tuple(int(m) for m in st)
+    degrees = tuple(map(operator.index, st))
     if any(degrees[i] < degrees[i + 1] for i in range(len(degrees) - 1)):
         raise ValueError(
             "raw degree lists must be weakly decreasing; build a SplittingType "

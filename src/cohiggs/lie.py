@@ -20,30 +20,20 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 
-_FAMILIES = "ABCDEFG"
-
-# Lie-algebra dimension per Cartan family, used to cross-check root counts.
-_DIM_FORMULAS = {
-    "A": lambda n: n * (n + 2),
-    "B": lambda n: n * (2 * n + 1),
-    "C": lambda n: n * (2 * n + 1),
-    "D": lambda n: n * (2 * n - 1),
-    "E": lambda n: {6: 78, 7: 133, 8: 248}[n],
-    "F": lambda n: 52,
-    "G": lambda n: 14,
-}
-
-_RANK_BOUNDS = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (3, None),
-    "E": (6, 8),
-    "F": (4, 4),
-    "G": (2, 2),
+# Per Cartan family: the smallest rank, the largest (None when unbounded)
+# and the Lie-algebra dimension, which also cross-checks root counts.
+_FAMILIES = {
+    "A": (1, None, lambda n: n * (n + 2)),
+    "B": (2, None, lambda n: n * (2 * n + 1)),
+    "C": (2, None, lambda n: n * (2 * n + 1)),
+    "D": (3, None, lambda n: n * (2 * n - 1)),
+    "E": (6, 8, lambda n: {6: 78, 7: 133, 8: 248}[n]),
+    "F": (4, 4, lambda n: 52),
+    "G": (2, 2, lambda n: 14),
 }
 
 
@@ -57,14 +47,15 @@ class CartanType:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown Cartan family {self.family!r}")
-        lo, hi = _RANK_BOUNDS[self.family]
+        object.__setattr__(self, "rank", operator.index(self.rank))
+        lo, hi, _ = _FAMILIES[self.family]
         if self.rank < lo or (hi is not None and self.rank > hi):
             raise ValueError(f"rank {self.rank} invalid for family {self.family}")
 
     @property
     def dim(self) -> int:
         """Dimension of the simple Lie algebra of this type."""
-        return _DIM_FORMULAS[self.family](self.rank)
+        return _FAMILIES[self.family][2](self.rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -151,6 +142,7 @@ class ReductiveGroup:
     central_rank: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "central_rank", operator.index(self.central_rank))
         if self.central_rank < 0:
             raise ValueError("central rank must be nonnegative")
         object.__setattr__(self, "simple_factors", tuple(self.simple_factors))
@@ -186,16 +178,16 @@ class HNType:
     factor against the cocharacter; ``central_degrees`` lists the degrees on
     the central torus.  Non-dominant vectors are representable (tests need
     them) but every criterion and stratification operation rejects them.
+    A value that is not an integer raises ``TypeError``, never truncates.
     """
 
     simple_values: tuple[tuple[int, ...], ...] = ()
     central_degrees: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "simple_values", tuple(tuple(v) for v in self.simple_values)
-        )
-        object.__setattr__(self, "central_degrees", tuple(self.central_degrees))
+        values = tuple(tuple(map(operator.index, v)) for v in self.simple_values)
+        object.__setattr__(self, "simple_values", values)
+        object.__setattr__(self, "central_degrees", tuple(map(operator.index, self.central_degrees)))
 
     @classmethod
     def from_flat(

@@ -155,7 +155,7 @@ class LineSubbundle:
     the nonzero entries have constant gcd.
     """
 
-    __slots__ = ("splitting", "field", "degree", "sections", "_saturated")
+    __slots__ = ("splitting", "field", "degree", "sections")
 
     def __init__(
         self,
@@ -175,14 +175,11 @@ class LineSubbundle:
         self.field = field
         self.degree = degree
         self.sections = sections
-        self._saturated: bool | None = None
 
     @property
     def is_saturated(self) -> bool:
-        if self._saturated is None:
-            g = gcd_many(self.sections)
-            self._saturated = g is not None and g.is_constant()
-        return self._saturated
+        g = gcd_many(self.sections)
+        return g is not None and g.is_constant()
 
     def section_strings(self) -> list[str]:
         return [str(p) for p in self.sections]
@@ -225,41 +222,43 @@ def is_invariant(phi: CoHiggsMatrix, line: LineSubbundle) -> bool:
     )
 
 
+def _blocks(st: SplittingType, degree: int) -> tuple[list[tuple[int, int]], int]:
+    """Coefficient layout of H^0(E(-degree)): the start slot and the form
+    degree of each summand (no slots when that degree is negative), plus
+    the total slot count."""
+    blocks, n = [], 0
+    for m in st.degrees:
+        blocks.append((n, m - degree))
+        n += max(m - degree + 1, 0)
+    return blocks, n
+
+
+def _sections(
+    field: PrimeField, blocks: list[tuple[int, int]], vector: Sequence[int]
+) -> tuple[HomogPoly, ...]:
+    """The section tuple whose coefficients fill ``vector`` in the layout
+    ``blocks`` of ``_blocks``; a summand without slots gets the zero marker."""
+    return tuple(
+        HomogPoly(field, e, vector[c0 : c0 + e + 1]) if e >= 0 else HomogPoly.zero(field)
+        for c0, e in blocks
+    )
+
+
 def enumerate_line_subbundles(
     st: SplittingType, degree: int, field: PrimeField
 ) -> Iterator[LineSubbundle]:
     """Every saturated line subbundle of one degree, up to scalar.
 
-    Representatives are normalized so the first nonzero coefficient (scanning
-    summands in order, coefficients within each section in order) equals 1;
-    the stream is empty when the degree exceeds the largest summand degree.
+    Representatives are the coefficient vectors in the ``_blocks`` layout
+    (summands in order, coefficients within each section in order) whose
+    first nonzero slot is 1, by pivot slot and then lexicographically; the
+    stream is empty when the degree exceeds the largest summand degree.
     """
-    section_degrees = [m - degree for m in st.degrees]
-    slots = [
-        (i, k)
-        for i, d in enumerate(section_degrees)
-        if d >= 0
-        for k in range(d + 1)
-    ]
-    elements = list(field.elements())
-
-    def build(values: dict[tuple[int, int], int]) -> LineSubbundle:
-        sections = []
-        for i, d in enumerate(section_degrees):
-            if d < 0:
-                sections.append(HomogPoly.zero(field))
-            else:
-                sections.append(
-                    HomogPoly(field, d, tuple(values.get((i, k), 0) for k in range(d + 1)))
-                )
-        return LineSubbundle(st, field, degree, sections)
-
-    for pivot in range(len(slots)):
-        free = slots[pivot + 1 :]
-        for combo in product(elements, repeat=len(free)):
-            values = dict(zip(free, combo))
-            values[slots[pivot]] = 1
-            line = build(values)
+    blocks, n = _blocks(st, degree)
+    for pivot in range(n):
+        for tail in product(field.elements(), repeat=n - pivot - 1):
+            sections = _sections(field, blocks, (0,) * pivot + (1,) + tail)
+            line = LineSubbundle(st, field, degree, sections)
             if line.is_saturated:
                 yield line
 
@@ -359,17 +358,6 @@ def _eigen_forms(phi: CoHiggsMatrix) -> list[tuple[int, int, int]]:
     return [(a, (v - a - c) % p, c) for a in at_x for c in at_y for v in at_one]
 
 
-def _blocks(st: SplittingType, degree: int) -> tuple[list[tuple[int, int]], int]:
-    """Coefficient layout of H^0(E(-degree)): the start slot and the form
-    degree of each summand (no slots when that degree is negative), plus
-    the total slot count."""
-    blocks, n = [], 0
-    for m in st.degrees:
-        blocks.append((n, m - degree))
-        n += max(m - degree + 1, 0)
-    return blocks, n
-
-
 def _kernel_head(rows: list[list[int]], p: int) -> tuple[int, list[int]] | None:
     """The first row of the reduced echelon form of the kernel over GF(p) of
     an integer matrix, with its leading slot; None when the kernel is zero.
@@ -449,13 +437,7 @@ def _top_invariant_line(
                 heads.append(head)
         if heads:
             _, vector = min(heads)
-            sections = [
-                HomogPoly(phi.field, e, vector[c0 : c0 + e + 1])
-                if e >= 0
-                else HomogPoly.zero(phi.field)
-                for c0, e in cols
-            ]
-            return d, tuple(map(str, sections))
+            return d, tuple(map(str, _sections(phi.field, cols, vector)))
     return None
 
 

@@ -22,14 +22,13 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
+from .criterion import STABLE_BOUND
 from .lie import (
     HNType,
     ReductiveGroup,
     all_root_values,
     require_dominant,
 )
-
-MAX_SIMPLE_VALUE = 2
 
 
 @dataclass(frozen=True)
@@ -98,18 +97,14 @@ def enumerate_strata(
 ) -> list[StratumRecord]:
     """All strata of a fixed topological degree, one per allowed type.
 
-    Every combination of simple-root values in {0, 1, 2} appears exactly
-    once, in lexicographic order of the flattened value vector; the central
-    part is carried through unchanged.
+    Every combination of simple-root values in {0, 1, 2} (up to the stable
+    bound of the criterion) appears exactly once, in lexicographic order of
+    the flattened value vector.  The central part is carried through
+    unchanged; the shape check of the first record rejects a wrong length.
     """
     central = tuple(central_degrees)
-    if len(central) != group.central_rank:
-        raise ValueError(
-            f"expected {group.central_rank} central degrees, got {len(central)}"
-        )
-    total_rank = group.semisimple_rank
     records = []
-    for flat in product(range(MAX_SIMPLE_VALUE + 1), repeat=total_rank):
+    for flat in product(range(STABLE_BOUND + 1), repeat=group.semisimple_rank):
         hn = HNType.from_flat(group, flat, central)
         records.append(
             StratumRecord(hn, *_dimensions(group, hn), is_generic=not any(flat))

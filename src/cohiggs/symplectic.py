@@ -9,6 +9,7 @@ C_r criterion with the doubled (long-root) slot last.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .lie import CartanType, HNType, ReductiveGroup
@@ -21,7 +22,7 @@ class SymplecticSplitting:
     half_degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        e = tuple(int(x) for x in self.half_degrees)
+        e = tuple(map(operator.index, self.half_degrees))
         if not e:
             raise ValueError("need at least one half-degree")
         if any(e[i] < e[i + 1] for i in range(len(e) - 1)):

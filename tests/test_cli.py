@@ -235,6 +235,21 @@ def test_oracle_output_deterministic(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_usage_error_leaves_the_shared_parser_intact(capsys):
+    good = ["criterion", "--group", "C3xA1+z2", "--hn", "1,0,2,3", "--format", "json"]
+    first = run(capsys, *good)
+    with pytest.raises(SystemExit) as exc:
+        main(["criterion", "--group", "A2", "--hn", "1,1", "--bogus"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert run(capsys, *good) == first
+    assert first[0] == 0 and json.loads(first[1])["admits_stable"] is False
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["criterion", "--group", "A2"])  # missing --hn

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,9 +8,12 @@ from cohiggs import (
     CartanType,
     HNType,
     ReductiveGroup,
+    SplittingType,
+    SymplecticSplitting,
     all_root_values,
     build_root_system,
     cartan_matrix,
+    glr_admits_semistable,
     is_dominant,
     parse_group,
 )
@@ -33,8 +37,30 @@ def test_invalid_ranks_rejected(family, rank):
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        CartanType("H", 2)
+    # "" and "AB" are substrings of "ABCDEFG" but no family
+    for family in ("H", "", "AB"):
+        with pytest.raises(ValueError):
+            CartanType(family, 3)
+
+
+# every integer field of the data types, fed a non-integer x
+_INTEGER_FIELDS = {
+    "SplittingType": lambda x: SplittingType((x, 0)),
+    "raw degree list": lambda x: glr_admits_semistable([x, 0]),
+    "SymplecticSplitting": lambda x: SymplecticSplitting((x,)),
+    "HNType.simple_values": lambda x: HNType(((x, 0),)),
+    "HNType.central_degrees": lambda x: HNType((), (x,)),
+    "CartanType.rank": lambda x: CartanType("A", x),
+    "ReductiveGroup.central_rank": lambda x: ReductiveGroup((), x),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2)], ids=str)
+@pytest.mark.parametrize("field", list(_INTEGER_FIELDS))
+def test_non_integers_rejected_not_truncated(field, value):
+    # the rule of HomogPoly coefficients: operator.index or TypeError
+    with pytest.raises(TypeError):
+        _INTEGER_FIELDS[field](value)
 
 
 @pytest.mark.parametrize("family,rank,dim", ALL_TYPES)

@@ -216,6 +216,24 @@ def test_enumeration_normalizes_first_nonzero_coefficient():
         assert lead == 1
 
 
+def test_enumeration_stream_pinned():
+    # every line the reference enumerator yields on six splittings over F2
+    # and F3, from the top degree down to the bottom summand's, in order
+    digest = hashlib.sha256()
+    count = 0
+    for degrees in ((1, 0), (1, -1), (2, 0), (2, -1), (1, 0, -1), (1, 1, 0)):
+        st = SplittingType(degrees)
+        for p in (2, 3):
+            for d in range(degrees[0], degrees[-1] - 1, -1):
+                for L in enumerate_line_subbundles(st, d, PrimeField(p)):
+                    digest.update(repr((degrees, p, d, L.section_strings())).encode())
+                    count += 1
+    assert count == 696
+    assert digest.hexdigest() == (
+        "4e6e27bdf2790f621069b54f9521fe6fd26bee6a55a47a85942b62f4d74d64ec"
+    )
+
+
 def test_subbundle_validation():
     st = SplittingType((1, -1))
     with pytest.raises(ValueError):
