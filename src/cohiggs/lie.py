@@ -22,6 +22,9 @@ from __future__ import annotations
 import functools
 import operator
 import re
+import struct
+import sys
+from collections import Counter
 from dataclasses import dataclass
 
 # Per Cartan family: the smallest rank, the largest (None when unbounded)
@@ -236,7 +239,8 @@ def all_root_values(group: ReductiveGroup, hn: HNType) -> list[int]:
     Both signs are included, so the result has dim(G) - rank(G) entries and
     is symmetric under negation; the center contributes nothing.  Order:
     factor by factor, positive roots by height, each followed by its
-    negative.
+    negative.  One dot product per root: this is the slow reference that
+    ``root_value_histogram`` is tested against.
     """
     check_shapes(group, hn)
     out: list[int] = []
@@ -246,6 +250,47 @@ def all_root_values(group: ReductiveGroup, hn: HNType) -> list[int]:
             out.append(v)
             out.append(-v)
     return out
+
+
+# memoryview format of an unsigned lane of each width in bytes
+_LANE_FORMATS = {struct.calcsize(code): code for code in "BHIQ"}
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_columns(ct: CartanType, width: int) -> tuple[int, ...]:
+    """Column i of the positive roots packed into one integer.
+
+    Lane k, ``width`` bytes wide, holds the i-th coefficient of the k-th
+    positive root.
+    """
+    shift = 8 * width
+    roots = build_root_system(ct)
+    return tuple(
+        sum(root[i] << (shift * k) for k, root in enumerate(roots))
+        for i in range(ct.rank)
+    )
+
+
+def root_value_histogram(ct: CartanType, values: tuple[int, ...]) -> Counter:
+    """How often each pairing occurs over the positive roots of one factor.
+
+    ``values`` are the simple-root values of a dominant cocharacter, so
+    every pairing lies between 0 and the highest root's, and the pairings
+    of all roots at once are ``sum(v_i * column_i)`` over the packed
+    columns, with no carry between lanes.  The lanes are as narrow as the
+    highest root's pairing allows and are counted straight from the bytes.
+    Above 64 bits each root is paired on its own.
+    """
+    if len(values) != ct.rank or min(values, default=0) < 0:
+        raise ValueError(f"{ct}: expected {ct.rank} nonnegative values, got {values}")
+    roots = build_root_system(ct)
+    top = sum(c * v for c, v in zip(roots[-1], values))  # the highest root is last
+    width = next((w for w in _LANE_FORMATS if top >> (8 * w) == 0), None)
+    if width is None:
+        return Counter(sum(c * v for c, v in zip(root, values)) for root in roots)
+    packed = sum(v * col for v, col in zip(values, _packed_columns(ct, width)))
+    lanes = packed.to_bytes(len(roots) * width, sys.byteorder)
+    return Counter(memoryview(lanes).cast(_LANE_FORMATS[width]))
 
 
 def is_dominant(group: ReductiveGroup, hn: HNType) -> bool:

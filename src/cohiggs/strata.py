@@ -3,11 +3,13 @@
 Fixing the topological degree leaves finitely many allowed types: every
 simple-root value must lie in {0, 1, 2}.  Each stratum is the space of
 fields on the corresponding bundle modulo its automorphisms.  All three
-dimensions are direct sums of section counts over the root spaces, and all
-of them, together with both closed forms, are read off one histogram of the
-root values per type.  The closed forms are asserted against the direct
-sums on every call; the generic stratum (type zero) always has dimension
-twice the group dimension.
+dimensions are direct sums of section counts over the root spaces.  The
+root values of a type are the disjoint union of those of its simple factors,
+so every sum, and both closed forms, add up per-factor sums; each factor's
+sums are read off the histogram of its root values, computed once per factor
+value vector.  The closed forms are asserted against the direct sums on the
+group totals of every type; the generic stratum (type zero) always has
+dimension twice the group dimension.
 
 The field-space dimension deliberately avoids its tempting closed form: the
 consistent simplification adds ``value - 3`` per root value above 3, and the
@@ -18,16 +20,17 @@ suite pins the discrepancy.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
 from .criterion import STABLE_BOUND
 from .lie import (
+    CartanType,
     HNType,
     ReductiveGroup,
-    all_root_values,
+    check_shapes,
     require_dominant,
+    root_value_histogram,
 )
 
 
@@ -40,24 +43,43 @@ class StratumRecord:
     is_generic: bool
 
 
-def _dimensions(group: ReductiveGroup, hn: HNType) -> tuple[int, int, int]:
+FactorSums = tuple[int, int, int, int]
+
+
+def _factor_sums(ct: CartanType, values: tuple[int, ...]) -> FactorSums:
+    """One factor's root terms of the four sums ``_dimensions`` totals.
+
+    In order: field sections, automorphisms, the automorphism closed form
+    and the stratum closed form's deficit.  Each positive root, of value
+    ``v >= 0``, is counted together with its negative, of value ``-v``.
+    """
+    fields = aut = closed = deficit = 0
+    for v, n in root_value_histogram(ct, values).items():
+        fields += n * ((v + 3) + max(0, -v + 3))
+        aut += n * ((v + 1) + (v == 0))
+        if v > 1:
+            closed += n * (v - 1)
+            deficit += n * (2 if v > 3 else v - 1)
+    return fields, aut, closed, deficit
+
+
+def _dimensions(
+    group: ReductiveGroup, hn: HNType, sums: tuple[FactorSums, ...] | None = None
+) -> tuple[int, int, int]:
     """Field-space, automorphism and stratum dimensions, in that order.
 
-    All three, and both closed forms asserted against them, depend only on
-    the multiset of root values, so one histogram of it serves every sum.
+    All three, and both closed forms asserted against them, add up the
+    per-factor ``sums`` (computed here unless the caller has them) and
+    terms from the rank and dimension of the group.
     """
     require_dominant(group, hn)
-    hist = Counter(all_root_values(group, hn)).items()
-    fields = 3 * group.rank + sum(n * max(0, v + 3) for v, n in hist)
-    aut = group.rank + sum(n * (v + 1) for v, n in hist if v > -1)
-    closed = group.dim + sum(n * (v - 1) for v, n in hist if v > 1)
+    if sums is None:
+        sums = tuple(map(_factor_sums, group.simple_factors, hn.simple_values))
+    rank, dim = group.rank, group.dim
+    fields, aut, closed, deficit = map(sum, zip((3 * rank, rank, dim, 0), *sums))
     assert aut == closed, f"BUG: automorphism forms disagree: {aut} != {closed}"
     stratum = fields - aut
-    closed = (
-        2 * group.dim
-        - 2 * sum(n for v, n in hist if v > 3)
-        - sum(n * (v - 1) for v, n in hist if 1 < v <= 3)
-    )
+    closed = 2 * dim - deficit
     assert stratum == closed, f"BUG: stratum forms disagree: {stratum} != {closed}"
     return fields, aut, stratum
 
@@ -100,13 +122,24 @@ def enumerate_strata(
     Every combination of simple-root values in {0, 1, 2} (up to the stable
     bound of the criterion) appears exactly once, in lexicographic order of
     the flattened value vector.  The central part is carried through
-    unchanged; the shape check of the first record rejects a wrong length.
+    unchanged; a wrong length is rejected before any work.  Each factor's
+    sums are computed once per factor value vector and shared by every type
+    that contains it.
     """
     central = tuple(central_degrees)
+    check_shapes(group, HNType.from_flat(group, (0,) * group.semisimple_rank, central))
+    values = range(STABLE_BOUND + 1)
+    tables = [
+        [_factor_sums(f, vec) for vec in product(values, repeat=f.rank)]
+        for f in group.simple_factors
+    ]
+    # both products step the last factor's last value fastest, so they
+    # visit the types in the same order
+    flats = product(values, repeat=group.semisimple_rank)
     records = []
-    for flat in product(range(STABLE_BOUND + 1), repeat=group.semisimple_rank):
+    for flat, sums in zip(flats, product(*tables)):
         hn = HNType.from_flat(group, flat, central)
         records.append(
-            StratumRecord(hn, *_dimensions(group, hn), is_generic=not any(flat))
+            StratumRecord(hn, *_dimensions(group, hn, sums), is_generic=not any(flat))
         )
     return records

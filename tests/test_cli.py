@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import cohiggs.strata
 from cohiggs import build_root_system, parse_group
 from cohiggs.cli import build_parser, main
 
@@ -85,6 +86,18 @@ def test_strata_json_schema(capsys):
     (
         ["strata", "--group=G2xA2", "--format=text"],
         "bc84dd01eb4b1504b99cd35387758dd13e24ad8354db419a69f40acd8ed24be7",
+    ),
+    (
+        ["strata", "--group=E7", "--format=json"],
+        "51d48e6aacab5d786cac65056125df9abc1f57f5175e5e11b6cd0e96e7ebea86",
+    ),
+    (
+        ["strata", "--group=E7", "--format=csv"],
+        "f13dd61ac26970d074c99c5752c2b3638cfb20e1e53561be2d6e20b9b0c0e3c4",
+    ),
+    (   # three factors and a centre
+        ["strata", "--group=A1xG2xA2+z1", "--central=2", "--format=json"],
+        "ff036a2068e8b9bd33f6b86f3a2f44d96634b38374b6775119a46ca7aeea89b6",
     ),
 ])
 def test_strata_output_byte_identical(capsys, argv, digest):
@@ -271,6 +284,16 @@ def test_domain_errors_exit_one(capsys):
     assert code == 1
     code, _, err = run(capsys, "oracle", "--splitting", "0,0", "--prime", "6", "--mode", "stable")
     assert code == 1
+
+
+def test_strata_rejects_central_length_before_any_root_values(capsys, monkeypatch):
+    def unreachable(ct, values):
+        raise AssertionError("root values computed for a rejected request")
+
+    monkeypatch.setattr(cohiggs.strata, "root_value_histogram", unreachable)
+    code, out, err = run(capsys, "strata", "--group=E7", "--central=1")
+    assert (code, out) == (1, "")
+    assert err == "cohiggs: error: expected 0 central degrees, got 1\n"
 
 
 def test_model_field_gap_error(capsys):

@@ -1,18 +1,23 @@
+import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
+import cohiggs.lie
 import cohiggs.strata
 from cohiggs import (
     CartanType,
     HNType,
     ReductiveGroup,
     all_root_values,
+    build_root_system,
     dim_automorphisms,
     dim_cohiggs_space,
     dim_stratum,
     enumerate_strata,
 )
+from cohiggs.lie import root_value_histogram
 
 A1 = ReductiveGroup((CartanType("A", 1),))
 
@@ -99,17 +104,80 @@ def test_dimensions_match_per_root_reference(g):
         ) == reference_dimensions(g, hn), (str(g), values)
 
 
+def reference_histogram(ct, values):
+    """Slow reference: the positive-root values from one dot product each."""
+    signed = all_root_values(ReductiveGroup((ct,)), HNType((values,)))
+    return Counter(signed[::2])  # each positive root comes before its negative
+
+
+@pytest.mark.parametrize(
+    "ct", SWEEP_TYPES + [CartanType("E", 6), CartanType("E", 7)], ids=str
+)
+def test_root_value_histogram_matches_reference_exhaustively(ct):
+    for values in product(range(4), repeat=ct.rank):
+        assert root_value_histogram(ct, values) == reference_histogram(ct, values), values
+
+
+def test_root_value_histogram_matches_reference_on_seeded_e8():
+    e8 = CartanType("E", 8)
+    rng = random.Random(8)
+    for _ in range(300):
+        values = tuple(rng.randrange(rng.choice((4, 50, 1000))) for _ in range(8))
+        assert root_value_histogram(e8, values) == reference_histogram(e8, values), values
+
+
+@pytest.mark.parametrize("ct", [
+    CartanType("A", 1), CartanType("G", 2), CartanType("F", 4), CartanType("E", 8),
+], ids=str)
+def test_root_value_histogram_on_both_sides_of_each_lane_width(monkeypatch, ct):
+    # the highest root's value picks the lane width; on A1, and on G2 (its
+    # height 5 divides 2^8 - 1, ..., 2^64 - 1), it meets each bound exactly
+    widths = []
+    packed_columns = cohiggs.lie._packed_columns
+
+    def recording(ct, width):
+        widths.append(width)
+        return packed_columns(ct, width)
+
+    monkeypatch.setattr(cohiggs.lie, "_packed_columns", recording)
+    highest = build_root_system(ct)[-1]
+    for bits in (8, 16, 32, 64):
+        scale = (2**bits - 1) // sum(highest)
+        for values in ((scale,) * ct.rank, (scale + 1,) * ct.rank):
+            top = sum(c * v for c, v in zip(highest, values))
+            assert (top < 2**bits) == (values[0] == scale)
+            assert root_value_histogram(ct, values) == reference_histogram(ct, values)
+    # one vector below and one above each bound; above 2^64 - 1 the kernel
+    # pairs each root on its own
+    assert widths == [1, 2, 2, 4, 4, 8, 8]
+
+
+def test_root_value_histogram_rejects_bad_vectors():
+    with pytest.raises(ValueError):
+        root_value_histogram(CartanType("A", 1), (-1,))
+    with pytest.raises(ValueError):
+        root_value_histogram(CartanType("A", 2), (1,))
+
+
 def test_enumerate_strata_one_root_value_pass_per_record(monkeypatch):
+    # one kernel call per (factor, factor value vector), shared by every
+    # record that contains that vector, not one per record
     seen = []
 
-    def counting(group, hn):
-        seen.append(hn)
-        return all_root_values(group, hn)
+    def counting(ct, values):
+        seen.append((ct, values))
+        return root_value_histogram(ct, values)
 
-    monkeypatch.setattr(cohiggs.strata, "all_root_values", counting)
-    records = enumerate_strata(ReductiveGroup((CartanType("G", 2),)))
+    monkeypatch.setattr(cohiggs.strata, "root_value_histogram", counting)
+    g2 = CartanType("G", 2)
+    records = enumerate_strata(ReductiveGroup((g2,)))
     assert len(records) == 9
-    assert seen == [r.hn for r in records]
+    assert seen == [(g2, r.hn.simple_values[0]) for r in records]
+    seen.clear()
+    a1, a2 = CartanType("A", 1), CartanType("A", 2)
+    records = enumerate_strata(ReductiveGroup((a1, a2)))
+    assert len(records) == 27
+    assert len(seen) == len(set(seen)) == 3 + 9
 
 
 def test_non_dominant_rejected():
