@@ -22,8 +22,6 @@ from __future__ import annotations
 import functools
 import operator
 import re
-import struct
-import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -252,21 +250,15 @@ def all_root_values(group: ReductiveGroup, hn: HNType) -> list[int]:
     return out
 
 
-# memoryview format of an unsigned lane of each width in bytes
-_LANE_FORMATS = {struct.calcsize(code): code for code in "BHIQ"}
-
-
 @functools.lru_cache(maxsize=None)
-def _packed_columns(ct: CartanType, width: int) -> tuple[int, ...]:
+def _packed_columns(ct: CartanType) -> tuple[int, ...]:
     """Column i of the positive roots packed into one integer.
 
-    Lane k, ``width`` bytes wide, holds the i-th coefficient of the k-th
-    positive root.
+    Byte k holds the i-th coefficient of the k-th positive root.
     """
-    shift = 8 * width
     roots = build_root_system(ct)
     return tuple(
-        sum(root[i] << (shift * k) for k, root in enumerate(roots))
+        sum(root[i] << (8 * k) for k, root in enumerate(roots))
         for i in range(ct.rank)
     )
 
@@ -275,22 +267,18 @@ def root_value_histogram(ct: CartanType, values: tuple[int, ...]) -> Counter:
     """How often each pairing occurs over the positive roots of one factor.
 
     ``values`` are the simple-root values of a dominant cocharacter, so
-    every pairing lies between 0 and the highest root's, and the pairings
-    of all roots at once are ``sum(v_i * column_i)`` over the packed
-    columns, with no carry between lanes.  The lanes are as narrow as the
-    highest root's pairing allows and are counted straight from the bytes.
-    Above 64 bits each root is paired on its own.
+    every pairing lies between 0 and the highest root's, at most 255, and
+    the pairings of all roots at once are ``sum(v_i * column_i)`` over the
+    packed columns, one byte per root with no carry between bytes.
     """
     if len(values) != ct.rank or min(values, default=0) < 0:
         raise ValueError(f"{ct}: expected {ct.rank} nonnegative values, got {values}")
     roots = build_root_system(ct)
     top = sum(c * v for c, v in zip(roots[-1], values))  # the highest root is last
-    width = next((w for w in _LANE_FORMATS if top >> (8 * w) == 0), None)
-    if width is None:
-        return Counter(sum(c * v for c, v in zip(root, values)) for root in roots)
-    packed = sum(v * col for v, col in zip(values, _packed_columns(ct, width)))
-    lanes = packed.to_bytes(len(roots) * width, sys.byteorder)
-    return Counter(memoryview(lanes).cast(_LANE_FORMATS[width]))
+    if top > 255:
+        raise ValueError(f"{ct}: highest-root value {top} of {values} exceeds 255")
+    packed = sum(v * col for v, col in zip(values, _packed_columns(ct)))
+    return Counter(packed.to_bytes(len(roots), "little"))
 
 
 def is_dominant(group: ReductiveGroup, hn: HNType) -> bool:

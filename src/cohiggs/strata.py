@@ -5,11 +5,12 @@ simple-root value must lie in {0, 1, 2}.  Each stratum is the space of
 fields on the corresponding bundle modulo its automorphisms.  All three
 dimensions are direct sums of section counts over the root spaces.  The
 root values of a type are the disjoint union of those of its simple factors,
-so every sum, and both closed forms, add up per-factor sums; each factor's
-sums are read off the histogram of its root values, computed once per factor
-value vector.  The closed forms are asserted against the direct sums on the
-group totals of every type; the generic stratum (type zero) always has
-dimension twice the group dimension.
+so in ``enumerate_strata`` every sum, and both closed forms, add up
+per-factor sums; each factor's sums are read off the histogram of its root
+values, computed once per factor value vector.  A single type asked for on
+its own pairs each root directly.  The closed forms are asserted against the
+direct sums on the group totals of every type; the generic stratum (type
+zero) always has dimension twice the group dimension.
 
 The field-space dimension deliberately avoids its tempting closed form: the
 consistent simplification adds ``value - 3`` per root value above 3, and the
@@ -20,14 +21,15 @@ suite pins the discrepancy.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
 from .criterion import STABLE_BOUND
 from .lie import (
-    CartanType,
     HNType,
     ReductiveGroup,
+    all_root_values,
     check_shapes,
     require_dominant,
     root_value_histogram,
@@ -43,18 +45,19 @@ class StratumRecord:
     is_generic: bool
 
 
-FactorSums = tuple[int, int, int, int]
+RootSums = tuple[int, int, int, int]
 
 
-def _factor_sums(ct: CartanType, values: tuple[int, ...]) -> FactorSums:
-    """One factor's root terms of the four sums ``_dimensions`` totals.
+def _root_sums(positive: Counter) -> RootSums:
+    """The root terms of the four sums ``_dimensions`` totals.
 
     In order: field sections, automorphisms, the automorphism closed form
-    and the stratum closed form's deficit.  Each positive root, of value
-    ``v >= 0``, is counted together with its negative, of value ``-v``.
+    and the stratum closed form's deficit.  ``positive`` counts the values
+    of positive roots; each, of value ``v >= 0``, is counted together with
+    its negative, of value ``-v``.
     """
     fields = aut = closed = deficit = 0
-    for v, n in root_value_histogram(ct, values).items():
+    for v, n in positive.items():
         fields += n * ((v + 3) + max(0, -v + 3))
         aut += n * ((v + 1) + (v == 0))
         if v > 1:
@@ -64,17 +67,20 @@ def _factor_sums(ct: CartanType, values: tuple[int, ...]) -> FactorSums:
 
 
 def _dimensions(
-    group: ReductiveGroup, hn: HNType, sums: tuple[FactorSums, ...] | None = None
+    group: ReductiveGroup, hn: HNType, sums: tuple[RootSums, ...] | None = None
 ) -> tuple[int, int, int]:
     """Field-space, automorphism and stratum dimensions, in that order.
 
     All three, and both closed forms asserted against them, add up the
-    per-factor ``sums`` (computed here unless the caller has them) and
-    terms from the rank and dimension of the group.
+    root ``sums`` and terms from the rank and dimension of the group.
+    ``enumerate_strata`` passes one entry per factor; otherwise one entry
+    for all roots is computed here, one root at a time, so any dominant
+    type is accepted.
     """
     require_dominant(group, hn)
     if sums is None:
-        sums = tuple(map(_factor_sums, group.simple_factors, hn.simple_values))
+        # each positive root comes before its negative
+        sums = (_root_sums(Counter(all_root_values(group, hn)[::2])),)
     rank, dim = group.rank, group.dim
     fields, aut, closed, deficit = map(sum, zip((3 * rank, rank, dim, 0), *sums))
     assert aut == closed, f"BUG: automorphism forms disagree: {aut} != {closed}"
@@ -130,7 +136,10 @@ def enumerate_strata(
     check_shapes(group, HNType.from_flat(group, (0,) * group.semisimple_rank, central))
     values = range(STABLE_BOUND + 1)
     tables = [
-        [_factor_sums(f, vec) for vec in product(values, repeat=f.rank)]
+        [
+            _root_sums(root_value_histogram(f, vec))
+            for vec in product(values, repeat=f.rank)
+        ]
         for f in group.simple_factors
     ]
     # both products step the last factor's last value fastest, so they

@@ -59,6 +59,15 @@ def test_dimensions_beyond_the_stratum_range():
     assert dim_stratum(A1, hn) == 4
 
 
+def test_single_type_dimensions_have_no_value_bound():
+    # one type on its own is paired root by root, past the strata kernel's byte
+    for g, values in [(A1, (1000,)), (ReductiveGroup((CartanType("E", 8),)), (9,) * 8)]:
+        hn = HNType((values,))
+        assert (
+            dim_cohiggs_space(g, hn), dim_automorphisms(g, hn), dim_stratum(g, hn)
+        ) == reference_dimensions(g, hn)
+
+
 def test_zero_type_dimensions_scale_with_group_dimension():
     for ct in SWEEP_TYPES:
         g = ReductiveGroup((ct,))
@@ -122,34 +131,23 @@ def test_root_value_histogram_matches_reference_on_seeded_e8():
     e8 = CartanType("E", 8)
     rng = random.Random(8)
     for _ in range(300):
-        values = tuple(rng.randrange(rng.choice((4, 50, 1000))) for _ in range(8))
+        # below 9 each, the highest root's value stays within one byte
+        values = tuple(rng.randrange(rng.choice((4, 9))) for _ in range(8))
         assert root_value_histogram(e8, values) == reference_histogram(e8, values), values
 
 
-@pytest.mark.parametrize("ct", [
-    CartanType("A", 1), CartanType("G", 2), CartanType("F", 4), CartanType("E", 8),
-], ids=str)
-def test_root_value_histogram_on_both_sides_of_each_lane_width(monkeypatch, ct):
-    # the highest root's value picks the lane width; on A1, and on G2 (its
-    # height 5 divides 2^8 - 1, ..., 2^64 - 1), it meets each bound exactly
-    widths = []
-    packed_columns = cohiggs.lie._packed_columns
-
-    def recording(ct, width):
-        widths.append(width)
-        return packed_columns(ct, width)
-
-    monkeypatch.setattr(cohiggs.lie, "_packed_columns", recording)
-    highest = build_root_system(ct)[-1]
-    for bits in (8, 16, 32, 64):
-        scale = (2**bits - 1) // sum(highest)
-        for values in ((scale,) * ct.rank, (scale + 1,) * ct.rank):
-            top = sum(c * v for c, v in zip(highest, values))
-            assert (top < 2**bits) == (values[0] == scale)
-            assert root_value_histogram(ct, values) == reference_histogram(ct, values)
-    # one vector below and one above each bound; above 2^64 - 1 the kernel
-    # pairs each root on its own
-    assert widths == [1, 2, 2, 4, 4, 8, 8]
+def test_root_value_histogram_byte_bound():
+    # one byte per root: the highest root's value may reach 255, not 256
+    a1, e8 = CartanType("A", 1), CartanType("E", 8)
+    assert root_value_histogram(a1, (255,)) == Counter({255: 1})
+    with pytest.raises(ValueError, match="exceeds 255"):
+        root_value_histogram(a1, (256,))
+    highest = build_root_system(e8)[-1]
+    values = (8, 8, 8, 9, 11, 8, 8, 8)
+    assert sum(c * v for c, v in zip(highest, values)) == 255
+    assert root_value_histogram(e8, values) == reference_histogram(e8, values)
+    with pytest.raises(ValueError, match="exceeds 255"):
+        root_value_histogram(e8, (8, 8, 8, 9, 11, 8, 9, 8))
 
 
 def test_root_value_histogram_rejects_bad_vectors():
@@ -227,6 +225,9 @@ def test_strata_dimensions_consistent():
         for record in enumerate_strata(g):
             assert record.dim_stratum == record.dim_cohiggs - record.dim_aut
             assert record.dim_stratum <= 2 * g.dim
+            assert (
+                record.dim_cohiggs, record.dim_aut, record.dim_stratum
+            ) == reference_dimensions(g, record.hn)
 
 
 def test_stratum_deficit_vanishes_iff_no_root_value_exceeds_one():
