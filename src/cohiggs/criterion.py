@@ -12,6 +12,7 @@ consistency check against the rank-r gap criterion.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .glr import SplittingType
@@ -104,7 +105,7 @@ def hom_vanishing_certificate(
         if pos[root] == 0:
             continue
         neg = tuple(-c for c in pos)
-        degree = sum(c * a for c, a in zip(neg, vec))
+        degree = sum(map(operator.mul, neg, vec))
         assert degree <= -OBSTRUCTION_BOUND, (
             f"BUG: summand {neg} has degree {degree} > -3"
         )

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 from .criterion import STABLE_BOUND
 from .lie import (
     HNType,
     ReductiveGroup,
     all_root_values,
-    check_shapes,
     require_dominant,
     root_value_histogram,
 )
@@ -66,28 +65,26 @@ def _root_sums(positive: Counter) -> RootSums:
     return fields, aut, closed, deficit
 
 
-def _dimensions(
-    group: ReductiveGroup, hn: HNType, sums: tuple[RootSums, ...] | None = None
-) -> tuple[int, int, int]:
+def _totals(rank: int, dim: int, sums: tuple[RootSums, ...]) -> tuple[int, int, int]:
     """Field-space, automorphism and stratum dimensions, in that order.
 
     All three, and both closed forms asserted against them, add up the
-    root ``sums`` and terms from the rank and dimension of the group.
-    ``enumerate_strata`` passes one entry per factor; otherwise one entry
-    for all roots is computed here, one root at a time, so any dominant
-    type is accepted.
+    root ``sums`` and terms from the ``rank`` and ``dim`` of the group.
     """
-    require_dominant(group, hn)
-    if sums is None:
-        # each positive root comes before its negative
-        sums = (_root_sums(Counter(all_root_values(group, hn)[::2])),)
-    rank, dim = group.rank, group.dim
     fields, aut, closed, deficit = map(sum, zip((3 * rank, rank, dim, 0), *sums))
     assert aut == closed, f"BUG: automorphism forms disagree: {aut} != {closed}"
     stratum = fields - aut
     closed = 2 * dim - deficit
     assert stratum == closed, f"BUG: stratum forms disagree: {stratum} != {closed}"
     return fields, aut, stratum
+
+
+def _dimensions(group: ReductiveGroup, hn: HNType) -> tuple[int, int, int]:
+    """``_totals`` of any dominant type, pairing one root at a time."""
+    require_dominant(group, hn)
+    # each positive root comes before its negative
+    sums = _root_sums(Counter(all_root_values(group, hn)[::2]))
+    return _totals(group.rank, group.dim, (sums,))
 
 
 def dim_cohiggs_space(group: ReductiveGroup, hn: HNType) -> int:
@@ -133,7 +130,11 @@ def enumerate_strata(
     that contains it.
     """
     central = tuple(central_degrees)
-    check_shapes(group, HNType.from_flat(group, (0,) * group.semisimple_rank, central))
+    # every record has the shape of the zero type and nonnegative values
+    require_dominant(group, HNType.from_flat(group, (0,) * group.semisimple_rank, central))
+    rank, dim = group.rank, group.dim
+    ranks = [f.rank for f in group.simple_factors]
+    cuts = [slice(k, k + r) for k, r in zip(accumulate(ranks, initial=0), ranks)]
     values = range(STABLE_BOUND + 1)
     tables = [
         [
@@ -147,8 +148,8 @@ def enumerate_strata(
     flats = product(values, repeat=group.semisimple_rank)
     records = []
     for flat, sums in zip(flats, product(*tables)):
-        hn = HNType.from_flat(group, flat, central)
+        hn = HNType(tuple(flat[cut] for cut in cuts), central)
         records.append(
-            StratumRecord(hn, *_dimensions(group, hn, sums), is_generic=not any(flat))
+            StratumRecord(hn, *_totals(rank, dim, sums), is_generic=not any(flat))
         )
     return records

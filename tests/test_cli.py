@@ -224,10 +224,12 @@ def test_oracle_composite_modulus_rejected_quickly(capsys):
 
 
 # sha256 of the JSON output, recorded from the full +/- reflection closure,
-# which took about 9.5 s on A100 and 3.1 s on D60
+# which took about 9.5 s on A100 and 3.1 s on D60; A200 was recorded from the
+# tuple-by-tuple raising closure, which took about 3-4 s on it
 @pytest.mark.parametrize("group,rank,digest", [
     ("A100", 100, "7894247d0adc4e8ad22b5d245b92e8d5cac8f88adbdbef071e91b3d4293d09d4"),
     ("D60", 60, "3e91d7112c7bb17ed6920cdb8168d7c1094b3b8c37c7fb4815bc83eb73ebbe81"),
+    ("A200", 200, "73d08b72026eebaa788fbc3547cb24aabe6e88f741b3cabe8266e977f1cd193e"),
 ])
 def test_criterion_large_group_answers_quickly(capsys, group, rank, digest):
     build_root_system.cache_clear()  # time the closure, not a cache hit

@@ -119,6 +119,43 @@ def test_root_tuples_byte_identical():
     )
 
 
+def reference_root_system(ct):
+    """The raising closure one coefficient tuple at a time, as a slow reference."""
+    n = ct.rank
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in cartan_matrix(ct)]
+    frontier = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen = set(frontier)
+    while frontier:
+        c = frontier.pop()
+        for i, row in enumerate(rows):
+            k = sum(x * c[j] for j, x in row)
+            if k < 0:
+                rt = c[:i] + (c[i] - k,) + c[i + 1 :]
+                if rt not in seen:
+                    seen.add(rt)
+                    frontier.append(rt)
+    return tuple(sorted(seen, key=lambda r: (sum(r), r)))
+
+
+LARGE_CLASSICAL = [(family, n) for family in "ABCD" for n in range(25, 41)]
+
+
+@pytest.mark.parametrize("family,rank", [t[:2] for t in ALL_TYPES] + LARGE_CLASSICAL)
+def test_root_system_matches_tuple_closure(family, rank):
+    ct = CartanType(family, rank)
+    assert build_root_system(ct) == reference_root_system(ct)
+
+
+@pytest.mark.parametrize("family,rank,dim", ALL_TYPES)
+def test_root_system_fits_byte_lanes(family, rank, dim):
+    # the packed closure keeps each coefficient and each pairing + 4 in a byte
+    ct = CartanType(family, rank)
+    a = cartan_matrix(ct)
+    for root in build_root_system(ct):
+        assert max(root) <= 6
+        assert all(-3 <= sum(x * c for x, c in zip(row, root)) <= 3 for row in a)
+
+
 def test_a1_and_a2_positive_roots():
     assert build_root_system(CartanType("A", 1)) == ((1,),)
     assert set(build_root_system(CartanType("A", 2))) == {(1, 0), (0, 1), (1, 1)}
