@@ -24,7 +24,7 @@ from .glr import SplittingType, glr_admits_semistable, splitting_to_hn
 from .lie import HNType, parse_group
 from .oracle import build_model_field, random_field, semistability_oracle
 from .poly import PrimeField
-from .strata import enumerate_strata
+from .strata import strata_rows
 from .symplectic import SymplecticSplitting, sp_admits_stable, sp_to_hn
 
 USAGE_ERROR = 1
@@ -87,16 +87,31 @@ def _cmd_adjoint(args) -> int:
 
 _STRATA_COLUMNS = ("a", "dim_VM", "dim_aut", "dim_stratum", "generic")
 _STRATA_WIDTHS = (12, 7, 8, 12, 8)
+# one row as json.dumps(..., sort_keys=True, indent=2) lays it out; the
+# columns are already in sorted order
+_STRATA_JSON_ROW = "  {{\n" + ",\n".join(f'    "{c}": {{}}' for c in _STRATA_COLUMNS) + "\n  }}"
+
+
+def _strata_json(rows) -> str:
+    """What ``_emit_json`` prints for the rows as dicts, from one template.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder; every row
+    here is a list of ints, three ints and a bool.
+    """
+    return "[\n" + ",\n".join(
+        _STRATA_JSON_ROW.format(
+            "[\n      " + ",\n      ".join(map(str, a)) + "\n    ]" if a else "[]",
+            vm, aut, dim, "true" if generic else "false",
+        )
+        for a, vm, aut, dim, generic in rows
+    ) + "\n]"
 
 
 def _cmd_strata(args) -> int:
     group = parse_group(args.group)
-    rows = (
-        (r.hn.flat_values, r.dim_cohiggs, r.dim_aut, r.dim_stratum, r.is_generic)
-        for r in enumerate_strata(group, _central(args, group))
-    )
+    rows = strata_rows(group, _central(args, group))
     if args.format == "json":
-        _emit_json([dict(zip(_STRATA_COLUMNS, row)) for row in rows])
+        print(_strata_json(rows))
         return 0
     cells = (
         (",".join(map(str, a)), vm, aut, dim, str(generic).lower())

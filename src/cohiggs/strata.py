@@ -5,12 +5,13 @@ simple-root value must lie in {0, 1, 2}.  Each stratum is the space of
 fields on the corresponding bundle modulo its automorphisms.  All three
 dimensions are direct sums of section counts over the root spaces.  The
 root values of a type are the disjoint union of those of its simple factors,
-so in ``enumerate_strata`` every sum, and both closed forms, add up
-per-factor sums; each factor's sums are read off the histogram of its root
-values, computed once per factor value vector.  A single type asked for on
-its own pairs each root directly.  The closed forms are asserted against the
-direct sums on the group totals of every type; the generic stratum (type
-zero) always has dimension twice the group dimension.
+so in ``strata_rows`` every sum, and both closed forms, add up per-factor
+sums; each factor's sums are read off the histogram of its root values,
+computed once per simple type per process, cached like the root systems.
+A single type asked for on its own pairs each root directly.  The closed
+forms are asserted against the direct sums on the group totals of every
+type; the generic stratum (type zero) always has dimension twice the group
+dimension.
 
 The field-space dimension deliberately avoids its tempting closed form: the
 consistent simplification adds ``value - 3`` per root value above 3, and the
@@ -21,15 +22,20 @@ suite pins the discrepancy.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, product
 
 from .criterion import STABLE_BOUND
 from .lie import (
     HNType,
+    CartanType,
     ReductiveGroup,
+    _packed_columns,
     all_root_values,
+    build_root_system,
     require_dominant,
     root_value_histogram,
 )
@@ -117,6 +123,47 @@ def dim_stratum(group: ReductiveGroup, hn: HNType) -> int:
     return _dimensions(group, hn)[2]
 
 
+@functools.lru_cache(maxsize=None)
+def _factor_table(ct: CartanType) -> tuple[RootSums, ...]:
+    """``_root_sums`` of every value vector of one factor in the strata range.
+
+    One entry per vector of ``product(range(STABLE_BOUND + 1), repeat=rank)``,
+    in that order.  Root coefficients are nonnegative, so the all-bound
+    vector gives every root its largest value: one checked kernel call
+    bounds them all, and the rest are packed without a check.
+    """
+    root_value_histogram(ct, (STABLE_BOUND,) * ct.rank)
+    width = len(build_root_system(ct))
+    # the product of the columns' multiples runs in the vectors' order
+    multiples = ([v * col for v in range(STABLE_BOUND + 1)] for col in _packed_columns(ct))
+    return tuple(
+        _root_sums(Counter(sum(terms).to_bytes(width, "little")))
+        for terms in product(*multiples)
+    )
+
+
+def strata_rows(
+    group: ReductiveGroup, central_degrees: tuple[int, ...] | list[int] = ()
+) -> Iterator[tuple]:
+    """``enumerate_strata`` as a lazy stream of plain rows.
+
+    Each row is ``(flat values, fields, automorphisms, stratum, generic)``.
+    The request is checked before the stream is returned, so a rejected one
+    raises here, never part way through the rows.
+    """
+    # every row has the shape of the zero type and nonnegative values
+    require_dominant(group, HNType.from_flat(group, (0,) * group.semisimple_rank, central_degrees))
+    rank, dim = group.rank, group.dim
+    # both products step the last factor's last value fastest, so they
+    # visit the types in the same order
+    flats = product(range(STABLE_BOUND + 1), repeat=group.semisimple_rank)
+    tables = product(*map(_factor_table, group.simple_factors))
+    return (
+        (flat, *_totals(rank, dim, sums), not any(flat))
+        for flat, sums in zip(flats, tables)
+    )
+
+
 def enumerate_strata(
     group: ReductiveGroup, central_degrees: tuple[int, ...] | list[int] = ()
 ) -> list[StratumRecord]:
@@ -125,31 +172,13 @@ def enumerate_strata(
     Every combination of simple-root values in {0, 1, 2} (up to the stable
     bound of the criterion) appears exactly once, in lexicographic order of
     the flattened value vector.  The central part is carried through
-    unchanged; a wrong length is rejected before any work.  Each factor's
-    sums are computed once per factor value vector and shared by every type
-    that contains it.
+    unchanged; a wrong length is rejected before any work.
     """
     central = tuple(central_degrees)
-    # every record has the shape of the zero type and nonnegative values
-    require_dominant(group, HNType.from_flat(group, (0,) * group.semisimple_rank, central))
-    rank, dim = group.rank, group.dim
+    rows = strata_rows(group, central)  # checks the request
     ranks = [f.rank for f in group.simple_factors]
     cuts = [slice(k, k + r) for k, r in zip(accumulate(ranks, initial=0), ranks)]
-    values = range(STABLE_BOUND + 1)
-    tables = [
-        [
-            _root_sums(root_value_histogram(f, vec))
-            for vec in product(values, repeat=f.rank)
-        ]
-        for f in group.simple_factors
+    return [
+        StratumRecord(HNType(tuple(flat[cut] for cut in cuts), central), *dims, generic)
+        for flat, *dims, generic in rows
     ]
-    # both products step the last factor's last value fastest, so they
-    # visit the types in the same order
-    flats = product(values, repeat=group.semisimple_rank)
-    records = []
-    for flat, sums in zip(flats, product(*tables)):
-        hn = HNType(tuple(flat[cut] for cut in cuts), central)
-        records.append(
-            StratumRecord(hn, *_totals(rank, dim, sums), is_generic=not any(flat))
-        )
-    return records

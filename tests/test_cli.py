@@ -7,7 +7,8 @@ import pytest
 
 import cohiggs.strata
 from cohiggs import build_root_system, parse_group
-from cohiggs.cli import build_parser, main
+from cohiggs.cli import _STRATA_COLUMNS, _strata_json, build_parser, main
+from cohiggs.strata import strata_rows
 
 
 def run(capsys, *argv):
@@ -99,11 +100,38 @@ def test_strata_json_schema(capsys):
         ["strata", "--group=A1xG2xA2+z1", "--central=2", "--format=json"],
         "ff036a2068e8b9bd33f6b86f3a2f44d96634b38374b6775119a46ca7aeea89b6",
     ),
+    (   # no simple factors: "a" is an empty list
+        ["strata", "--group=+z2", "--central=1,-1", "--format=json"],
+        "623b3c262f5cd8086a4ab9c34548c77fd3d00025f71950f7d1b698023a58c82a",
+    ),
+    (   # a repeated factor
+        ["strata", "--group=A1xA1xA2", "--format=json"],
+        "42d18c4c7e439b14ffdfcc7fec19287780e00a82d7aa3bc81d0338bb725f024f",
+    ),
+    (
+        ["strata", "--group=E8", "--format=json"],
+        "7ee64e3fadc843e68aa5eadedf43c34394b390eb516e7734bdfe647c283a18ed",
+    ),
 ])
 def test_strata_output_byte_identical(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("group,central", [
+    ("+z2", ()), ("A1", ()), ("G2xA2", ()), ("C3xA1+z2", (1, -2)), ("A1xA1xA2", ()),
+    ("E7", ()),
+])
+def test_strata_json_template_matches_json_dumps(group, central):
+    # slow reference: the encoder on one dict per row
+    assert list(_STRATA_COLUMNS) == sorted(_STRATA_COLUMNS)
+    g = parse_group(group)
+    rows = list(strata_rows(g, central or (0,) * g.central_rank))
+    expected = json.dumps(
+        [dict(zip(_STRATA_COLUMNS, row)) for row in rows], sort_keys=True, indent=2
+    )
+    assert _strata_json(rows) == expected
 
 
 # sha256 of the oracle and model-field output with the exit code, pinned so
@@ -289,13 +317,17 @@ def test_domain_errors_exit_one(capsys):
 
 
 def test_strata_rejects_central_length_before_any_root_values(capsys, monkeypatch):
-    def unreachable(ct, values):
+    # the rows are lazy, so the check must run before any header or row
+    def unreachable(*args):
         raise AssertionError("root values computed for a rejected request")
 
     monkeypatch.setattr(cohiggs.strata, "root_value_histogram", unreachable)
-    code, out, err = run(capsys, "strata", "--group=E7", "--central=1")
-    assert (code, out) == (1, "")
-    assert err == "cohiggs: error: expected 0 central degrees, got 1\n"
+    monkeypatch.setattr(cohiggs.strata, "_packed_columns", unreachable)
+    cohiggs.strata._factor_table.cache_clear()
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run(capsys, "strata", "--group=E7", "--central=1", f"--format={fmt}")
+        assert (code, out) == (1, ""), fmt
+        assert err == "cohiggs: error: expected 0 central degrees, got 1\n"
 
 
 def test_model_field_gap_error(capsys):

@@ -17,7 +17,9 @@ from cohiggs import (
     dim_stratum,
     enumerate_strata,
 )
+from cohiggs.criterion import STABLE_BOUND
 from cohiggs.lie import root_value_histogram
+from cohiggs.strata import StratumRecord, _root_sums, strata_rows
 
 A1 = ReductiveGroup((CartanType("A", 1),))
 
@@ -158,8 +160,9 @@ def test_root_value_histogram_rejects_bad_vectors():
 
 
 def test_enumerate_strata_one_root_value_pass_per_record(monkeypatch):
-    # one kernel call per (factor, factor value vector), shared by every
-    # record that contains that vector, not one per record
+    # each record reads one cached table entry per factor: one table per
+    # simple type, with one checked kernel call for its byte bound, shared
+    # by every factor of that type and every later request
     seen = []
 
     def counting(ct, values):
@@ -167,15 +170,46 @@ def test_enumerate_strata_one_root_value_pass_per_record(monkeypatch):
         return root_value_histogram(ct, values)
 
     monkeypatch.setattr(cohiggs.strata, "root_value_histogram", counting)
-    g2 = CartanType("G", 2)
-    records = enumerate_strata(ReductiveGroup((g2,)))
-    assert len(records) == 9
-    assert seen == [(g2, r.hn.simple_values[0]) for r in records]
-    seen.clear()
+    table = cohiggs.strata._factor_table
+    table.cache_clear()
     a1, a2 = CartanType("A", 1), CartanType("A", 2)
-    records = enumerate_strata(ReductiveGroup((a1, a2)))
-    assert len(records) == 27
-    assert len(seen) == len(set(seen)) == 3 + 9
+    g = ReductiveGroup((a1, a1, a2))
+    assert len(enumerate_strata(g)) == 81
+    assert table.cache_info().misses == 2
+    assert seen == [(a1, (STABLE_BOUND,)), (a2, (STABLE_BOUND,) * 2)]
+    enumerate_strata(g)
+    enumerate_strata(ReductiveGroup((a2,)), ())
+    assert table.cache_info().misses == 2
+    assert len(seen) == 2
+
+
+@pytest.mark.parametrize(
+    "ct",
+    SWEEP_TYPES + [CartanType("E", 6), CartanType("E", 7), CartanType("E", 8)],
+    ids=str,
+)
+def test_factor_table_matches_checked_kernel(ct):
+    # the unchecked packing agrees with the checked one-vector kernel
+    expected = [
+        _root_sums(root_value_histogram(ct, values))
+        for values in product(range(STABLE_BOUND + 1), repeat=ct.rank)
+    ]
+    assert list(cohiggs.strata._factor_table(ct)) == expected
+
+
+@pytest.mark.parametrize("g,central", [
+    (ReductiveGroup((CartanType("A", 1), CartanType("A", 1)), central_rank=1), (3,)),
+    (ReductiveGroup((CartanType("G", 2), CartanType("A", 2)), central_rank=2), (1, -2)),
+    (ReductiveGroup((CartanType("B", 2), CartanType("A", 1), CartanType("C", 2)),
+                    central_rank=1), (-4,)),
+], ids=str)
+def test_enumerate_strata_is_the_row_stream(g, central):
+    rebuilt = [
+        StratumRecord(HNType.from_flat(g, flat, central), vm, aut, dim, generic)
+        for flat, vm, aut, dim, generic in strata_rows(g, central)
+    ]
+    assert enumerate_strata(g, central) == rebuilt
+    assert len(rebuilt) == 3 ** g.semisimple_rank
 
 
 def test_non_dominant_rejected():
