@@ -30,8 +30,8 @@ from itertools import accumulate, product
 
 from .criterion import STABLE_BOUND
 from .lie import (
-    HNType,
     CartanType,
+    HNType,
     ReductiveGroup,
     _packed_columns,
     all_root_values,
@@ -152,7 +152,8 @@ def strata_rows(
     raises here, never part way through the rows.
     """
     # every row has the shape of the zero type and nonnegative values
-    require_dominant(group, HNType.from_flat(group, (0,) * group.semisimple_rank, central_degrees))
+    zero = (0,) * group.semisimple_rank
+    require_dominant(group, HNType.from_flat(group, zero, central_degrees))
     rank, dim = group.rank, group.dim
     # both products step the last factor's last value fastest, so they
     # visit the types in the same order
