@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 # Per Cartan family: the smallest rank, the largest (None when unbounded)
@@ -256,7 +255,7 @@ def all_root_values(group: ReductiveGroup, hn: HNType) -> list[int]:
     is symmetric under negation; the center contributes nothing.  Order:
     factor by factor, positive roots by height, each followed by its
     negative.  One dot product per root: this is the slow reference that
-    ``root_value_histogram`` is tested against.
+    the packed factor tables of ``strata`` are tested against.
     """
     check_shapes(group, hn)
     out: list[int] = []
@@ -266,37 +265,6 @@ def all_root_values(group: ReductiveGroup, hn: HNType) -> list[int]:
             out.append(v)
             out.append(-v)
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _packed_columns(ct: CartanType) -> tuple[int, ...]:
-    """Column i of the positive roots packed into one integer.
-
-    Byte k holds the i-th coefficient of the k-th positive root.
-    """
-    roots = build_root_system(ct)
-    return tuple(
-        sum(root[i] << (8 * k) for k, root in enumerate(roots))
-        for i in range(ct.rank)
-    )
-
-
-def root_value_histogram(ct: CartanType, values: tuple[int, ...]) -> Counter:
-    """How often each pairing occurs over the positive roots of one factor.
-
-    ``values`` are the simple-root values of a dominant cocharacter, so
-    every pairing lies between 0 and the highest root's, at most 255, and
-    the pairings of all roots at once are ``sum(v_i * column_i)`` over the
-    packed columns, one byte per root with no carry between bytes.
-    """
-    if len(values) != ct.rank or min(values, default=0) < 0:
-        raise ValueError(f"{ct}: expected {ct.rank} nonnegative values, got {values}")
-    roots = build_root_system(ct)
-    top = sum(c * v for c, v in zip(roots[-1], values))  # the highest root is last
-    if top > 255:
-        raise ValueError(f"{ct}: highest-root value {top} of {values} exceeds 255")
-    packed = sum(v * col for v, col in zip(values, _packed_columns(ct)))
-    return Counter(packed.to_bytes(len(roots), "little"))
 
 
 def is_dominant(group: ReductiveGroup, hn: HNType) -> bool:

@@ -65,6 +65,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", operator.index(self.p))
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -91,7 +92,7 @@ class HomogPoly:
     ``coeffs`` has length ``degree + 1`` (empty at the zero-only degree -1),
     entry k multiplying x^(degree-k) y^k.  The constructor reduces every
     coefficient mod p, so arithmetic may hand it unreduced integers; a
-    coefficient that is not an integer raises ``TypeError``.
+    degree or coefficient that is not an integer raises ``TypeError``.
     """
 
     field: PrimeField
@@ -99,6 +100,7 @@ class HomogPoly:
     coeffs: tuple
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "degree", operator.index(self.degree))
         if self.degree < -1:
             raise ValueError("degree must be >= -1")
         p = self.field.p

@@ -26,18 +26,16 @@ import functools
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import product
 
 from .criterion import STABLE_BOUND
 from .lie import (
     CartanType,
     HNType,
     ReductiveGroup,
-    _packed_columns,
     all_root_values,
     build_root_system,
     require_dominant,
-    root_value_histogram,
 )
 
 
@@ -128,16 +126,22 @@ def _factor_table(ct: CartanType) -> tuple[RootSums, ...]:
     """``_root_sums`` of every value vector of one factor in the strata range.
 
     One entry per vector of ``product(range(STABLE_BOUND + 1), repeat=rank)``,
-    in that order.  Root coefficients are nonnegative, so the all-bound
-    vector gives every root its largest value: one checked kernel call
-    bounds them all, and the rest are packed without a check.
+    in that order.  Column i packs the i-th coefficients of the positive
+    roots into one integer, byte k for the k-th root, so ``sum(v_i *
+    column_i)`` holds the values of all roots at once.  Coefficients are
+    nonnegative, so the highest root at the all-bound vector has the largest
+    value; while that fits in a byte, no byte carries into the next.
     """
-    root_value_histogram(ct, (STABLE_BOUND,) * ct.rank)
-    width = len(build_root_system(ct))
+    roots = build_root_system(ct)
+    bound = (STABLE_BOUND,) * ct.rank
+    top = STABLE_BOUND * sum(roots[-1])  # the highest root is last
+    if top > 255:
+        raise ValueError(f"{ct}: highest-root value {top} of {bound} exceeds 255")
+    columns = [int.from_bytes(bytes(col), "little") for col in zip(*roots)]
     # the product of the columns' multiples runs in the vectors' order
-    multiples = ([v * col for v in range(STABLE_BOUND + 1)] for col in _packed_columns(ct))
+    multiples = ([v * col for v in range(STABLE_BOUND + 1)] for col in columns)
     return tuple(
-        _root_sums(Counter(sum(terms).to_bytes(width, "little")))
+        _root_sums(Counter(sum(terms).to_bytes(len(roots), "little")))
         for terms in product(*multiples)
     )
 
@@ -175,11 +179,8 @@ def enumerate_strata(
     the flattened value vector.  The central part is carried through
     unchanged; a wrong length is rejected before any work.
     """
-    central = tuple(central_degrees)
-    rows = strata_rows(group, central)  # checks the request
-    ranks = [f.rank for f in group.simple_factors]
-    cuts = [slice(k, k + r) for k, r in zip(accumulate(ranks, initial=0), ranks)]
+    rows = strata_rows(group, central_degrees)  # checks the request
     return [
-        StratumRecord(HNType(tuple(flat[cut] for cut in cuts), central), *dims, generic)
+        StratumRecord(HNType.from_flat(group, flat, central_degrees), *dims, generic)
         for flat, *dims, generic in rows
     ]

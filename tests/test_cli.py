@@ -321,13 +321,25 @@ def test_strata_rejects_central_length_before_any_root_values(capsys, monkeypatc
     def unreachable(*args):
         raise AssertionError("root values computed for a rejected request")
 
-    monkeypatch.setattr(cohiggs.strata, "root_value_histogram", unreachable)
-    monkeypatch.setattr(cohiggs.strata, "_packed_columns", unreachable)
+    monkeypatch.setattr(cohiggs.strata, "build_root_system", unreachable)
     cohiggs.strata._factor_table.cache_clear()
     for fmt in ("text", "json", "csv"):
         code, out, err = run(capsys, "strata", "--group=E7", "--central=1", f"--format={fmt}")
         assert (code, out) == (1, ""), fmt
         assert err == "cohiggs: error: expected 0 central degrees, got 1\n"
+
+
+@pytest.mark.parametrize("group,top", [("A128", 256), ("B65", 258), ("D66", 258)])
+def test_strata_rejects_highest_root_past_a_byte(capsys, group, top):
+    # one byte per root in the factor tables: the all-2 vector's highest-root
+    # value must stay below 256, and the rejection comes before any row
+    rank = int(group[1:])
+    start = time.perf_counter()
+    code, out, err = run(capsys, "strata", f"--group={group}")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    message = f"{group}: highest-root value {top} of {(2,) * rank} exceeds 255"
+    assert err == f"cohiggs: error: {message}\n"
 
 
 def test_model_field_gap_error(capsys):

@@ -7,6 +7,8 @@ import pytest
 from cohiggs import (
     CartanType,
     HNType,
+    HomogPoly,
+    PrimeField,
     ReductiveGroup,
     SplittingType,
     SymplecticSplitting,
@@ -52,10 +54,12 @@ _INTEGER_FIELDS = {
     "HNType.central_degrees": lambda x: HNType((), (x,)),
     "CartanType.rank": lambda x: CartanType("A", x),
     "ReductiveGroup.central_rank": lambda x: ReductiveGroup((), x),
+    "PrimeField.p": PrimeField,
+    "HomogPoly.degree": lambda x: HomogPoly(PrimeField(5), x, (0,) * 3),
 }
 
 
-@pytest.mark.parametrize("value", [1.5, Fraction(1, 2)], ids=str)
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), 2.0], ids=str)
 @pytest.mark.parametrize("field", list(_INTEGER_FIELDS))
 def test_non_integers_rejected_not_truncated(field, value):
     # the rule of HomogPoly coefficients: operator.index or TypeError

@@ -1,0 +1,22 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "cohiggs").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    # a name with a leading underscore belongs to its own module; a second
+    # module that needs it means the helper lives in the wrong place
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("cohiggs"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == [], path.name

@@ -1,10 +1,8 @@
-import random
 from collections import Counter
 from itertools import product
 
 import pytest
 
-import cohiggs.lie
 import cohiggs.strata
 from cohiggs import (
     CartanType,
@@ -18,7 +16,6 @@ from cohiggs import (
     enumerate_strata,
 )
 from cohiggs.criterion import STABLE_BOUND
-from cohiggs.lie import root_value_histogram
 from cohiggs.strata import StratumRecord, _root_sums, strata_rows
 
 A1 = ReductiveGroup((CartanType("A", 1),))
@@ -121,66 +118,28 @@ def reference_histogram(ct, values):
     return Counter(signed[::2])  # each positive root comes before its negative
 
 
-@pytest.mark.parametrize(
-    "ct", SWEEP_TYPES + [CartanType("E", 6), CartanType("E", 7)], ids=str
-)
-def test_root_value_histogram_matches_reference_exhaustively(ct):
-    for values in product(range(4), repeat=ct.rank):
-        assert root_value_histogram(ct, values) == reference_histogram(ct, values), values
-
-
-def test_root_value_histogram_matches_reference_on_seeded_e8():
-    e8 = CartanType("E", 8)
-    rng = random.Random(8)
-    for _ in range(300):
-        # below 9 each, the highest root's value stays within one byte
-        values = tuple(rng.randrange(rng.choice((4, 9))) for _ in range(8))
-        assert root_value_histogram(e8, values) == reference_histogram(e8, values), values
-
-
-def test_root_value_histogram_byte_bound():
-    # one byte per root: the highest root's value may reach 255, not 256
-    a1, e8 = CartanType("A", 1), CartanType("E", 8)
-    assert root_value_histogram(a1, (255,)) == Counter({255: 1})
-    with pytest.raises(ValueError, match="exceeds 255"):
-        root_value_histogram(a1, (256,))
-    highest = build_root_system(e8)[-1]
-    values = (8, 8, 8, 9, 11, 8, 8, 8)
-    assert sum(c * v for c, v in zip(highest, values)) == 255
-    assert root_value_histogram(e8, values) == reference_histogram(e8, values)
-    with pytest.raises(ValueError, match="exceeds 255"):
-        root_value_histogram(e8, (8, 8, 8, 9, 11, 8, 9, 8))
-
-
-def test_root_value_histogram_rejects_bad_vectors():
-    with pytest.raises(ValueError):
-        root_value_histogram(CartanType("A", 1), (-1,))
-    with pytest.raises(ValueError):
-        root_value_histogram(CartanType("A", 2), (1,))
-
-
 def test_enumerate_strata_one_root_value_pass_per_record(monkeypatch):
     # each record reads one cached table entry per factor: one table per
-    # simple type, with one checked kernel call for its byte bound, shared
-    # by every factor of that type and every later request
+    # simple type, built from one root system, shared by every factor of
+    # that type and every later request
     seen = []
 
-    def counting(ct, values):
-        seen.append((ct, values))
-        return root_value_histogram(ct, values)
+    def counting(ct):
+        seen.append(ct)
+        return build_root_system(ct)
 
-    monkeypatch.setattr(cohiggs.strata, "root_value_histogram", counting)
+    monkeypatch.setattr(cohiggs.strata, "build_root_system", counting)
     table = cohiggs.strata._factor_table
     table.cache_clear()
     a1, a2 = CartanType("A", 1), CartanType("A", 2)
     g = ReductiveGroup((a1, a1, a2))
     assert len(enumerate_strata(g)) == 81
     assert table.cache_info().misses == 2
-    assert seen == [(a1, (STABLE_BOUND,)), (a2, (STABLE_BOUND,) * 2)]
+    assert seen == [a1, a2]
     enumerate_strata(g)
     enumerate_strata(ReductiveGroup((a2,)), ())
     assert table.cache_info().misses == 2
-    assert len(seen) == 2
+    assert seen == [a1, a2]
 
 
 @pytest.mark.parametrize(
@@ -189,9 +148,9 @@ def test_enumerate_strata_one_root_value_pass_per_record(monkeypatch):
     ids=str,
 )
 def test_factor_table_matches_checked_kernel(ct):
-    # the unchecked packing agrees with the checked one-vector kernel
+    # the packed pass agrees with pairing one root at a time
     expected = [
-        _root_sums(root_value_histogram(ct, values))
+        _root_sums(reference_histogram(ct, values))
         for values in product(range(STABLE_BOUND + 1), repeat=ct.rank)
     ]
     assert list(cohiggs.strata._factor_table(ct)) == expected
