@@ -118,6 +118,21 @@ def reference_histogram(ct, values):
     return Counter(signed[::2])  # each positive root comes before its negative
 
 
+@pytest.mark.parametrize(
+    "ct", SWEEP_TYPES + [CartanType("E", 6), CartanType("E", 7)], ids=str
+)
+def test_root_value_histogram_matches_reference_exhaustively(ct, monkeypatch):
+    # the packed pass of the factor tables, run uncached over the values
+    # 0..3 and kept as whole histograms, agrees with pairing one root at a time
+    monkeypatch.setattr(cohiggs.strata, "STABLE_BOUND", 3)
+    monkeypatch.setattr(cohiggs.strata, "_root_sums", lambda positive: positive)
+    packed = cohiggs.strata._factor_table.__wrapped__(ct)
+    vectors = list(product(range(4), repeat=ct.rank))
+    assert len(packed) == len(vectors)
+    for values, histogram in zip(vectors, packed):
+        assert histogram == reference_histogram(ct, values), values
+
+
 def test_enumerate_strata_one_root_value_pass_per_record(monkeypatch):
     # each record reads one cached table entry per factor: one table per
     # simple type, built from one root system, shared by every factor of
