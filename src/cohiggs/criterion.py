@@ -20,6 +20,7 @@ from .lie import (
     HNType,
     ReductiveGroup,
     all_root_values,
+    build_root_system,
     require_dominant,
 )
 
@@ -58,8 +59,7 @@ def admits_stable_cohiggs(group: ReductiveGroup, hn: HNType) -> bool:
 
     Central degrees never matter: simple roots vanish on the center.
     """
-    require_dominant(group, hn)
-    return all(v <= STABLE_BOUND for vec in hn.simple_values for v in vec)
+    return not semistable_obstruction(group, hn)
 
 
 def semistable_obstruction(group: ReductiveGroup, hn: HNType) -> list[RootViolation]:
@@ -101,7 +101,7 @@ def hom_vanishing_certificate(
             f"{OBSTRUCTION_BOUND}; nothing to certify"
         )
     summands = []
-    for pos in group.root_systems()[factor]:
+    for pos in build_root_system(group.simple_factors[factor]):
         if pos[root] == 0:
             continue
         neg = tuple(-c for c in pos)

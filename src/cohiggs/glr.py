@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .lie import CartanType, HNType, ReductiveGroup, check_shapes
 
@@ -60,34 +60,21 @@ class SplittingType:
         return ",".join(str(m) for m in self.degrees)
 
 
-def _as_splitting(st: SplittingType | Sequence[int]) -> SplittingType:
-    if isinstance(st, SplittingType):
-        return st
-    degrees = tuple(map(operator.index, st))
-    if any(degrees[i] < degrees[i + 1] for i in range(len(degrees) - 1)):
-        raise ValueError(
-            "raw degree lists must be weakly decreasing; build a SplittingType "
-            "to sort explicitly"
-        )
-    return SplittingType(degrees)
-
-
-def glr_admits_semistable(st: SplittingType | Sequence[int]) -> bool:
+def glr_admits_semistable(st: SplittingType) -> bool:
     """True iff every consecutive gap is at most 2.
 
     Equivalently: the rank-r bundle with these degrees carries a semistable
     co-Higgs field, and then a generic field is stable.
     """
-    return all(g <= 2 for g in _as_splitting(st).gaps())
+    return all(g <= 2 for g in st.gaps())
 
 
-def splitting_to_hn(st: SplittingType | Sequence[int]) -> tuple[ReductiveGroup, HNType]:
+def splitting_to_hn(st: SplittingType) -> tuple[ReductiveGroup, HNType]:
     """Translate a splitting type to group data: A_(r-1) plus a central line.
 
     The simple-root values are the consecutive gaps and the central degree is
     the total degree; rank 1 gives a pure torus.
     """
-    st = _as_splitting(st)
     r = st.rank
     if r == 1:
         group = ReductiveGroup((), central_rank=1)
@@ -122,20 +109,19 @@ def hn_to_splitting(group: ReductiveGroup, hn: HNType) -> SplittingType:
     return SplittingType(tuple(t + base for t in tails))
 
 
-def hom_degree(st: SplittingType | Sequence[int], i: int, j: int) -> int:
+def hom_degree(st: SplittingType, i: int, j: int) -> int:
     """Degree of the form housing entry (i, j) of a co-Higgs field.
 
     Indices are 0-based; the entry maps summand j into summand i, twisted by
     the degree-2 tangent bundle, so the degree is ``m_i - m_j + 2``.  A
     negative value means the entry space is zero.
     """
-    st = _as_splitting(st)
     if not (0 <= i < st.rank and 0 <= j < st.rank):
         raise IndexError(f"entry ({i}, {j}) out of range for rank {st.rank}")
     return st.degrees[i] - st.degrees[j] + 2
 
 
-def hom_space_dim(st: SplittingType | Sequence[int], i: int, j: int) -> int:
+def hom_space_dim(st: SplittingType, i: int, j: int) -> int:
     """Dimension of the entry space at (i, j): ``max(0, m_i - m_j + 3)``."""
     return max(0, hom_degree(st, i, j) + 1)
 

@@ -177,10 +177,6 @@ class ReductiveGroup:
     def dim(self) -> int:
         return self.central_rank + sum(f.dim for f in self.simple_factors)
 
-    def root_systems(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The positive roots of each simple factor (``build_root_system``)."""
-        return tuple(build_root_system(f) for f in self.simple_factors)
-
     def __str__(self) -> str:
         factors = "x".join(str(f) for f in self.simple_factors)
         if self.central_rank:
@@ -259,7 +255,7 @@ def all_root_values(group: ReductiveGroup, hn: HNType) -> list[int]:
     """
     check_shapes(group, hn)
     out: list[int] = []
-    for roots, vec in zip(group.root_systems(), hn.simple_values):
+    for roots, vec in zip(map(build_root_system, group.simple_factors), hn.simple_values):
         for root in roots:
             v = sum(map(operator.mul, root, vec))
             out.append(v)

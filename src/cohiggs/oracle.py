@@ -51,7 +51,7 @@ def _check_form(p: HomogPoly, field: PrimeField, want: int, what: str) -> None:
     if p.field != field:
         raise ValueError(f"{what} is over {p.field}, expected {field}")
     if want < 0:
-        if not p.is_zero:
+        if p.degree != -1:
             raise ValueError(f"{what} must vanish: its space has degree {want}")
     elif p.degree not in (want, -1):
         raise ValueError(f"{what} has degree {p.degree}, expected {want}")
@@ -78,9 +78,6 @@ class CoHiggsMatrix:
     @property
     def rank(self) -> int:
         return self.splitting.rank
-
-    def entry(self, i: int, j: int) -> HomogPoly:
-        return self.entries[i][j]
 
     def transpose_dual(self) -> "CoHiggsMatrix":
         """The induced field on the dual splitting (entries transposed and
@@ -181,11 +178,8 @@ class LineSubbundle:
         g = gcd_many(self.sections)
         return g is not None and g.is_constant()
 
-    def section_strings(self) -> list[str]:
-        return [str(p) for p in self.sections]
-
     def __repr__(self) -> str:
-        return f"LineSubbundle(degree={self.degree}, sections={self.section_strings()})"
+        return f"LineSubbundle(degree={self.degree}, sections={list(map(str, self.sections))})"
 
 
 def apply_field(phi: CoHiggsMatrix, line: LineSubbundle) -> tuple[HomogPoly, ...]:
@@ -256,7 +250,7 @@ def enumerate_line_subbundles(
     """
     blocks, n = _blocks(st, degree)
     for pivot in range(n):
-        for tail in product(field.elements(), repeat=n - pivot - 1):
+        for tail in product(range(field.p), repeat=n - pivot - 1):
             sections = _sections(field, blocks, (0,) * pivot + (1,) + tail)
             line = LineSubbundle(st, field, degree, sections)
             if line.is_saturated:
@@ -484,8 +478,8 @@ def enumerate_all_fields(st: SplittingType, field: PrimeField) -> Iterator[CoHig
     """
     r = st.rank
     degrees = [max(hom_degree(st, i, j), -1) for i in range(r) for j in range(r)]
-    elements = list(field.elements())
-    # a zero-only entry has no slots and contributes one empty tuple
-    for combo in product(*(product(elements, repeat=d + 1) for d in degrees)):
-        forms = [HomogPoly(field, d, coeffs) for d, coeffs in zip(degrees, combo)]
-        yield CoHiggsMatrix(st, field, tuple(tuple(forms[i * r : i * r + r]) for i in range(r)))
+    # a zero-only entry has no slots and contributes one empty tuple; the
+    # coefficient tuples are drawn in _grid's row-major order
+    for combo in product(*(product(range(field.p), repeat=d + 1) for d in degrees)):
+        coeffs = iter(combo)
+        yield _grid(st, field, lambda i, j, d: HomogPoly(field, max(d, -1), next(coeffs)))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -77,9 +77,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self.name}")
         return pow(a, self.p - 2, self.p)
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.p))
 
     def __str__(self) -> str:
         return self.name

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import hashlib
 import json
+import signal
 import time
 
 import pytest
@@ -15,6 +17,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    # a bounded-time test must fail, not hang, when its bound is broken:
+    # the alarm raises in the test, and main lets anything but ValueError
+    # through
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_criterion_text(capsys):
@@ -243,10 +262,11 @@ def test_oracle_large_prime_passes(capsys):
 def test_oracle_composite_modulus_rejected_quickly(capsys):
     # 1000000007 * 1000000009: trial division to its square root took minutes
     start = time.perf_counter()
-    code, _, err = run(
-        capsys, "oracle", "--splitting", "1,0", "--prime", "1000000016000000063",
-        "--mode", "stable",
-    )
+    with deadline(30):
+        code, _, err = run(
+            capsys, "oracle", "--splitting", "1,0", "--prime", "1000000016000000063",
+            "--mode", "stable",
+        )
     assert code == 1 and "not prime" in err
     assert time.perf_counter() - start < 1
 
@@ -262,10 +282,11 @@ def test_oracle_composite_modulus_rejected_quickly(capsys):
 def test_criterion_large_group_answers_quickly(capsys, group, rank, digest):
     build_root_system.cache_clear()  # time the closure, not a cache hit
     start = time.perf_counter()
-    code, out, _ = run(
-        capsys, "criterion", f"--group={group}", "--hn=" + ",".join(["0"] * rank),
-        "--format=json",
-    )
+    with deadline(30):
+        code, out, _ = run(
+            capsys, "criterion", f"--group={group}", "--hn=" + ",".join(["0"] * rank),
+            "--format=json",
+        )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert time.perf_counter() - start < 3
@@ -335,7 +356,8 @@ def test_strata_rejects_highest_root_past_a_byte(capsys, group, top):
     # value must stay below 256, and the rejection comes before any row
     rank = int(group[1:])
     start = time.perf_counter()
-    code, out, err = run(capsys, "strata", f"--group={group}")
+    with deadline(30):
+        code, out, err = run(capsys, "strata", f"--group={group}")
     assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
     message = f"{group}: highest-root value {top} of {(2,) * rank} exceeds 255"

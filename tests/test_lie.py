@@ -15,7 +15,6 @@ from cohiggs import (
     all_root_values,
     build_root_system,
     cartan_matrix,
-    glr_admits_semistable,
     is_dominant,
     parse_group,
 )
@@ -48,7 +47,6 @@ def test_unknown_family_rejected():
 # every integer field of the data types, fed a non-integer x
 _INTEGER_FIELDS = {
     "SplittingType": lambda x: SplittingType((x, 0)),
-    "raw degree list": lambda x: glr_admits_semistable([x, 0]),
     "SymplecticSplitting": lambda x: SymplecticSplitting((x,)),
     "HNType.simple_values": lambda x: HNType(((x, 0),)),
     "HNType.central_degrees": lambda x: HNType((), (x,)),

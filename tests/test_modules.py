@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,3 +21,23 @@ def test_no_module_imports_a_private_name_of_another(path):
         if alias.name.startswith("_")
     ]
     assert private == [], path.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_absolute_import_is_stdlib_or_cohiggs(path):
+    # the library has no dependencies: an import from outside the standard
+    # library would make it need an install step
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and not node.level
+    ]
+    allowed = sys.stdlib_module_names | {"cohiggs"}
+    outside = sorted(name for name in modules if name.partition(".")[0] not in allowed)
+    assert outside == [], path.name

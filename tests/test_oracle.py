@@ -49,7 +49,7 @@ def line(st, field, degree, *sections):
 def test_matrix_validates_entry_degrees():
     st = SplittingType((1, -1))
     good = zero_field(st, F5)
-    assert good.entry(0, 1).degree == 4
+    assert good.entries[0][1].degree == 4
     rows = [list(r) for r in good.entries]
     rows[0][0] = HomogPoly(F5, 3, (1, 0, 0, 0))
     with pytest.raises(ValueError):
@@ -61,6 +61,11 @@ def test_matrix_rejects_entries_in_zero_spaces():
     rows = [list(r) for r in zero_field(st, F5).entries]
     rows[1][0] = HomogPoly(F5, 0, (1,))
     with pytest.raises(ValueError):
+        CoHiggsMatrix(st, F5, tuple(map(tuple, rows)))
+    # a zero form of nonnegative degree is not the zero-only marker: its
+    # JSON would list coefficients for a zero space
+    rows[1][0] = HomogPoly.zero(F5, 2)
+    with pytest.raises(ValueError, match=r"entry \(1, 0\) must vanish"):
         CoHiggsMatrix(st, F5, tuple(map(tuple, rows)))
 
 
@@ -77,14 +82,14 @@ def test_model_field_shape():
         (i, j)
         for i in range(2)
         for j in range(2)
-        if not phi.entry(i, j).is_zero
+        if not phi.entries[i][j].is_zero
     ]
     assert nonzero == [(1, 0)]
-    assert phi.entry(1, 0).degree == 0
+    assert phi.entries[1][0].degree == 0
 
     phi = build_model_field(SplittingType((0, 0)), F5, seed=3)
-    assert phi.entry(1, 0).degree == 2
-    assert not phi.entry(1, 0).is_zero
+    assert phi.entries[1][0].degree == 2
+    assert not phi.entries[1][0].is_zero
 
 
 def test_model_field_requires_small_gaps():
@@ -103,19 +108,19 @@ def test_random_field_respects_forced_zeros():
     st = SplittingType((3, 0))
     for seed in range(5):
         phi = random_field(st, F2, seed)
-        assert phi.entry(1, 0).is_zero
+        assert phi.entries[1][0].is_zero
 
 
 def test_random_field_degree_grid():
     phi = random_field(SplittingType((1, -1)), F5, seed=1)
-    degrees = [[phi.entry(i, j).degree for j in range(2)] for i in range(2)]
+    degrees = [[phi.entries[i][j].degree for j in range(2)] for i in range(2)]
     assert degrees == [[2, 4], [0, 2]]
 
 
 def test_random_field_rank_one_is_single_degree_two_form():
     phi = random_field(SplittingType((0,)), F5, seed=2)
     assert phi.rank == 1
-    assert phi.entry(0, 0).degree == 2
+    assert phi.entries[0][0].degree == 2
 
 
 # ------------------------------------------------------------ application
@@ -141,7 +146,7 @@ def test_apply_scalar_diagonal_field():
 def test_apply_model_field_shifts_down():
     st = SplittingType((1, -1))
     phi = build_model_field(st, F5, seed=1)
-    s = phi.entry(1, 0)
+    s = phi.entries[1][0]
     L = line(st, F5, 1, (1,), ())
     out = apply_field(phi, L)
     assert out[0].is_zero
@@ -226,7 +231,7 @@ def test_enumeration_stream_pinned():
         for p in (2, 3):
             for d in range(degrees[0], degrees[-1] - 1, -1):
                 for L in enumerate_line_subbundles(st, d, PrimeField(p)):
-                    digest.update(repr((degrees, p, d, L.section_strings())).encode())
+                    digest.update(repr((degrees, p, d, list(map(str, L.sections)))).encode())
                     count += 1
     assert count == 696
     assert digest.hexdigest() == (
@@ -242,6 +247,11 @@ def test_subbundle_validation():
         LineSubbundle(st, F5, 1, (HomogPoly(F5, 2, (1, 0, 0)), HomogPoly.zero(F5)))
     with pytest.raises(ValueError, match="F3.*F5"):
         LineSubbundle(st, F5, 1, (HomogPoly(F3, 0, (1,)), HomogPoly.zero(F5)))
+    # the section of degree -1 must be the zero-only marker, not a zero form
+    # of degree 4, which is_invariant could not add to the other entries
+    with pytest.raises(ValueError, match="section 1 must vanish"):
+        LineSubbundle(SplittingType((1, 0)), F5, 1,
+                      (HomogPoly(F5, 0, (1,)), HomogPoly.zero(F5, 4)))
 
 
 # ----------------------------------------------------------------- oracle
@@ -449,7 +459,7 @@ def _reference_oracle(phi, mode):
         for d in range(st.degrees[0], _violation_threshold(mode, mu) - 1, -1):
             for L in _lines(st, d, fld):
                 if is_invariant(phi, L):
-                    w = OracleWitness(rank=1, degree=d, sections=tuple(L.section_strings()))
+                    w = OracleWitness(rank=1, degree=d, sections=tuple(map(str, L.sections)))
                     return OracleVerdict(False, mode, fld.name, mu, (w,))
     if st.rank == 3:
         phi_t = phi.transpose_dual()
@@ -458,7 +468,7 @@ def _reference_oracle(phi, mode):
             for L in _lines(dual, d, fld):
                 if is_invariant(phi_t, L):
                     w = OracleWitness(
-                        rank=2, degree=st.degree + d, dual_sections=tuple(L.section_strings())
+                        rank=2, degree=st.degree + d, dual_sections=tuple(map(str, L.sections))
                     )
                     return OracleVerdict(False, mode, fld.name, mu, (w,))
     return OracleVerdict(True, mode, fld.name, mu)

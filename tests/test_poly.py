@@ -51,7 +51,6 @@ def test_primality_of_large_moduli():
 
 def test_prime_field_arithmetic():
     assert F5.inv(3) * 3 % 5 == 1
-    assert list(F2.elements()) == [0, 1]
     with pytest.raises(ZeroDivisionError):
         F5.inv(0)
     assert HomogPoly(F5, 1, (7, -1)).coeffs == (2, 4)

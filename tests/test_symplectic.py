@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from cohiggs import (
+    SplittingType,
     SymplecticSplitting,
     admits_stable_cohiggs,
     glr_admits_semistable,
@@ -61,7 +62,7 @@ def test_stable_half_degrees_embed_into_the_rank_2r_criterion():
     for r in range(1, 5):
         for ss in all_half_degree_lists(r, 5):
             if sp_admits_stable(ss):
-                assert glr_admits_semistable(list(ss.full_degrees)), ss
+                assert glr_admits_semistable(SplittingType(ss.full_degrees)), ss
 
 
 def test_full_degrees_sum_to_zero_and_decrease():
