@@ -1,10 +1,10 @@
 """Instance-level co-Higgs fields and an exact semistability oracle.
 
 A co-Higgs field on a split rank-r bundle is an r x r matrix whose (i, j)
-entry is a form of degree ``m_i - m_j + 2`` (the zero-only marker when that
-degree is negative).  A line subbundle of degree d is a section tuple with
-entry i of degree ``m_i - d``, saturated when the nonzero entries share no
-projective zero, i.e. their gcd is a nonzero constant.
+entry is a form of degree ``m_i - m_j + 2``, the form without coefficients
+when that degree is negative.  A line subbundle of degree d is a section
+tuple with entry i of degree ``m_i - d``, saturated when the nonzero entries
+share no projective zero, i.e. their gcd is a nonzero constant.
 
 A saturated line is invariant exactly when ``phi s = form * s`` for a
 degree-2 form (the spectral picture of a Higgs field).  Over a prime field
@@ -38,23 +38,28 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-from .glr import SplittingType, glr_admits_semistable, hom_degree
+from .glr import SplittingType, glr_admits_semistable, hom_degree, hom_space_dim
 from .poly import HomogPoly, PrimeField, gcd_many, random_nonzero_poly, random_poly
 
 ORACLE_MAX_RANK = 3
 
 
-def _check_form(p: HomogPoly, field: PrimeField, want: int, what: str) -> None:
-    """The rule for a form in a space of degree ``want``: over ``field``,
-    and the zero-only marker when ``want`` is negative, else of degree
-    ``want`` or the marker."""
+def _check_form(p: HomogPoly, field: PrimeField, want: int, what: str) -> HomogPoly:
+    """The form a slot of degree ``want`` over ``field`` stores for ``p``.
+
+    A slot of nonnegative degree takes only forms of that degree.  A slot of
+    negative degree is a zero space: it takes any form without coefficients,
+    such as ``HomogPoly.zero(field)``, and stores the zero of degree ``want``.
+    """
     if p.field != field:
         raise ValueError(f"{what} is over {p.field}, expected {field}")
-    if want < 0:
-        if p.degree != -1:
-            raise ValueError(f"{what} must vanish: its space has degree {want}")
-    elif p.degree not in (want, -1):
+    if p.degree == want:
+        return p
+    if want >= 0:
         raise ValueError(f"{what} has degree {p.degree}, expected {want}")
+    if p.coeffs:
+        raise ValueError(f"{what} must vanish: its space has degree {want}")
+    return HomogPoly.zero(field, want)
 
 
 @dataclass(frozen=True)
@@ -70,9 +75,18 @@ class CoHiggsMatrix:
         entries = tuple(tuple(row) for row in self.entries)
         if len(entries) != r or any(len(row) != r for row in entries):
             raise ValueError(f"expected an {r} x {r} entry grid")
+        # copied only when a zero space stores another form than the one
+        # given, so a grid of exact forms costs no more than its check
+        grid = None
         for i, row in enumerate(entries):
             for j, p in enumerate(row):
-                _check_form(p, self.field, hom_degree(self.splitting, i, j), f"entry ({i}, {j})")
+                q = _check_form(p, self.field, hom_degree(self.splitting, i, j), f"entry ({i}, {j})")
+                if q is not p:
+                    if grid is None:
+                        grid = list(map(list, entries))
+                    grid[i][j] = q
+        if grid is not None:
+            entries = tuple(map(tuple, grid))
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -94,7 +108,7 @@ class CoHiggsMatrix:
         return {
             "splitting": list(self.splitting.degrees),
             "field": self.field.name,
-            # the zero-only marker has no coefficients
+            # an entry in a zero space has no coefficients
             "entries": [[list(p.coeffs) for p in row] for row in self.entries],
         }
 
@@ -146,8 +160,9 @@ def random_field(st: SplittingType, field: PrimeField, seed: int = 0) -> CoHiggs
 class LineSubbundle:
     """A degree-d line subbundle of the split bundle, as a section tuple.
 
-    Entry i is a form of degree ``m_i - d`` (the zero marker when that is
-    negative).  The tuple must not vanish identically; it defines an actual
+    Entry i is a form of degree ``m_i - d``, stored without coefficients
+    when that is negative (see ``_check_form`` for what each slot takes).
+    The tuple must not vanish identically; it defines an actual
     subbundle, rather than a subsheaf with smaller saturation, exactly when
     the nonzero entries have constant gcd.
     """
@@ -164,8 +179,10 @@ class LineSubbundle:
         sections = tuple(sections)
         if len(sections) != splitting.rank:
             raise ValueError("one section per summand required")
-        for i, (m, p) in enumerate(zip(splitting.degrees, sections)):
+        sections = tuple(
             _check_form(p, field, m - degree, f"section {i}")
+            for i, (m, p) in enumerate(zip(splitting.degrees, sections))
+        )
         if all(p.is_zero for p in sections):
             raise ValueError("the zero tuple defines no subbundle")
         self.splitting = splitting
@@ -190,10 +207,10 @@ def apply_field(phi: CoHiggsMatrix, line: LineSubbundle) -> tuple[HomogPoly, ...
     out = []
     for i in range(r):
         expected = phi.splitting.degrees[i] - line.degree + 2
-        acc = HomogPoly.zero(phi.field, max(expected, -1))
+        acc = HomogPoly.zero(phi.field, expected)
         for e, p in zip(phi.entries[i], line.sections):
             acc = acc + e * p
-        assert acc.degree == max(expected, -1) or acc.is_zero, (
+        assert acc.degree == expected, (
             f"BUG: output entry {i} has degree {acc.degree}, expected {expected}"
         )
         out.append(acc)
@@ -231,11 +248,8 @@ def _sections(
     field: PrimeField, blocks: list[tuple[int, int]], vector: Sequence[int]
 ) -> tuple[HomogPoly, ...]:
     """The section tuple whose coefficients fill ``vector`` in the layout
-    ``blocks`` of ``_blocks``; a summand without slots gets the zero marker."""
-    return tuple(
-        HomogPoly(field, e, vector[c0 : c0 + e + 1]) if e >= 0 else HomogPoly.zero(field)
-        for c0, e in blocks
-    )
+    ``blocks`` of ``_blocks``; a summand without slots gets no coefficients."""
+    return tuple(HomogPoly(field, e, vector[c0 : c0 + max(e + 1, 0)]) for c0, e in blocks)
 
 
 def enumerate_line_subbundles(
@@ -344,7 +358,7 @@ def _eigen_forms(phi: CoHiggsMatrix) -> list[tuple[int, int, int]]:
     matrix phi(point); those three values fix the form.
     """
     p = phi.field.p
-    # the zero-only marker has no coefficients and evaluates to 0
+    # an entry in a zero space has no coefficients and evaluates to 0
     coeffs = [[e.coeffs or (0,) for e in row] for row in phi.entries]
     at_x = _eigenvalues([[c[0] for c in row] for row in coeffs], p)
     at_y = at_x and _eigenvalues([[c[-1] for c in row] for row in coeffs], p)
@@ -477,9 +491,9 @@ def enumerate_all_fields(st: SplittingType, field: PrimeField) -> Iterator[CoHig
     certification sweeps.
     """
     r = st.rank
-    degrees = [max(hom_degree(st, i, j), -1) for i in range(r) for j in range(r)]
-    # a zero-only entry has no slots and contributes one empty tuple; the
-    # coefficient tuples are drawn in _grid's row-major order
-    for combo in product(*(product(range(field.p), repeat=d + 1) for d in degrees)):
+    slots = [hom_space_dim(st, i, j) for i in range(r) for j in range(r)]
+    # an entry in a zero space has no slots and contributes one empty tuple;
+    # the coefficient tuples are drawn in _grid's row-major order
+    for combo in product(*(product(range(field.p), repeat=n) for n in slots)):
         coeffs = iter(combo)
-        yield _grid(st, field, lambda i, j, d: HomogPoly(field, max(d, -1), next(coeffs)))
+        yield _grid(st, field, lambda i, j, d: HomogPoly(field, d, next(coeffs)))

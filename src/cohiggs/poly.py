@@ -5,11 +5,10 @@ forms of degree d in x and y.  A form is stored as the coefficient tuple
 (c_0, ..., c_d) against the basis x^d, x^(d-1) y, ..., y^d, with
 coefficients in a prime field GF(p) held as integers in [0, p).
 
-Degree -1 encodes the zero-only section space of a negative-degree bundle;
-its only inhabitant is the zero form with an empty coefficient tuple.  It is
-neutral in sums and absorbing in products, where the marker itself is
-returned.  The zero form is also representable at every nonnegative degree
-(all-zero coefficients), so degree bookkeeping survives arithmetic.
+A form's degree is always its space's degree.  A bundle of negative degree
+d has only the zero section, the degree-d form with no coefficients;
+``HomogPoly.zero(field, d)`` is the zero form of every degree d.  Sums take
+forms of equal degree and products add degrees, negative ones included.
 
 The gcd of two binary forms is computed exactly: split off the common power
 of y, run the Euclidean algorithm on the dehomogenizations at y = 1, and
@@ -86,7 +85,7 @@ class PrimeField:
 class HomogPoly:
     """A homogeneous form in two variables over a prime field.
 
-    ``coeffs`` has length ``degree + 1`` (empty at the zero-only degree -1),
+    ``coeffs`` has length ``degree + 1`` (empty at every negative degree),
     entry k multiplying x^(degree-k) y^k.  The constructor reduces every
     coefficient mod p, so arithmetic may hand it unreduced integers; a
     degree or coefficient that is not an integer raises ``TypeError``.
@@ -98,21 +97,18 @@ class HomogPoly:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "degree", operator.index(self.degree))
-        if self.degree < -1:
-            raise ValueError("degree must be >= -1")
         p = self.field.p
         coeffs = tuple(operator.index(c) % p for c in self.coeffs)
-        if len(coeffs) != self.degree + 1:
+        # a negative degree has no coefficients, not degree + 1 of them
+        if len(coeffs) != self.degree + 1 and (coeffs or self.degree >= 0):
             raise ValueError(
-                f"degree {self.degree} needs {self.degree + 1} coefficients, "
-                f"got {len(coeffs)}"
+                f"degree {self.degree} needs {max(self.degree + 1, 0)} "
+                f"coefficients, got {len(coeffs)}"
             )
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def zero(cls, field: PrimeField, degree: int = -1) -> "HomogPoly":
-        if degree < 0:
-            return cls(field, -1, ())
         return cls(field, degree, (0,) * (degree + 1))
 
     @property
@@ -121,10 +117,6 @@ class HomogPoly:
 
     def __add__(self, other: "HomogPoly") -> "HomogPoly":
         self._check_field(other)
-        if self.degree == -1:
-            return other
-        if other.degree == -1:
-            return self
         if self.degree != other.degree:
             raise ValueError(
                 f"cannot add forms of degrees {self.degree} and {other.degree}"
@@ -136,8 +128,6 @@ class HomogPoly:
         )
 
     def __neg__(self) -> "HomogPoly":
-        if self.degree == -1:
-            return self
         return HomogPoly(self.field, self.degree, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
@@ -145,10 +135,6 @@ class HomogPoly:
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         self._check_field(other)
-        if self.degree == -1:
-            return self
-        if other.degree == -1:
-            return other
         out = [0] * (self.degree + other.degree + 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -202,7 +188,7 @@ class HomogPoly:
         return low_to_high
 
     def __str__(self) -> str:
-        if self.degree == -1 or self.is_zero:
+        if self.is_zero:
             return "0"
         d = self.degree
         terms = []
@@ -259,9 +245,7 @@ def gcd_many(polys: Iterable[HomogPoly]) -> HomogPoly | None:
 
 
 def random_poly(field: PrimeField, degree: int, rng: random.Random) -> HomogPoly:
-    """A form with coefficients drawn uniformly."""
-    if degree < 0:
-        return HomogPoly.zero(field)
+    """A form with coefficients drawn uniformly (none in negative degree)."""
     coeffs = tuple(rng.randrange(field.p) for _ in range(degree + 1))
     return HomogPoly(field, degree, coeffs)
 

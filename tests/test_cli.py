@@ -188,6 +188,11 @@ def test_strata_json_template_matches_json_dumps(group, central):
         0,
         "90f629ce40c264c95d8ada4f0a8783a82cc99b1119a06843f3ad4fc3b2f120d1",
     ),
+    (   # the same field as text: each zero-space entry prints as 0
+        ["model-field", "--splitting=1,-1,-3", "--prime=5", "--seed=2", "--format=text"],
+        0,
+        "d44caf48dce6a21bc699c0499875ac4410718cb7d0fe865a82a322b81124970e",
+    ),
 ])
 def test_oracle_output_byte_identical(capsys, argv, exit_code, digest):
     code, out, _ = run(capsys, *argv)

@@ -20,6 +20,7 @@ from cohiggs import (
     enumerate_line_subbundles,
     enumerate_splitting_types,
     glr_admits_semistable,
+    hom_degree,
     is_invariant,
     random_field,
     semistability_oracle,
@@ -34,13 +35,7 @@ F5 = PrimeField(5)
 
 
 def line(st, field, degree, *sections):
-    polys = []
-    for m, coeffs in zip(st.degrees, sections):
-        d = m - degree
-        if d < 0:
-            polys.append(HomogPoly.zero(field))
-        else:
-            polys.append(HomogPoly(field, d, coeffs))
+    polys = [HomogPoly(field, m - degree, c) for m, c in zip(st.degrees, sections)]
     return LineSubbundle(st, field, degree, polys)
 
 
@@ -62,11 +57,31 @@ def test_matrix_rejects_entries_in_zero_spaces():
     rows[1][0] = HomogPoly(F5, 0, (1,))
     with pytest.raises(ValueError):
         CoHiggsMatrix(st, F5, tuple(map(tuple, rows)))
-    # a zero form of nonnegative degree is not the zero-only marker: its
-    # JSON would list coefficients for a zero space
+    # a zero form of nonnegative degree has coefficients, which a zero
+    # space has none of: its JSON would list them
     rows[1][0] = HomogPoly.zero(F5, 2)
     with pytest.raises(ValueError, match=r"entry \(1, 0\) must vanish"):
         CoHiggsMatrix(st, F5, tuple(map(tuple, rows)))
+
+
+def test_matrix_rejects_degree_minus_one_zero_in_nonnegative_slot():
+    # one accepted form per slot: a degree-2 slot takes the zero quadric only
+    st = SplittingType((0, 0))
+    rows = [list(r) for r in zero_field(st, F5).entries]
+    rows[0][1] = HomogPoly.zero(F5)
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) has degree -1, expected 2"):
+        CoHiggsMatrix(st, F5, tuple(map(tuple, rows)))
+
+
+def test_matrix_stores_zero_of_the_slot_degree():
+    # any form without coefficients fills a zero space, stored at its degree
+    st = SplittingType((2, -2))
+    rows = [list(r) for r in zero_field(st, F5).entries]
+    rows[1][0] = HomogPoly.zero(F5)
+    phi = CoHiggsMatrix(st, F5, tuple(map(tuple, rows)))
+    assert phi.entries[1][0].degree == -2
+    assert phi == zero_field(st, F5)
+    assert phi.to_json_dict() == zero_field(st, F5).to_json_dict()
 
 
 def test_matrix_rejects_entries_over_another_field():
@@ -247,11 +262,44 @@ def test_subbundle_validation():
         LineSubbundle(st, F5, 1, (HomogPoly(F5, 2, (1, 0, 0)), HomogPoly.zero(F5)))
     with pytest.raises(ValueError, match="F3.*F5"):
         LineSubbundle(st, F5, 1, (HomogPoly(F3, 0, (1,)), HomogPoly.zero(F5)))
-    # the section of degree -1 must be the zero-only marker, not a zero form
+    # a section in a zero space takes no coefficients, so not a zero form
     # of degree 4, which is_invariant could not add to the other entries
     with pytest.raises(ValueError, match="section 1 must vanish"):
         LineSubbundle(SplittingType((1, 0)), F5, 1,
                       (HomogPoly(F5, 0, (1,)), HomogPoly.zero(F5, 4)))
+
+
+def test_subbundle_rejects_degree_minus_one_zero_in_nonnegative_slot():
+    # a section of degree 0 is a constant form, not the degree -1 zero
+    x = HomogPoly(F5, 1, (1, 0))
+    with pytest.raises(ValueError, match="section 1 has degree -1, expected 0"):
+        LineSubbundle(SplittingType((1, 0)), F5, 0, (x, HomogPoly.zero(F5)))
+
+
+_GAPS_UP_TO_FOUR = [(0,), (0, 0), (1, 0), (2, 0), (3, 0), (2, -2), (1, 0, -1),
+                    (3, 0, -1), (2, 2, -2), (4, 0, -4)]
+
+
+@pytest.mark.parametrize("degrees", _GAPS_UP_TO_FOUR)
+def test_every_stored_form_has_its_slot_degree(degrees):
+    st = SplittingType(degrees)
+    r = st.rank
+
+    def assert_exact(phi):
+        for i in range(r):
+            for j in range(r):
+                assert phi.entries[i][j].degree == hom_degree(phi.splitting, i, j)
+
+    fields = [zero_field(st, F5), random_field(st, F5, 3)]
+    if glr_admits_semistable(st):
+        fields.append(build_model_field(st, F5, 3))
+    fields += itertools.islice(enumerate_all_fields(st, F2), 64)
+    for phi in fields:
+        assert_exact(phi)
+        assert_exact(phi.transpose_dual())
+    for d in range(st.degrees[0], st.degrees[0] - 3, -1):
+        for L in enumerate_line_subbundles(st, d, F2):
+            assert [p.degree for p in L.sections] == [m - d for m in st.degrees]
 
 
 # ----------------------------------------------------------------- oracle
@@ -328,7 +376,7 @@ def test_annihilator_duality_rank_two():
                     dual,
                     F5,
                     dual_degree,
-                    (p1, -p2 if p2.degree >= 0 else p2),
+                    (p1, -p2),
                 )
                 assert is_invariant(phi, L) == is_invariant(phi_t, ann)
 

@@ -74,15 +74,21 @@ def test_coefficients_must_be_integers():
 def test_construction_validates_lengths_and_degree():
     with pytest.raises(ValueError):
         HomogPoly(F5, 2, (1, 2))
-    with pytest.raises(ValueError):
-        HomogPoly(F5, -2, ())
+    with pytest.raises(ValueError, match="degree 1 needs 2 coefficients, got 0"):
+        HomogPoly(F5, 1, ())
+    # a negative degree is a zero space: valid, with no coefficients
+    assert HomogPoly(F5, -3, ()).coeffs == ()
+    with pytest.raises(ValueError, match="degree -2 needs 0 coefficients, got 1"):
+        HomogPoly(F5, -2, (0,))
     assert HomogPoly.zero(F5, 3).coeffs == (0, 0, 0, 0)
     assert HomogPoly.zero(F5).degree == -1
+    assert HomogPoly.zero(F5, -4) == HomogPoly(F5, -4, ())
 
 
 def test_zero_polynomial_any_degree():
-    for d in (-1, 0, 1, 5):
+    for d in (-4, -1, 0, 1, 5):
         assert HomogPoly.zero(F5, d).is_zero
+        assert HomogPoly.zero(F5, d).degree == d
 
 
 def test_add_and_mul_track_degrees():
@@ -97,13 +103,20 @@ def test_add_and_mul_track_degrees():
         f + P(F2, 1, 1, 0)
 
 
-def test_zero_marker_neutral_in_addition_absorbing_in_product():
-    z = HomogPoly.zero(F5)
-    f = P(F5, 2, 1, 0, 3)
-    assert (f + z).coeffs == f.coeffs
-    assert (f * z).is_zero
-    # the marker is immutable, so products and negation hand it back as is
-    assert f * z is z and z * f is z and -z is z
+def test_negative_degree_zeros_keep_exact_degrees():
+    cubic = P(F5, 3, 1, 0, 3, 2)
+    quartic = P(F5, 4, 1, 1, 0, 0, 4)
+    # products add degrees, negative ones included
+    assert HomogPoly.zero(F5, -2) * cubic == HomogPoly.zero(F5, 1)
+    assert HomogPoly.zero(F5, -2) * quartic == HomogPoly.zero(F5, 2)
+    assert cubic * HomogPoly.zero(F5, -1) == HomogPoly.zero(F5, 2)
+    assert HomogPoly.zero(F5, -3) * P(F5, 1, 1, 1) == HomogPoly.zero(F5, -2)
+    # sums need equal degrees: a zero space's form is not neutral elsewhere
+    with pytest.raises(ValueError, match="degrees -1 and 2"):
+        HomogPoly.zero(F5) + P(F5, 2, 1, 0, 3)
+    z = HomogPoly.zero(F5, -2)
+    assert z + z == -z == z - z == z
+    assert str(z) == "0"
 
 
 def test_gcd_basic():
