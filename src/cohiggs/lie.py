@@ -6,6 +6,8 @@ irrational arithmetic ever occurs.  A reductive group is modeled as a list of
 simple Cartan factors plus a central torus rank; a Harder-Narasimhan type is
 the dominant cocharacter of the group recorded through its simple-root values
 (one integer vector per factor) together with the degrees on the center.
+The values of all roots of a classical factor are partial sums of its
+simple-root values, so ``all_root_values`` builds roots only for E, F and G.
 
 Conventions:
 
@@ -23,6 +25,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass
+from itertools import accumulate, combinations, starmap
 
 # Per Cartan family: the smallest rank, the largest (None when unbounded)
 # and the Lie-algebra dimension, which also cross-checks root counts.
@@ -244,22 +247,79 @@ def check_shapes(group: ReductiveGroup, hn: HNType) -> None:
         )
 
 
+def _suffix_sums(vec: tuple[int, ...]) -> list[int]:
+    """``vec[i] + ... + vec[-1]`` for each i, then a final 0."""
+    return list(accumulate(reversed(vec), initial=0))[::-1]
+
+
+def _differences(x: list[int]) -> list[int]:
+    """``x_i - x_j`` over i < j."""
+    return list(starmap(operator.sub, combinations(x, 2)))
+
+
+def _sums(x: list[int], shift: int) -> list[int]:
+    """``x_i + x_j + shift`` over i < j."""
+    return [xi + xj + shift for xi, xj in combinations(x, 2)]
+
+
+def _positive_values(ct: CartanType, vec: tuple[int, ...]) -> list[int]:
+    """The pairings of the positive roots of one factor with ``vec``.
+
+    The classical families need no roots (Bourbaki, *Lie Groups and Lie
+    Algebras*, ch. VI, plates I-IV).  With the simple roots
+    ``e_i - e_{i+1}`` and a last one (or two) as below, every positive
+    root is ``e_i``, ``e_i - e_j`` or ``e_i + e_j`` for i < j, and the
+    suffix sums of ``vec`` give the values of the ``e_i``, up to a shift:
+
+    * A_n: x_i = v_i + ... + v_n and x_{n+1} = 0; values x_i - x_j.
+    * B_n (last root e_n): the same x; values x_i - x_j (j = n + 1 gives
+      the short roots e_i), then x_i + x_j for i < j <= n.
+    * C_n (last root 2 e_n): s_i = v_i + ... + v_{n-1}, s_n = 0 and
+      t = v_n; values s_i - s_j, s_i + s_j + t, then 2 s_i + t.
+    * D_n (last roots e_{n-1} -/+ e_n): s_i = v_i + ... + v_{n-2},
+      s_{n-1} = 0, a = v_{n-1} and b = v_n; values s_i - s_j,
+      s_i + s_j + a + b, then s_i + a and s_i + b.
+
+    E, F and G pair each root of ``build_root_system``.
+    """
+    fam = ct.family
+    if fam == "A":
+        return _differences(_suffix_sums(vec))
+    if fam == "B":
+        x = _suffix_sums(vec)
+        return _differences(x) + _sums(x[:-1], 0)
+    if fam == "C":
+        s, t = _suffix_sums(vec[:-1]), vec[-1]
+        return _differences(s) + _sums(s, t) + [2 * si + t for si in s]
+    if fam == "D":
+        s, a, b = _suffix_sums(vec[:-2]), vec[-2], vec[-1]
+        ends = [si + a for si in s] + [si + b for si in s]
+        return _differences(s) + _sums(s, a + b) + ends
+    return [sum(map(operator.mul, root, vec)) for root in build_root_system(ct)]
+
+
 def all_root_values(group: ReductiveGroup, hn: HNType) -> list[int]:
     """The multiset of pairings over the full root set of the group.
 
     Both signs are included, so the result has dim(G) - rank(G) entries and
     is symmetric under negation; the center contributes nothing.  Order:
-    factor by factor, positive roots by height, each followed by its
-    negative.  One dot product per root: this is the slow reference that
-    the packed factor tables of ``strata`` are tested against.
+    factor by factor, each positive root's value followed by its negative.
+    Within a factor the positive roots come in the order of
+    ``_positive_values``: formula by formula for the classical families,
+    by height for E, F and G.
     """
     check_shapes(group, hn)
     out: list[int] = []
-    for roots, vec in zip(map(build_root_system, group.simple_factors), hn.simple_values):
-        for root in roots:
-            v = sum(map(operator.mul, root, vec))
-            out.append(v)
-            out.append(-v)
+    for ct, vec in zip(group.simple_factors, hn.simple_values):
+        positive = _positive_values(ct, vec)
+        expected = (ct.dim - ct.rank) // 2
+        assert len(positive) == expected, (
+            f"BUG: {ct} gave {len(positive)} positive root values, expected {expected}"
+        )
+        signed = [0] * (2 * expected)
+        signed[::2] = positive
+        signed[1::2] = [-v for v in positive]
+        out += signed
     return out
 
 

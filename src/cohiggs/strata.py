@@ -8,10 +8,11 @@ root values of a type are the disjoint union of those of its simple factors,
 so in ``strata_rows`` every sum, and both closed forms, add up per-factor
 sums; each factor's sums are read off the histogram of its root values,
 computed once per simple type per process, cached like the root systems.
-A single type asked for on its own pairs each root directly.  The closed
-forms are asserted against the direct sums on the group totals of every
-type; the generic stratum (type zero) always has dimension twice the group
-dimension.
+A single type asked for on its own counts the values of
+``all_root_values``, which builds no roots for the classical families.
+The closed forms are asserted against the direct sums on the group totals
+of every type; the generic stratum (type zero) always has dimension twice
+the group dimension.
 
 The field-space dimension deliberately avoids its tempting closed form: the
 consistent simplification adds ``value - 3`` per root value above 3, and the
@@ -84,7 +85,7 @@ def _totals(rank: int, dim: int, sums: tuple[RootSums, ...]) -> tuple[int, int, 
 
 
 def _dimensions(group: ReductiveGroup, hn: HNType) -> tuple[int, int, int]:
-    """``_totals`` of any dominant type, pairing one root at a time."""
+    """``_totals`` of any dominant type, from the values of ``all_root_values``."""
     require_dominant(group, hn)
     # each positive root comes before its negative
     sums = _root_sums(Counter(all_root_values(group, hn)[::2]))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import signal
 import time
+import tracemalloc
 
 import pytest
 
@@ -278,14 +279,21 @@ def test_oracle_composite_modulus_rejected_quickly(capsys):
 
 # sha256 of the JSON output, recorded from the full +/- reflection closure,
 # which took about 9.5 s on A100 and 3.1 s on D60; A200 was recorded from the
-# tuple-by-tuple raising closure, which took about 3-4 s on it
+# tuple-by-tuple raising closure, which took about 3-4 s on it; B300, C300
+# and D300 from one dot product per root of the packed closure, which took
+# about 1.4 s and 297 MB on D300
 @pytest.mark.parametrize("group,rank,digest", [
     ("A100", 100, "7894247d0adc4e8ad22b5d245b92e8d5cac8f88adbdbef071e91b3d4293d09d4"),
     ("D60", 60, "3e91d7112c7bb17ed6920cdb8168d7c1094b3b8c37c7fb4815bc83eb73ebbe81"),
     ("A200", 200, "73d08b72026eebaa788fbc3547cb24aabe6e88f741b3cabe8266e977f1cd193e"),
+    ("B300", 300, "6cd84b7932b54f9649be5a6686262e3692a28c790b8ca97d1901c1462d10bd60"),
+    ("C300", 300, "6cd84b7932b54f9649be5a6686262e3692a28c790b8ca97d1901c1462d10bd60"),
+    ("D300", 300, "d5f52358bdac37998e94035f4da5a94cbfdf3793548a8af18689d8e71e63ec64"),
 ])
 def test_criterion_large_group_answers_quickly(capsys, group, rank, digest):
-    build_root_system.cache_clear()  # time the closure, not a cache hit
+    # the classical criterion path pairs no roots: with an empty root-system
+    # cache it must answer in time and leave the cache empty
+    build_root_system.cache_clear()
     start = time.perf_counter()
     with deadline(30):
         code, out, _ = run(
@@ -295,6 +303,43 @@ def test_criterion_large_group_answers_quickly(capsys, group, rank, digest):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert time.perf_counter() - start < 3
+    assert build_root_system.cache_info().currsize == 0
+
+
+# sha256 of the JSON output for the values 0, 1, 2, 0, 1, 2, ..., recorded
+# from one dot product per root of the packed closure
+@pytest.mark.parametrize("group,digest", [
+    ("A300", "2e8dbef5b42ef9ed45d482287bae2642d346f7c33b9145561d7b82ce1324260d"),
+    ("B300", "b115d4f3d8d00f837fba7cf3ba4560ad93e57f5602a09ad7a81f49a5ecf22fd2"),
+    ("C300", "2e0be2c70cf32c156f33906c567bba5889a967706c394baed5213ea5f8e7a1b5"),
+    ("D300", "f543d447de11d753f94b19cd863d5e28b19a056ae37f3301296b91c9a8f87da6"),
+])
+def test_criterion_large_classical_adjoint_degrees_pinned(capsys, group, digest):
+    with deadline(30):
+        code, out, _ = run(
+            capsys, "criterion", f"--group={group}",
+            "--hn=" + ",".join(str(i % 3) for i in range(300)), "--format=json",
+        )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_criterion_a300_memory_peak(capsys):
+    # 44,850 root tuples of length 300 and their pairings peaked at about
+    # 140 MB of traced allocations; the root values alone need a few MB
+    build_root_system.cache_clear()
+    tracemalloc.start()
+    try:
+        with deadline(30):
+            code, _, _ = run(
+                capsys, "criterion", "--group=A300", "--hn=" + ",".join(["0"] * 300),
+                "--format=json",
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_oracle_output_deterministic(capsys):

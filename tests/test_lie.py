@@ -1,6 +1,8 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,6 +20,7 @@ from cohiggs import (
     is_dominant,
     parse_group,
 )
+from root_pairing import per_root_values
 
 ALL_TYPES = [
     ("A", 1, 3), ("A", 2, 8), ("A", 3, 15), ("A", 4, 24), ("A", 5, 35),
@@ -203,6 +206,51 @@ def test_all_root_values_shape_mismatch():
         all_root_values(g, HNType(((1, 1),), (0,)))
     with pytest.raises(ValueError):
         all_root_values(g, HNType(((1, 1), (0,))))
+
+
+def assert_matches_per_root_pairing(g, hn):
+    # factor by factor, the same multiset of positive-root values as one dot
+    # product per root, each value followed by its negative
+    got, ref = all_root_values(g, hn), per_root_values(g, hn)
+    assert len(got) == len(ref) == g.dim - g.rank
+    assert got[1::2] == [-v for v in got[::2]]
+    start = 0
+    for ct in g.simple_factors:
+        end = start + ct.dim - ct.rank
+        assert Counter(got[start:end:2]) == Counter(ref[start:end:2]), (str(ct), hn)
+        start = end
+
+
+SMALL_CLASSICAL = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4),
+]
+
+
+@pytest.mark.parametrize("family,rank", SMALL_CLASSICAL)
+def test_classical_root_values_match_per_root_pairing_exhaustively(family, rank):
+    # every vector with entries in -3..3, dominant or not
+    g = ReductiveGroup((CartanType(family, rank),))
+    for values in product(range(-3, 4), repeat=rank):
+        assert_matches_per_root_pairing(g, HNType((values,)))
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_classical_root_values_match_per_root_pairing_up_to_rank_40(family):
+    rng = random.Random(f"classical-{family}")
+    for rank in range({"A": 1, "B": 2, "C": 2, "D": 3}[family], 41):
+        g = ReductiveGroup((CartanType(family, rank),))
+        for _ in range(3):
+            values = tuple(rng.randint(-1000, 1000) for _ in range(rank))
+            assert_matches_per_root_pairing(g, HNType((values,)))
+
+
+def test_root_values_match_per_root_pairing_across_factors():
+    g = parse_group("C3xA2xD4xG2xB2xE6+z1")
+    rng = random.Random(5)
+    for _ in range(20):
+        values = tuple(rng.randint(-9, 9) for _ in range(g.semisimple_rank))
+        assert_matches_per_root_pairing(g, HNType.from_flat(g, values, (7,)))
 
 
 def test_is_dominant():

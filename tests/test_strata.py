@@ -8,7 +8,6 @@ from cohiggs import (
     CartanType,
     HNType,
     ReductiveGroup,
-    all_root_values,
     build_root_system,
     dim_automorphisms,
     dim_cohiggs_space,
@@ -17,6 +16,7 @@ from cohiggs import (
 )
 from cohiggs.criterion import STABLE_BOUND
 from cohiggs.strata import StratumRecord, _root_sums, strata_rows
+from root_pairing import per_root_values
 
 A1 = ReductiveGroup((CartanType("A", 1),))
 
@@ -85,14 +85,14 @@ def test_automorphism_forms_agree_on_big_sweep():
 
 
 def reference_dimensions(g, hn):
-    """Slow reference: one pass over the root values per sum, five in all."""
-    fields = 3 * g.rank + sum(max(0, v + 3) for v in all_root_values(g, hn))
-    aut = g.rank + sum(v + 1 for v in all_root_values(g, hn) if v > -1)
-    aut_closed = g.dim + sum(v - 1 for v in all_root_values(g, hn) if v > 1)
+    """Slow reference: one pass over the per-root values per sum, five in all."""
+    fields = 3 * g.rank + sum(max(0, v + 3) for v in per_root_values(g, hn))
+    aut = g.rank + sum(v + 1 for v in per_root_values(g, hn) if v > -1)
+    aut_closed = g.dim + sum(v - 1 for v in per_root_values(g, hn) if v > 1)
     stratum_closed = (
         2 * g.dim
-        - 2 * sum(1 for v in all_root_values(g, hn) if v > 3)
-        - sum(v - 1 for v in all_root_values(g, hn) if 1 < v <= 3)
+        - 2 * sum(1 for v in per_root_values(g, hn) if v > 3)
+        - sum(v - 1 for v in per_root_values(g, hn) if 1 < v <= 3)
     )
     assert aut == aut_closed
     assert fields - aut == stratum_closed
@@ -114,7 +114,7 @@ def test_dimensions_match_per_root_reference(g):
 
 def reference_histogram(ct, values):
     """Slow reference: the positive-root values from one dot product each."""
-    signed = all_root_values(ReductiveGroup((ct,)), HNType((values,)))
+    signed = per_root_values(ReductiveGroup((ct,)), HNType((values,)))
     return Counter(signed[::2])  # each positive root comes before its negative
 
 
@@ -243,7 +243,7 @@ def test_stratum_deficit_vanishes_iff_no_root_value_exceeds_one():
         g = ReductiveGroup((ct,))
         for record in enumerate_strata(g):
             deficit = 2 * g.dim - record.dim_stratum
-            big = max(all_root_values(g, record.hn), default=0)
+            big = max(per_root_values(g, record.hn), default=0)
             assert (deficit == 0) == (big <= 1), (ct, record.hn)
 
 
