@@ -22,7 +22,7 @@ from typing import Sequence
 from .criterion import adjoint_splitting, evaluate_criterion
 from .glr import SplittingType, glr_admits_semistable, splitting_to_hn
 from .lie import HNType, parse_group
-from .oracle import build_model_field, random_field, semistability_oracle
+from .oracle import build_model_field, random_field, require_oracle_rank, semistability_oracle
 from .poly import PrimeField
 from .strata import strata_rows
 from .symplectic import SymplecticSplitting, sp_admits_stable, sp_to_hn
@@ -187,6 +187,7 @@ def _cmd_model_field(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    require_oracle_rank(SplittingType(args.splitting))  # before a field is drawn
     _, fld, phi = _field(args, build_model_field if args.model else random_field)
     verdict = semistability_oracle(phi, args.mode)
     if args.format == "text":

@@ -115,44 +115,28 @@ def build_root_system(ct: CartanType) -> tuple[tuple[int, ...], ...]:
     any generation or Cartan-matrix bug.  Roots come ordered by height (sum
     of coefficients), then lexicographically.
 
-    Each root is one integer ``c`` with byte ``k`` its coefficient on the
-    k-th simple root, beside one integer ``w`` with byte ``i`` its pairing
-    ``A[i] . c`` plus 4.  No lane carries into the next: coefficients are
-    at most 6 (the highest root of E8) and a root pairs with a simple
-    coroot in [-3, 3], so every byte of ``w`` lies in 1..7, and bit 2 of a
-    byte is clear exactly where the pairing is negative.  A raising step
-    adds ``k`` to byte ``i`` of ``c`` and ``k`` times column ``i`` of the
-    Cartan matrix, packed the same way, to ``w``.
+    Each root travels with its pairings ``w = A . c``, so a raising at
+    ``w[i] = k < 0`` sets ``c[i] -= k`` and subtracts ``k`` times column
+    ``i`` of the Cartan matrix from ``w``.
     """
     n = ct.rank
-    a = cartan_matrix(ct)
-    bias = int.from_bytes(b"\x04" * n, "little")
-    # bit 2 of byte i -> (shift of byte i, column i of the Cartan matrix)
-    steps = {
-        4 << (8 * i): (8 * i, sum(a[j][i] << (8 * j) for j in range(n)))
-        for i in range(n)
-    }
-    frontier = [(1 << shift, bias + col) for shift, col in steps.values()]
+    columns = tuple(zip(*cartan_matrix(ct)))
+    frontier = [(tuple(int(i == j) for j in range(n)), columns[i]) for i in range(n)]
     seen = {c for c, _ in frontier}
     while frontier:
         c, w = frontier.pop()
-        neg = bias & ~w  # bit 2 of each byte with a negative pairing
-        while neg:
-            low = neg & -neg
-            neg ^= low
-            shift, col = steps[low]
-            k = 4 - ((w >> shift) & 7)
-            rt = c + (k << shift)
-            if rt not in seen:
-                seen.add(rt)
-                frontier.append((rt, w + k * col))
+        for i, k in enumerate(w):
+            if k < 0:
+                rt = c[:i] + (c[i] - k,) + c[i + 1 :]
+                if rt not in seen:
+                    seen.add(rt)
+                    frontier.append((rt, tuple([x - k * y for x, y in zip(w, columns[i])])))
 
     expected = (ct.dim - n) // 2
     assert len(seen) == expected, (
         f"BUG: {ct} produced {len(seen)} positive roots, expected {expected}"
     )
-    roots = sorted((c.to_bytes(n, "little") for c in seen), key=lambda b: (sum(b), b))
-    return tuple(map(tuple, roots))
+    return tuple(sorted(seen, key=lambda r: (sum(r), r)))
 
 
 @dataclass(frozen=True)

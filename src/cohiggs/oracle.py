@@ -44,6 +44,12 @@ from .poly import HomogPoly, PrimeField, gcd_many, random_nonzero_poly, random_p
 ORACLE_MAX_RANK = 3
 
 
+def require_oracle_rank(st: SplittingType) -> None:
+    """Raise ValueError unless the oracle supports the rank of the splitting."""
+    if st.rank > ORACLE_MAX_RANK:
+        raise ValueError(f"oracle supports rank <= {ORACLE_MAX_RANK}, got {st.rank}")
+
+
 def _check_form(p: HomogPoly, field: PrimeField, want: int, what: str) -> HomogPoly:
     """The form a slot of degree ``want`` over ``field`` stores for ``p``.
 
@@ -462,8 +468,7 @@ def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
     rational over this field.
     """
     st = phi.splitting
-    if st.rank > ORACLE_MAX_RANK:
-        raise ValueError(f"oracle supports rank <= {ORACLE_MAX_RANK}, got {st.rank}")
+    require_oracle_rank(st)
     mu = st.slope
     threshold = _violation_threshold(mode, mu)
     # a line bundle has no proper subbundles, and a constant splitting in

@@ -133,11 +133,14 @@ def _factor_table(ct: CartanType) -> tuple[RootSums, ...]:
     nonnegative, so the highest root at the all-bound vector has the largest
     value; while that fits in a byte, no byte carries into the next.
     """
-    roots = build_root_system(ct)
     bound = (STABLE_BOUND,) * ct.rank
-    top = STABLE_BOUND * sum(roots[-1])  # the highest root is last
+    # the highest root has height h - 1 for the Coxeter number h, the number
+    # of roots over the rank (Bourbaki, ch. VI, 1.11, prop. 31), so a factor
+    # past the bound is rejected before its roots are built
+    top = STABLE_BOUND * ((ct.dim - ct.rank) // ct.rank - 1)
     if top > 255:
         raise ValueError(f"{ct}: highest-root value {top} of {bound} exceeds 255")
+    roots = build_root_system(ct)
     columns = [int.from_bytes(bytes(col), "little") for col in zip(*roots)]
     # the product of the columns' multiples runs in the vectors' order
     multiples = ([v * col for v in range(STABLE_BOUND + 1)] for col in columns)

@@ -277,6 +277,20 @@ def test_oracle_composite_modulus_rejected_quickly(capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_oracle_rank_rejected_before_field_is_drawn(capsys):
+    # the random field on this splitting has about 6M coefficients; drawing
+    # it before the rank check took 3.7 s
+    start = time.perf_counter()
+    with deadline(30):
+        code, out, err = run(
+            capsys, "oracle", "--splitting", "2000000,0,0,0", "--prime", "5",
+            "--mode", "stable",
+        )
+    assert (code, out) == (1, "")
+    assert err == "cohiggs: error: oracle supports rank <= 3, got 4\n"
+    assert time.perf_counter() - start < 1
+
+
 # sha256 of the JSON output, recorded from the full +/- reflection closure,
 # which took about 9.5 s on A100 and 3.1 s on D60; A200 was recorded from the
 # tuple-by-tuple raising closure, which took about 3-4 s on it; B300, C300
@@ -400,7 +414,9 @@ def test_strata_rejects_central_length_before_any_root_values(capsys, monkeypatc
         assert err == "cohiggs: error: expected 0 central degrees, got 1\n"
 
 
-@pytest.mark.parametrize("group,top", [("A128", 256), ("B65", 258), ("D66", 258)])
+@pytest.mark.parametrize("group,top", [
+    ("A128", 256), ("B65", 258), ("D66", 258), ("D300", 1194),
+])
 def test_strata_rejects_highest_root_past_a_byte(capsys, group, top):
     # one byte per root in the factor tables: the all-2 vector's highest-root
     # value must stay below 256, and the rejection comes before any row

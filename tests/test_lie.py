@@ -125,21 +125,28 @@ def test_root_tuples_byte_identical():
 
 
 def reference_root_system(ct):
-    """The raising closure one coefficient tuple at a time, as a slow reference."""
+    """The positive roots from the Weyl orbit of the simple roots.
+
+    Every root is conjugate to a simple root (Humphreys, 10.3), so closing
+    the simple roots under every simple reflection ``c -> c - (A[i] . c) e_i``
+    gives the roots of both signs; the positive ones have no negative
+    coefficient.  Unlike the raising closure, this one lowers too.
+    """
     n = ct.rank
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in cartan_matrix(ct)]
     frontier = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    seen = set(frontier)
+    orbit = set(frontier)
     while frontier:
         c = frontier.pop()
         for i, row in enumerate(rows):
             k = sum(x * c[j] for j, x in row)
-            if k < 0:
-                rt = c[:i] + (c[i] - k,) + c[i + 1 :]
-                if rt not in seen:
-                    seen.add(rt)
-                    frontier.append(rt)
-    return tuple(sorted(seen, key=lambda r: (sum(r), r)))
+            if k:  # s_i fixes c when k == 0
+                reflected = c[:i] + (c[i] - k,) + c[i + 1 :]
+                if reflected not in orbit:
+                    orbit.add(reflected)
+                    frontier.append(reflected)
+    assert len(orbit) == ct.dim - n
+    return tuple(sorted((r for r in orbit if min(r) >= 0), key=lambda r: (sum(r), r)))
 
 
 LARGE_CLASSICAL = [(family, n) for family in "ABCD" for n in range(25, 41)]
@@ -149,16 +156,6 @@ LARGE_CLASSICAL = [(family, n) for family in "ABCD" for n in range(25, 41)]
 def test_root_system_matches_tuple_closure(family, rank):
     ct = CartanType(family, rank)
     assert build_root_system(ct) == reference_root_system(ct)
-
-
-@pytest.mark.parametrize("family,rank,dim", ALL_TYPES)
-def test_root_system_fits_byte_lanes(family, rank, dim):
-    # the packed closure keeps each coefficient and each pairing + 4 in a byte
-    ct = CartanType(family, rank)
-    a = cartan_matrix(ct)
-    for root in build_root_system(ct):
-        assert max(root) <= 6
-        assert all(-3 <= sum(x * c for x, c in zip(row, root)) <= 3 for row in a)
 
 
 def test_a1_and_a2_positive_roots():

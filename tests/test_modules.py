@@ -41,3 +41,15 @@ def test_every_absolute_import_is_stdlib_or_cohiggs(path):
     allowed = sys.stdlib_module_names | {"cohiggs"}
     outside = sorted(name for name in modules if name.partition(".")[0] not in allowed)
     assert outside == [], path.name
+
+
+def test_only_strata_packs_integers():
+    # strata._factor_table owns the packed root format; a second module
+    # that packs integers would need to keep its byte bounds in step
+    packers = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "from_bytes")
+    }
+    assert packers == {"strata.py"}

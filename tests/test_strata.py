@@ -171,6 +171,16 @@ def test_factor_table_matches_checked_kernel(ct):
     assert list(cohiggs.strata._factor_table(ct)) == expected
 
 
+def test_highest_root_height_from_coxeter_number():
+    # the factor tables bound the highest root's value before building any
+    # roots, from its height h - 1 with h the number of roots over the rank
+    types = [CartanType(f, n) for f, lo in zip("ABCD", (1, 2, 2, 3)) for n in range(lo, 21)]
+    types += [CartanType(f, n) for f, n in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
+    for ct in types:
+        h = (ct.dim - ct.rank) // ct.rank
+        assert sum(build_root_system(ct)[-1]) == h - 1, str(ct)
+
+
 @pytest.mark.parametrize("g,central", [
     (ReductiveGroup((CartanType("A", 1), CartanType("A", 1)), central_rank=1), (3,)),
     (ReductiveGroup((CartanType("G", 2), CartanType("A", 2)), central_rank=2), (1, -2)),
