@@ -12,11 +12,11 @@ seed-controlled, so output is a deterministic function of argv.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
-from itertools import chain
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .criterion import adjoint_splitting, evaluate_criterion
@@ -47,8 +47,38 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for the CLI payloads.
+
+    With an indent ``json.dumps`` runs the pure-Python encoder, item by
+    item; here a list of plain ints (not bools) is one join, and strings,
+    ints and bools skip the encoder's set-up.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple, dict)) and value:
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = (
+                f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                for k, v in sorted(value.items())
+            )
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        if set(map(type, value)) == {int}:  # plain ints, not bools
+            items = map(str, value)
+        else:
+            items = (_json_text(x, inner) for x in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
+
+
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(_json_text(payload))
 
 
 def _central(args, group) -> tuple[int, ...]:
@@ -87,44 +117,50 @@ def _cmd_adjoint(args) -> int:
 
 _STRATA_COLUMNS = ("a", "dim_VM", "dim_aut", "dim_stratum", "generic")
 _STRATA_WIDTHS = (12, 7, 8, 12, 8)
-# one row as json.dumps(..., sort_keys=True, indent=2) lays it out; the
-# columns are already in sorted order
-_STRATA_JSON_ROW = "  {{\n" + ",\n".join(f'    "{c}": {{}}' for c in _STRATA_COLUMNS) + "\n  }}"
+_STRATA_CHUNK = 512  # rows per write
+_BOOLS = ("false", "true")
 
 
-def _strata_json(rows) -> str:
-    """What ``_emit_json`` prints for the rows as dicts, from one template.
+def _strata_layout(fmt: str, rank: int) -> tuple[str, str, str, str]:
+    """Head, row template, row separator and tail of the strata table.
 
-    ``json.dumps`` with an indent runs the pure-Python encoder; every row
-    here is a list of ints, three ints and a bool.
+    A row of a group of semisimple ``rank`` fills the template with its
+    simple-root values, its three dimensions and "true" or "false".  JSON is
+    laid out as ``_emit_json`` prints the rows as dicts, whose keys are
+    already in sorted order; a CSV cell is quoted, as ``csv.writer`` does,
+    when it holds a comma.
     """
-    return "[\n" + ",\n".join(
-        _STRATA_JSON_ROW.format(
-            "[\n      " + ",\n      ".join(map(str, a)) + "\n    ]" if a else "[]",
-            vm, aut, dim, "true" if generic else "false",
-        )
-        for a, vm, aut, dim, generic in rows
-    ) + "\n]"
+    values = ",".join(["%d"] * rank)
+    cells = ("%d", "%d", "%d", "%s")
+    if fmt == "json":
+        a = "[\n      " + values.replace(",", ",\n      ") + "\n    ]" if rank else "[]"
+        row = ",\n".join(f'    "{c}": {t}' for c, t in zip(_STRATA_COLUMNS, (a, *cells)))
+        return "[", "\n  {\n" + row + "\n  }", ",", "\n]\n"
+    if fmt == "csv":
+        a = f'"{values}"' if rank > 1 else values
+        return ",".join(_STRATA_COLUMNS) + "\n", ",".join((a, *cells)) + "\n", "", ""
+    # text: every cell right-aligned to its width, "-" for no values; the
+    # values are single digits, so the first cell holds 2 * rank - 1 characters
+    a = " " * (_STRATA_WIDTHS[0] - max(1, 2 * rank - 1)) + (values or "-")
+    cells = (f"%{w}{kind}" for w, kind in zip(_STRATA_WIDTHS[1:], "ddds"))
+    head = " ".join(f"{c:>{w}}" for c, w in zip(_STRATA_COLUMNS, _STRATA_WIDTHS))
+    return head + "\n", " ".join((a, *cells)) + "\n", "", ""
 
 
 def _cmd_strata(args) -> int:
     group = parse_group(args.group)
     rows = strata_rows(group, _central(args, group))
-    if args.format == "json":
-        print(_strata_json(rows))
-        return 0
-    cells = (
-        (",".join(map(str, a)), vm, aut, dim, str(generic).lower())
-        for a, vm, aut, dim, generic in rows
-    )
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(_STRATA_COLUMNS)
-        writer.writerows(cells)
-        return 0
-    # a group without simple factors has an empty first cell, printed as "-"
-    for a, *rest in chain([_STRATA_COLUMNS], cells):
-        print(" ".join(f"{c:>{w}}" for c, w in zip((a or "-", *rest), _STRATA_WIDTHS)))
+    head, template, sep, tail = _strata_layout(args.format, group.semisimple_rank)
+    lines = (template % (*a, vm, aut, dim, _BOOLS[generic]) for a, vm, aut, dim, generic in rows)
+    # streamed in chunks: the whole table of a large group is tens of MB
+    write = sys.stdout.write
+    write(head)
+    joint = ""
+    while chunk := sep.join(islice(lines, _STRATA_CHUNK)):
+        write(joint)
+        write(chunk)
+        joint = sep
+    write(tail)
     return 0
 
 

@@ -1,6 +1,8 @@
 import argparse
 import contextlib
+import csv
 import hashlib
+import io
 import json
 import signal
 import time
@@ -8,9 +10,12 @@ import tracemalloc
 
 import pytest
 
+import cohiggs.cli
 import cohiggs.strata
 from cohiggs import build_root_system, parse_group
-from cohiggs.cli import _STRATA_COLUMNS, _strata_json, build_parser, main
+from cohiggs.cli import (
+    _STRATA_COLUMNS, _STRATA_WIDTHS, _json_text, _strata_layout, build_parser, main,
+)
 from cohiggs.strata import strata_rows
 
 
@@ -132,6 +137,28 @@ def test_strata_json_schema(capsys):
         ["strata", "--group=E8", "--format=json"],
         "7ee64e3fadc843e68aa5eadedf43c34394b390eb516e7734bdfe647c283a18ed",
     ),
+    # the layouts of csv and text from the old csv.writer and f-string code:
+    # an empty, a bare and a quoted first cell
+    (
+        ["strata", "--group=+z2", "--central=1,-1", "--format=csv"],
+        "3088a07b171b3aae5bb022738853e281a7d2f23477d82e83adced7378f485fa9",
+    ),
+    (
+        ["strata", "--group=+z2", "--central=1,-1", "--format=text"],
+        "8d45037b5a3d1b0bb47ad211436051ed7018b822e4a0703449882f2ccbd01b55",
+    ),
+    (
+        ["strata", "--group=A1", "--format=csv"],
+        "ad9c5d576daec82c19aa6d3838e5612f45ba94b62335ad460ea68f9a8b3b953b",
+    ),
+    (
+        ["strata", "--group=A1", "--format=text"],
+        "736e5b02b8537ba29d9d30dad87f78f774dcca488e3a95aa34931922d433cbff",
+    ),
+    (
+        ["strata", "--group=A1xA1", "--format=csv"],
+        "f4353874d27c606656d351dd4d9e5dbf8f9657b9ec3d06d85fddc22186a9cdc1",
+    ),
 ])
 def test_strata_output_byte_identical(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
@@ -139,19 +166,99 @@ def test_strata_output_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("group,central", [
+_TEMPLATE_GROUPS = pytest.mark.parametrize("group,central", [
     ("+z2", ()), ("A1", ()), ("G2xA2", ()), ("C3xA1+z2", (1, -2)), ("A1xA1xA2", ()),
     ("E7", ()),
 ])
+
+
+def render_strata(fmt, group, central):
+    """The rows of a group through its layout, and the rows themselves."""
+    g = parse_group(group)
+    rows = list(strata_rows(g, central or (0,) * g.central_rank))
+    head, template, sep, tail = _strata_layout(fmt, g.semisimple_rank)
+    lines = (template % (*a, vm, aut, dim, str(generic).lower())
+             for a, vm, aut, dim, generic in rows)
+    return head + sep.join(lines) + tail, rows
+
+
+@_TEMPLATE_GROUPS
 def test_strata_json_template_matches_json_dumps(group, central):
     # slow reference: the encoder on one dict per row
     assert list(_STRATA_COLUMNS) == sorted(_STRATA_COLUMNS)
-    g = parse_group(group)
-    rows = list(strata_rows(g, central or (0,) * g.central_rank))
+    text, rows = render_strata("json", group, central)
     expected = json.dumps(
         [dict(zip(_STRATA_COLUMNS, row)) for row in rows], sort_keys=True, indent=2
     )
-    assert _strata_json(rows) == expected
+    assert text == expected + "\n"
+
+
+def strata_cells(rows):
+    return [
+        (",".join(map(str, a)), vm, aut, dim, str(generic).lower())
+        for a, vm, aut, dim, generic in rows
+    ]
+
+
+@_TEMPLATE_GROUPS
+def test_strata_csv_template_matches_csv_writer(group, central):
+    text, rows = render_strata("csv", group, central)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(_STRATA_COLUMNS)
+    writer.writerows(strata_cells(rows))
+    assert text == expected.getvalue()
+
+
+@_TEMPLATE_GROUPS
+def test_strata_text_template_matches_aligned_cells(group, central):
+    # slow reference: each cell right-aligned on its own, "-" for no values
+    text, rows = render_strata("text", group, central)
+    expected = "".join(
+        " ".join(f"{c:>{w}}" for c, w in zip((a or "-", *rest), _STRATA_WIDTHS)) + "\n"
+        for a, *rest in [_STRATA_COLUMNS, *strata_cells(rows)]
+    )
+    assert text == expected
+
+
+class WriteOnly:
+    """A text stream with only ``write`` and ``flush``, as the benchmark's."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, s):
+        self.parts.append(s)
+        return len(s)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    [*command, f"--format={fmt}"]
+    for command, formats in [
+        (["criterion", "--group=C3xA1+z2", "--hn=1,0,2,3", "--central=1,2"], ("text", "json")),
+        (["adjoint", "--group=G2", "--hn=1,2"], ("text", "json")),
+        (["strata", "--group=A1xA2+z1", "--central=3"], ("text", "json", "csv")),
+        (["glr-check", "--splitting=2,0,-1"], ("text", "json")),
+        (["sp-check", "--half-degrees=2,1"], ("text", "json")),
+        (["model-field", "--splitting=1,-1,-3", "--prime=5", "--seed=2"], ("text", "json")),
+        (["oracle", "--splitting=1,1,0", "--prime=3", "--mode=semistable", "--seed=38"],
+         ("json", "text")),
+    ]
+    for fmt in formats
+], ids=" ".join)
+def test_output_needs_only_write_and_flush(capsys, monkeypatch, argv):
+    # the benchmark hashes output through a stream with these two methods
+    # alone; every command must print the same bytes through it
+    expected = run(capsys, *argv)
+    sink = WriteOnly()
+    with monkeypatch.context() as m:
+        m.setattr("sys.stdout", sink)
+        code = main(argv)
+    assert (code, "".join(sink.parts)) == expected[:2]
+    assert capsys.readouterr().err == expected[2]
 
 
 # sha256 of the oracle and model-field output with the exit code, pinned so
@@ -414,20 +521,44 @@ def test_strata_rejects_central_length_before_any_root_values(capsys, monkeypatc
         assert err == "cohiggs: error: expected 0 central degrees, got 1\n"
 
 
+# top is the highest-root value at the all-2 vector: the first four groups
+# overflow a byte with it, the rest do not, and every one is refused by its
+# row count before any table is built
 @pytest.mark.parametrize("group,top", [
     ("A128", 256), ("B65", 258), ("D66", 258), ("D300", 1194),
+    ("A14", 28), ("A127", 254), ("C17xD7+z1", 66),
 ])
 def test_strata_rejects_highest_root_past_a_byte(capsys, group, top):
-    # one byte per root in the factor tables: the all-2 vector's highest-root
-    # value must stay below 256, and the rejection comes before any row
-    rank = int(group[1:])
+    rank = parse_group(group).semisimple_rank
     start = time.perf_counter()
     with deadline(30):
         code, out, err = run(capsys, "strata", f"--group={group}")
     assert time.perf_counter() - start < 1
-    assert (code, out) == (1, "")
-    message = f"{group}: highest-root value {top} of {(2,) * rank} exceeds 255"
-    assert err == f"cohiggs: error: {message}\n"
+    assert (code, out) == (1, ""), top
+    assert err == f"cohiggs: error: {group}: 3^{rank} strata exceed the limit of 3^12\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["criterion", "--group=A2", "--hn=1,5"],
+    ["criterion", "--group=C3xA1+z2", "--hn=1,0,2,3", "--central=1,2"],
+    ["criterion", "--group=+z2", "--hn=", "--central=1,-1"],
+    ["adjoint", "--group=G2", "--hn=1,2"],
+    ["adjoint", "--group=+z1", "--hn=", "--central=4"],
+    ["glr-check", "--splitting=2,0,-1"],
+    ["sp-check", "--half-degrees=2,1"],
+    ["model-field", "--splitting=1,-1,-3", "--prime=5", "--seed=2"],
+    ["oracle", "--splitting=1,0,-1", "--prime=7", "--mode=stable", "--seed=4"],
+    ["oracle", "--splitting=1,0,-1", "--prime=3", "--mode=stable", "--seed=53"],
+    ["oracle", "--splitting=1,1,0", "--prime=3", "--mode=semistable", "--seed=38"],
+], ids=" ".join)
+def test_json_text_matches_json_dumps(capsys, monkeypatch, argv):
+    # slow reference: the indented encoder, on every payload shape the
+    # commands print (empty lists, nested lists, bools, strings, witnesses)
+    payloads = []
+    monkeypatch.setattr(cohiggs.cli, "_emit_json", payloads.append)
+    main([*argv, "--format=json"])
+    (payload,) = payloads
+    assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
 def test_model_field_gap_error(capsys):

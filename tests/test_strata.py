@@ -13,9 +13,10 @@ from cohiggs import (
     dim_cohiggs_space,
     dim_stratum,
     enumerate_strata,
+    parse_group,
 )
 from cohiggs.criterion import STABLE_BOUND
-from cohiggs.strata import StratumRecord, _root_sums, strata_rows
+from cohiggs.strata import MAX_STRATA_RANK, StratumRecord, _count_sums, strata_rows
 from root_pairing import per_root_values
 
 A1 = ReductiveGroup((CartanType("A", 1),))
@@ -118,19 +119,58 @@ def reference_histogram(ct, values):
     return Counter(signed[::2])  # each positive root comes before its negative
 
 
+def reference_root_sums(positive):
+    """Slow reference for ``_count_sums``: the four root sums, value by value.
+
+    ``positive`` counts the values of positive roots; each, of value
+    ``v >= 0``, is counted together with its negative, of value ``-v``.
+    """
+    fields = aut = closed = deficit = 0
+    for v, n in positive.items():
+        fields += n * ((v + 3) + max(0, -v + 3))
+        aut += n * ((v + 1) + (v == 0))
+        if v > 1:
+            closed += n * (v - 1)
+            deficit += n * (2 if v > 3 else v - 1)
+    return fields, aut, closed, deficit
+
+
 @pytest.mark.parametrize(
     "ct", SWEEP_TYPES + [CartanType("E", 6), CartanType("E", 7)], ids=str
 )
 def test_root_value_histogram_matches_reference_exhaustively(ct, monkeypatch):
     # the packed pass of the factor tables, run uncached over the values
-    # 0..3 and kept as whole histograms, agrees with pairing one root at a time
+    # 0..3 and kept as its six counts, agrees with pairing one root at a
+    # time; past rank 1 values above 3 occur, so every branch of the sums
+    # is reached
     monkeypatch.setattr(cohiggs.strata, "STABLE_BOUND", 3)
-    monkeypatch.setattr(cohiggs.strata, "_root_sums", lambda positive: positive)
+    monkeypatch.setattr(cohiggs.strata, "_count_sums", lambda *counts: counts)
     packed = cohiggs.strata._factor_table.__wrapped__(ct)
     vectors = list(product(range(4), repeat=ct.rank))
     assert len(packed) == len(vectors)
-    for values, histogram in zip(vectors, packed):
-        assert histogram == reference_histogram(ct, values), values
+    big = 0
+    for values, counts in zip(vectors, packed):
+        histogram = reference_histogram(ct, values)
+        n, s = sum(histogram.values()), sum(v * k for v, k in histogram.items())
+        assert counts == (n, s, *(histogram[v] for v in range(4))), values
+        assert _count_sums(*counts) == reference_root_sums(histogram), values
+        big += n - sum(counts[2:])
+    assert big > 0 or ct.rank == 1
+
+
+def test_row_bound_comes_before_any_table(monkeypatch):
+    # 3^12 strata are listed; one more simple root is refused unbuilt
+    def table(ct):
+        assert ct.rank <= MAX_STRATA_RANK, "table built for a refused request"
+        return [(0, 0, 0, 0)]
+
+    monkeypatch.setattr(cohiggs.strata, "_factor_table", table)
+    for name in ("A12", "C6xD6", "E8xA2xA1xA1"):
+        strata_rows(parse_group(name))
+    for name in ("A13", "C7xD6+z1", "E8xA3xA2", "A127"):
+        g = parse_group(name)
+        with pytest.raises(ValueError, match=r"strata exceed the limit of 3\^12"):
+            strata_rows(g, (0,) * g.central_rank)
 
 
 def test_enumerate_strata_one_root_value_pass_per_record(monkeypatch):
@@ -165,15 +205,16 @@ def test_enumerate_strata_one_root_value_pass_per_record(monkeypatch):
 def test_factor_table_matches_checked_kernel(ct):
     # the packed pass agrees with pairing one root at a time
     expected = [
-        _root_sums(reference_histogram(ct, values))
+        reference_root_sums(reference_histogram(ct, values))
         for values in product(range(STABLE_BOUND + 1), repeat=ct.rank)
     ]
     assert list(cohiggs.strata._factor_table(ct)) == expected
 
 
 def test_highest_root_height_from_coxeter_number():
-    # the factor tables bound the highest root's value before building any
-    # roots, from its height h - 1 with h the number of roots over the rank
+    # the highest root comes last and has height h - 1, with h the Coxeter
+    # number: the number of roots over the rank (Bourbaki, ch. VI, 1.11,
+    # prop. 31)
     types = [CartanType(f, n) for f, lo in zip("ABCD", (1, 2, 2, 3)) for n in range(lo, 21)]
     types += [CartanType(f, n) for f, n in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
     for ct in types:
