@@ -125,17 +125,17 @@ def _strata_layout(fmt: str, rank: int) -> tuple[str, str, str, str]:
     """Head, row template, row separator and tail of the strata table.
 
     A row of a group of semisimple ``rank`` fills the template with its
-    simple-root values, its three dimensions and "true" or "false".  JSON is
-    laid out as ``_emit_json`` prints the rows as dicts, whose keys are
-    already in sorted order; a CSV cell is quoted, as ``csv.writer`` does,
-    when it holds a comma.
+    simple-root values, its three dimensions and "true" or "false".  The
+    JSON row is ``_json_text`` of a row dict of quoted placeholders, then
+    unquoted; a CSV cell is quoted, as ``csv.writer`` does, when it holds a
+    comma.
     """
     values = ",".join(["%d"] * rank)
     cells = ("%d", "%d", "%d", "%s")
     if fmt == "json":
-        a = "[\n      " + values.replace(",", ",\n      ") + "\n    ]" if rank else "[]"
-        row = ",\n".join(f'    "{c}": {t}' for c, t in zip(_STRATA_COLUMNS, (a, *cells)))
-        return "[", "\n  {\n" + row + "\n  }", ",", "\n]\n"
+        row = _json_text(dict(zip(_STRATA_COLUMNS, (["%d"] * rank, *cells))), "\n  ")
+        row = row.replace('"%d"', "%d").replace('"%s"', "%s")
+        return "[", "\n  " + row, ",", "\n]\n"
     if fmt == "csv":
         a = f'"{values}"' if rank > 1 else values
         return ",".join(_STRATA_COLUMNS) + "\n", ",".join((a, *cells)) + "\n", "", ""

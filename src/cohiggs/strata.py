@@ -2,25 +2,23 @@
 
 Fixing the topological degree leaves finitely many allowed types: every
 simple-root value must lie in {0, 1, 2}.  Each stratum is the space of
-fields on the corresponding bundle modulo its automorphisms.  All three
-dimensions are sums of section counts over the root spaces.  Each root's
-term is piecewise linear in its value, with breakpoints at 0 to 3, so a
-factor's sums depend only on six counts: its positive roots, the sum of
-their values and how many have value 0, 1, 2 and 3 (``_count_sums``).
-The root values of a type are the disjoint union of those of its simple
-factors, so in ``strata_rows`` every sum, and both closed forms, add up
-per-factor sums, read off a table computed once per simple type per
-process, cached like the root systems.  A single type asked for on its
-own counts the values of ``all_root_values``, which builds no roots for
-the classical families.  The closed forms are asserted against the sums
-on the group totals of every type; the generic stratum (type zero) always
-has dimension twice the group dimension.
-
-The field-space sum takes the consistent closed form on counts: a root
-pair contributes 6 sections up to value 3 and ``6 + (value - 3)`` past it.
-The tempting variant with ``value + 3`` in place of ``value - 3`` is wrong
-(it disagrees with the stratum formula by six per large root), and the
-test suite pins the discrepancy.
+fields on the corresponding bundle modulo its automorphisms, so its
+dimension is the field dimension less the automorphism dimension, both
+sums of section counts over the root spaces.  A root pair of value
+``v >= 0`` has ``v + 3`` field sections on the positive root and
+``max(0, 3 - v)`` on the negative one: 6 up to value 3 and ``6 + (v - 3)``
+past it (the tempting ``v + 3`` there overcounts by six per large root,
+and the test suite pins the discrepancy).  So a factor's two sums depend
+only on five counts: its positive roots, the sum of their values and how
+many have value 0, 1 and 2 (``_count_sums``).  The root values of a type
+are the disjoint union of those of its simple factors, so ``strata_rows``
+adds up per-factor sums, read off a table computed once per simple type
+per process, cached like the root systems.  A single type asked for on
+its own counts the values of ``all_root_values``.  The paper's
+formulas for the automorphism and stratum dimensions are checked against
+per-root sums in ``tests/test_strata.py`` (``reference_dimensions`` and
+``test_automorphism_forms_agree_on_big_sweep``) and by acceptance
+criterion 05.  The generic stratum has twice the group dimension.
 """
 
 from __future__ import annotations
@@ -50,51 +48,35 @@ class StratumRecord:
     is_generic: bool
 
 
-RootSums = tuple[int, int, int, int]
+RootSums = tuple[int, int]
 
 # strata_rows refuses a group with more strata than this, before any work
 MAX_STRATA_RANK = 12
 
 
-def _count_sums(n: int, s: int, n0: int, n1: int, n2: int, n3: int) -> RootSums:
-    """The root terms of the four sums ``_totals`` adds up, from six counts.
+def _count_sums(n: int, s: int, n0: int, n1: int, n2: int) -> RootSums:
+    """The root terms of the two sums ``_totals`` adds up, from five counts.
 
-    In order: field sections, automorphisms, the automorphism closed form
-    and the stratum closed form's deficit, over ``n`` positive roots with
-    values summing to ``s``, of which ``n0`` .. ``n3`` have value 0 .. 3.
-    Each positive root, of value ``v >= 0``, is counted together with its
-    negative, of value ``-v``, and every term is piecewise linear in ``v``
-    with breakpoints at 0 to 3: the pair has ``6`` field sections up to
-    value 3 and ``6 + (v - 3)`` past it, ``v + 1`` automorphisms plus one
-    more at value 0, ``v - 1`` in the closed form past value 1 and a
-    deficit of ``v - 1`` at values 2 and 3 and of 2 past them.
+    Field sections and automorphisms, over ``n`` positive roots with values
+    summing to ``s``, of which ``n0`` .. ``n2`` have value 0 .. 2.  Each
+    positive root, of value ``v >= 0``, is counted together with its
+    negative, of value ``-v``: the pair has ``(v + 3) + max(0, 3 - v)``
+    field sections and ``v + 1`` automorphisms plus one more at value 0.
     """
-    big = n - n0 - n1 - n2 - n3  # roots of value above 3
-    return (
-        6 * n + (s - n1 - 2 * n2 - 3 * n3) - 3 * big,
-        s + n + n0,
-        s - n + n0,
-        2 * big + n2 + 2 * n3,
-    )
+    return 3 * n + s + 3 * n0 + 2 * n1 + n2, n + s + n0
 
 
-def _totals(rank: int, dim: int, sums: tuple[RootSums, ...]) -> tuple[int, int, int]:
+def _totals(rank: int, sums: tuple[RootSums, ...]) -> tuple[int, int, int]:
     """Field-space, automorphism and stratum dimensions, in that order.
 
-    All three, and both closed forms asserted against them, add up the
-    root ``sums`` and terms from the ``rank`` and ``dim`` of the group.
+    The first two add up the root ``sums`` and the torus terms of a group
+    of ``rank``; the stratum is their difference.
     """
-    fields, aut, closed, deficit = 3 * rank, rank, dim, 0
-    for f, a, c, d in sums:
+    fields, aut = 3 * rank, rank
+    for f, a in sums:
         fields += f
         aut += a
-        closed += c
-        deficit += d
-    assert aut == closed, f"BUG: automorphism forms disagree: {aut} != {closed}"
-    stratum = fields - aut
-    closed = 2 * dim - deficit
-    assert stratum == closed, f"BUG: stratum forms disagree: {stratum} != {closed}"
-    return fields, aut, stratum
+    return fields, aut, fields - aut
 
 
 def _dimensions(group: ReductiveGroup, hn: HNType) -> tuple[int, int, int]:
@@ -102,9 +84,8 @@ def _dimensions(group: ReductiveGroup, hn: HNType) -> tuple[int, int, int]:
     require_dominant(group, hn)
     # each positive root comes before its negative
     positive = all_root_values(group, hn)[::2]
-    counts = map(positive.count, range(4))
-    sums = _count_sums(len(positive), sum(positive), *counts)
-    return _totals(group.rank, group.dim, (sums,))
+    counts = map(positive.count, range(3))
+    return _totals(group.rank, (_count_sums(len(positive), sum(positive), *counts),))
 
 
 def dim_cohiggs_space(group: ReductiveGroup, hn: HNType) -> int:
@@ -121,8 +102,9 @@ def dim_automorphisms(group: ReductiveGroup, hn: HNType) -> int:
     """Dimension of the automorphism group of the bundle.
 
     One per torus direction plus ``value + 1`` for each root with
-    nonnegative value.  The equivalent form dim(G) + sum of (value - 1) over
-    roots with value > 1 is evaluated too and asserted equal.
+    nonnegative value.  ``reference_dimensions`` in the tests and acceptance
+    criterion 05 check the equivalent form dim(G) + sum of (value - 1) over
+    roots with value > 1 against it.
     """
     return _dimensions(group, hn)[1]
 
@@ -130,9 +112,10 @@ def dim_automorphisms(group: ReductiveGroup, hn: HNType) -> int:
 def dim_stratum(group: ReductiveGroup, hn: HNType) -> int:
     """Stratum dimension: fields minus automorphisms.
 
-    The closed form 2 dim(G) - 2 #{value > 3} - sum of (value - 1) over
-    1 < value <= 3 is asserted against the subtraction (the automorphisms
-    act freely on a generic field, so dimensions subtract).
+    The automorphisms act freely on a generic field, so dimensions
+    subtract.  ``reference_dimensions`` in the tests and acceptance
+    criterion 05 check the form 2 dim(G) - 2 #{value > 3} - sum of
+    (value - 1) over 1 < value <= 3 against the subtraction.
     """
     return _dimensions(group, hn)[2]
 
@@ -149,14 +132,15 @@ def _packed_sums(columns: list[int], weights: list[int]) -> list[tuple[int, int]
 
 @functools.lru_cache(maxsize=None)
 def _factor_table(ct: CartanType) -> tuple[RootSums, ...]:
-    """``_count_sums`` of every value vector of one factor in the strata range.
+    """The two root sums of every value vector of one factor in the strata range.
 
     One entry per vector of ``product(range(STABLE_BOUND + 1), repeat=rank)``,
     in that order.  Column i packs the i-th coefficients of the positive
     roots into one integer, byte k for the k-th root, so ``sum(v_i *
     column_i)`` holds the values of all roots at once, and ``bytes.count``
-    reads off how many have value 0 to 3.  The value sum is the vector
-    paired with the column sums of the coefficients.  A vector is split
+    reads off how many have value 0 to 2.  The value sum is the vector
+    paired with the column sums of the coefficients; with the root count
+    these are the five counts ``_count_sums`` takes.  A vector is split
     into two halves, each half's packed sums built once.  Coefficients are
     nonnegative, so the highest root at the all-bound vector has the
     largest value; while that fits in a byte, no byte carries into the
@@ -178,7 +162,7 @@ def _factor_table(ct: CartanType) -> tuple[RootSums, ...]:
         for x, s in outer:
             for y, t in inner:
                 count = (x + y).to_bytes(n, "little").count
-                yield _count_sums(n, s + t, count(0), count(1), count(2), count(3))
+                yield _count_sums(n, s + t, count(0), count(1), count(2))
 
     return tuple(rows())
 
@@ -201,13 +185,13 @@ def strata_rows(
             f"{group}: 3^{group.semisimple_rank} strata exceed the limit of "
             f"3^{MAX_STRATA_RANK}"
         )
-    rank, dim = group.rank, group.dim
+    rank = group.rank
     # both products step the last factor's last value fastest, so they
     # visit the types in the same order
     flats = product(range(STABLE_BOUND + 1), repeat=group.semisimple_rank)
     tables = product(*map(_factor_table, group.simple_factors))
     return (
-        (flat, *_totals(rank, dim, sums), not any(flat))
+        (flat, *_totals(rank, sums), not any(flat))
         for flat, sums in zip(flats, tables)
     )
 

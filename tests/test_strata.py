@@ -78,11 +78,17 @@ def test_zero_type_dimensions_scale_with_group_dimension():
 
 
 def test_automorphism_forms_agree_on_big_sweep():
-    # the direct sum and the closed form are asserted equal internally
+    # the paper's closed forms, one pass over the per-root values, against
+    # the sums from counts; values up to 5 pass every breakpoint
     for ct in SWEEP_TYPES:
         g = ReductiveGroup((ct,))
         for values in product(range(6), repeat=ct.rank):
-            dim_automorphisms(g, HNType((values,)))
+            hn = HNType((values,))
+            signed = per_root_values(g, hn)
+            aut_closed = g.dim + sum(v - 1 for v in signed if v > 1)
+            stratum_closed = 2 * g.dim - sum(min(v - 1, 2) for v in signed if v > 1)
+            assert dim_automorphisms(g, hn) == aut_closed, (ct, values)
+            assert dim_stratum(g, hn) == stratum_closed, (ct, values)
 
 
 def reference_dimensions(g, hn):
@@ -119,20 +125,23 @@ def reference_histogram(ct, values):
     return Counter(signed[::2])  # each positive root comes before its negative
 
 
+def reference_counts(positive):
+    """The five counts ``_count_sums`` takes, from a positive-root histogram."""
+    n, s = sum(positive.values()), sum(v * k for v, k in positive.items())
+    return n, s, positive[0], positive[1], positive[2]
+
+
 def reference_root_sums(positive):
-    """Slow reference for ``_count_sums``: the four root sums, value by value.
+    """Slow reference for ``_count_sums``: the two root sums, value by value.
 
     ``positive`` counts the values of positive roots; each, of value
     ``v >= 0``, is counted together with its negative, of value ``-v``.
     """
-    fields = aut = closed = deficit = 0
+    fields = aut = 0
     for v, n in positive.items():
         fields += n * ((v + 3) + max(0, -v + 3))
         aut += n * ((v + 1) + (v == 0))
-        if v > 1:
-            closed += n * (v - 1)
-            deficit += n * (2 if v > 3 else v - 1)
-    return fields, aut, closed, deficit
+    return fields, aut
 
 
 @pytest.mark.parametrize(
@@ -140,29 +149,28 @@ def reference_root_sums(positive):
 )
 def test_root_value_histogram_matches_reference_exhaustively(ct, monkeypatch):
     # the packed pass of the factor tables, run uncached over the values
-    # 0..3 and kept as its six counts, agrees with pairing one root at a
-    # time; past rank 1 values above 3 occur, so every branch of the sums
-    # is reached
+    # 0..3 and kept as its five counts, agrees with pairing one root at a
+    # time; values 3 and, past rank 1, above 3 occur, so the sums from
+    # counts are checked past every breakpoint
     monkeypatch.setattr(cohiggs.strata, "STABLE_BOUND", 3)
     monkeypatch.setattr(cohiggs.strata, "_count_sums", lambda *counts: counts)
     packed = cohiggs.strata._factor_table.__wrapped__(ct)
     vectors = list(product(range(4), repeat=ct.rank))
     assert len(packed) == len(vectors)
-    big = 0
+    top = 0
     for values, counts in zip(vectors, packed):
         histogram = reference_histogram(ct, values)
-        n, s = sum(histogram.values()), sum(v * k for v, k in histogram.items())
-        assert counts == (n, s, *(histogram[v] for v in range(4))), values
+        assert counts == reference_counts(histogram), values
         assert _count_sums(*counts) == reference_root_sums(histogram), values
-        big += n - sum(counts[2:])
-    assert big > 0 or ct.rank == 1
+        top = max(top, *histogram)
+    assert top > 3 or top == 3 == 3 * ct.rank
 
 
 def test_row_bound_comes_before_any_table(monkeypatch):
     # 3^12 strata are listed; one more simple root is refused unbuilt
     def table(ct):
         assert ct.rank <= MAX_STRATA_RANK, "table built for a refused request"
-        return [(0, 0, 0, 0)]
+        return [(0, 0)]
 
     monkeypatch.setattr(cohiggs.strata, "_factor_table", table)
     for name in ("A12", "C6xD6", "E8xA2xA1xA1"):
@@ -203,11 +211,13 @@ def test_enumerate_strata_one_root_value_pass_per_record(monkeypatch):
     ids=str,
 )
 def test_factor_table_matches_checked_kernel(ct):
-    # the packed pass agrees with pairing one root at a time
-    expected = [
-        reference_root_sums(reference_histogram(ct, values))
-        for values in product(range(STABLE_BOUND + 1), repeat=ct.rank)
-    ]
+    # the packed pass agrees with pairing one root at a time, and so do the
+    # sums from the five counts of each vector
+    expected = []
+    for values in product(range(STABLE_BOUND + 1), repeat=ct.rank):
+        histogram = reference_histogram(ct, values)
+        expected.append(reference_root_sums(histogram))
+        assert _count_sums(*reference_counts(histogram)) == expected[-1], values
     assert list(cohiggs.strata._factor_table(ct)) == expected
 
 
