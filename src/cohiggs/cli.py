@@ -15,9 +15,9 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
 
 from .criterion import adjoint_splitting, evaluate_criterion
 from .glr import SplittingType, glr_admits_semistable, splitting_to_hn
@@ -47,12 +47,25 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _json_items(value, inner: str) -> Iterable[str]:
+    """The rendered items of a non-empty list, tuple or dict, one string
+    each, for the indent ``inner`` of its items."""
+    if isinstance(value, dict):
+        return (
+            f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+            for k, v in sorted(value.items())
+        )
+    if set(map(type, value)) == {int}:  # plain ints, not bools
+        return map(str, value)
+    return (_json_text(x, inner) for x in value)
+
+
 def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for the CLI payloads.
 
     With an indent ``json.dumps`` runs the pure-Python encoder, item by
-    item; here a list of plain ints (not bools) is one join, and strings,
-    ints and bools skip the encoder's set-up.
+    item; here a list of plain ints is one join, and strings, ints, bools
+    and empty containers skip the encoder's set-up.
     """
     kind = type(value)
     if kind is str:
@@ -61,24 +74,59 @@ def _json_text(value, indent: str = "\n") -> str:
         return str(value)
     if kind is bool:
         return "true" if value else "false"
-    if isinstance(value, (list, tuple, dict)) and value:
+    if isinstance(value, (list, tuple, dict)):
+        brackets = "{}" if isinstance(value, dict) else "[]"
+        if not value:
+            return brackets
         inner = indent + "  "
-        if isinstance(value, dict):
-            items = (
-                f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
-                for k, v in sorted(value.items())
-            )
-            return "{" + inner + ("," + inner).join(items) + indent + "}"
-        if set(map(type, value)) == {int}:  # plain ints, not bools
-            items = map(str, value)
-        else:
-            items = (_json_text(x, inner) for x in value)
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        items = ("," + inner).join(_json_items(value, inner))
+        return brackets[0] + inner + items + indent + brackets[1]
     return json.dumps(value)
 
 
+_JSON_CHUNK = 512  # list items per piece, and pieces per write
+
+
+def _in_pieces(value) -> bool:
+    return isinstance(value, dict) or isinstance(value, (list, tuple)) and len(value) > _JSON_CHUNK
+
+
+def _json_pieces(value, indent: str = "\n") -> Iterator[str]:
+    """``_json_text(value, indent)`` in pieces: a dict value by value, a
+    list of more than ``_JSON_CHUNK`` items that many items at a time, and
+    anything else whole."""
+    inner = indent + "  "
+    sep = "," + inner
+    if not (_in_pieces(value) and value):
+        yield _json_text(value, indent)
+    elif isinstance(value, dict):
+        yield "{"
+        lead = inner
+        for k, v in sorted(value.items()):
+            head = lead + encode_basestring_ascii(k) + ": "
+            lead = sep
+            if _in_pieces(v):
+                yield head
+                yield from _json_pieces(v, inner)
+            else:
+                yield head + _json_text(v, inner)
+        yield indent + "}"
+    else:
+        yield "["
+        for start in range(0, len(value), _JSON_CHUNK):
+            items = _json_items(value[start : start + _JSON_CHUNK], inner)
+            yield (sep if start else inner) + sep.join(items)
+        yield indent + "]"
+
+
 def _emit_json(payload) -> None:
-    print(_json_text(payload))
+    # written in bounded chunks: the adjoint degrees of a large group are
+    # millions of ints, tens of MB of text
+    pieces = _json_pieces(payload)
+    write = sys.stdout.write
+    while chunk := "".join(islice(pieces, _JSON_CHUNK)):
+        write(chunk)
+    write("\n")
 
 
 def _central(args, group) -> tuple[int, ...]:

@@ -13,8 +13,8 @@ consistency check against the rank-r gap criterion.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
+from .frozen import Frozen, set_slot
 from .glr import SplittingType
 from .lie import (
     HNType,
@@ -28,20 +28,31 @@ STABLE_BOUND = 2
 OBSTRUCTION_BOUND = 3
 
 
-@dataclass(frozen=True)
-class RootViolation:
+class RootViolation(Frozen):
     """A simple root whose value obstructs semistability."""
 
-    factor: int
-    root: int
-    value: int
+    __slots__ = ("factor", "root", "value")
+
+    def __init__(self, factor: int, root: int, value: int) -> None:
+        set_slot(self, "factor", factor)
+        set_slot(self, "root", root)
+        set_slot(self, "value", value)
 
 
-@dataclass(frozen=True)
-class CriterionReport:
-    admits_stable: bool
-    violating_roots: tuple[RootViolation, ...]
-    adjoint_degrees: SplittingType
+class CriterionReport(Frozen):
+    """The verdict on one HN type, its obstructing roots and adjoint splitting."""
+
+    __slots__ = ("admits_stable", "violating_roots", "adjoint_degrees")
+
+    def __init__(
+        self,
+        admits_stable: bool,
+        violating_roots: tuple[RootViolation, ...],
+        adjoint_degrees: SplittingType,
+    ) -> None:
+        set_slot(self, "admits_stable", admits_stable)
+        set_slot(self, "violating_roots", violating_roots)
+        set_slot(self, "adjoint_degrees", adjoint_degrees)
 
     def to_json_dict(self) -> dict:
         return {

@@ -11,16 +11,15 @@ field exactly when consecutive gaps never exceed 2.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable
 
+from .frozen import Frozen, set_slot
 from .lie import CartanType, HNType, ReductiveGroup, check_shapes
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(Frozen):
     """A weakly decreasing list of line-bundle degrees.
 
     The criterion is meaningless on unsorted degree lists, so the constructor
@@ -28,13 +27,13 @@ class SplittingType:
     ``TypeError``.
     """
 
-    degrees: tuple[int, ...]
+    __slots__ = ("degrees",)
 
-    def __post_init__(self) -> None:
-        degrees = sorted(map(operator.index, self.degrees), reverse=True)
+    def __init__(self, degrees: tuple[int, ...]) -> None:
+        degrees = sorted(map(operator.index, degrees), reverse=True)
         if not degrees:
             raise ValueError("a splitting type needs at least one summand")
-        object.__setattr__(self, "degrees", tuple(degrees))
+        set_slot(self, "degrees", tuple(degrees))
 
     @property
     def rank(self) -> int:

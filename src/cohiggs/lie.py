@@ -24,8 +24,9 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass
 from itertools import accumulate, combinations, starmap
+
+from .frozen import Frozen, set_slot
 
 # Per Cartan family: the smallest rank, the largest (None when unbounded)
 # and the Lie-algebra dimension, which also cross-checks root counts.
@@ -40,20 +41,20 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class CartanType:
+class CartanType(Frozen):
     """A simple Cartan type such as A3, C2 or E8."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown Cartan family {self.family!r}")
-        object.__setattr__(self, "rank", operator.index(self.rank))
-        lo, hi, _ = _FAMILIES[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise ValueError(f"rank {self.rank} invalid for family {self.family}")
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown Cartan family {family!r}")
+        rank = operator.index(rank)
+        lo, hi, _ = _FAMILIES[family]
+        if rank < lo or (hi is not None and rank > hi):
+            raise ValueError(f"rank {rank} invalid for family {family}")
+        set_slot(self, "family", family)
+        set_slot(self, "rank", rank)
 
     @property
     def dim(self) -> int:
@@ -139,18 +140,19 @@ def build_root_system(ct: CartanType) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(seen, key=lambda r: (sum(r), r)))
 
 
-@dataclass(frozen=True)
-class ReductiveGroup:
+class ReductiveGroup(Frozen):
     """A connected reductive group: simple factors plus a central torus."""
 
-    simple_factors: tuple[CartanType, ...] = ()
-    central_rank: int = 0
+    __slots__ = ("simple_factors", "central_rank")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "central_rank", operator.index(self.central_rank))
-        if self.central_rank < 0:
+    def __init__(
+        self, simple_factors: tuple[CartanType, ...] = (), central_rank: int = 0
+    ) -> None:
+        central_rank = operator.index(central_rank)
+        if central_rank < 0:
             raise ValueError("central rank must be nonnegative")
-        object.__setattr__(self, "simple_factors", tuple(self.simple_factors))
+        set_slot(self, "simple_factors", tuple(simple_factors))
+        set_slot(self, "central_rank", central_rank)
 
     @property
     def rank(self) -> int:
@@ -171,8 +173,7 @@ class ReductiveGroup:
         return factors
 
 
-@dataclass(frozen=True)
-class HNType:
+class HNType(Frozen):
     """A Harder-Narasimhan type: a cocharacter through its simple-root values.
 
     ``simple_values[k][i]`` is the pairing of the i-th simple root of the k-th
@@ -182,13 +183,16 @@ class HNType:
     A value that is not an integer raises ``TypeError``, never truncates.
     """
 
-    simple_values: tuple[tuple[int, ...], ...] = ()
-    central_degrees: tuple[int, ...] = ()
+    __slots__ = ("simple_values", "central_degrees")
 
-    def __post_init__(self) -> None:
-        values = tuple(tuple(map(operator.index, v)) for v in self.simple_values)
-        object.__setattr__(self, "simple_values", values)
-        object.__setattr__(self, "central_degrees", tuple(map(operator.index, self.central_degrees)))
+    def __init__(
+        self,
+        simple_values: tuple[tuple[int, ...], ...] = (),
+        central_degrees: tuple[int, ...] = (),
+    ) -> None:
+        values = tuple(tuple(map(operator.index, v)) for v in simple_values)
+        set_slot(self, "simple_values", values)
+        set_slot(self, "central_degrees", tuple(map(operator.index, central_degrees)))
 
     @classmethod
     def from_flat(

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence
 
+from .frozen import Frozen, set_slot
 from .glr import SplittingType, glr_admits_semistable, hom_degree, hom_space_dim
 from .poly import HomogPoly, PrimeField, gcd_many, random_nonzero_poly, random_poly
 
@@ -57,7 +57,7 @@ def _check_form(p: HomogPoly, field: PrimeField, want: int, what: str) -> HomogP
     negative degree is a zero space: it takes any form without coefficients,
     such as ``HomogPoly.zero(field)``, and stores the zero of degree ``want``.
     """
-    if p.field != field:
+    if p.field is not field and p.field != field:
         raise ValueError(f"{what} is over {p.field}, expected {field}")
     if p.degree == want:
         return p
@@ -68,17 +68,19 @@ def _check_form(p: HomogPoly, field: PrimeField, want: int, what: str) -> HomogP
     return HomogPoly.zero(field, want)
 
 
-@dataclass(frozen=True)
-class CoHiggsMatrix:
+class CoHiggsMatrix(Frozen):
     """A co-Higgs field as a matrix of forms with the entrywise degrees."""
 
-    splitting: SplittingType
-    field: PrimeField
-    entries: tuple[tuple[HomogPoly, ...], ...]
+    __slots__ = ("splitting", "field", "entries")
 
-    def __post_init__(self) -> None:
-        r = self.splitting.rank
-        entries = tuple(tuple(row) for row in self.entries)
+    def __init__(
+        self,
+        splitting: SplittingType,
+        field: PrimeField,
+        entries: tuple[tuple[HomogPoly, ...], ...],
+    ) -> None:
+        r = splitting.rank
+        entries = tuple(tuple(row) for row in entries)
         if len(entries) != r or any(len(row) != r for row in entries):
             raise ValueError(f"expected an {r} x {r} entry grid")
         # copied only when a zero space stores another form than the one
@@ -86,14 +88,16 @@ class CoHiggsMatrix:
         grid = None
         for i, row in enumerate(entries):
             for j, p in enumerate(row):
-                q = _check_form(p, self.field, hom_degree(self.splitting, i, j), f"entry ({i}, {j})")
+                q = _check_form(p, field, hom_degree(splitting, i, j), f"entry ({i}, {j})")
                 if q is not p:
                     if grid is None:
                         grid = list(map(list, entries))
                     grid[i][j] = q
         if grid is not None:
             entries = tuple(map(tuple, grid))
-        object.__setattr__(self, "entries", entries)
+        set_slot(self, "splitting", splitting)
+        set_slot(self, "field", field)
+        set_slot(self, "entries", entries)
 
     @property
     def rank(self) -> int:
@@ -277,18 +281,26 @@ def enumerate_line_subbundles(
                 yield line
 
 
-@dataclass(frozen=True)
-class OracleWitness:
+class OracleWitness(Frozen):
     """A destabilizing invariant subbundle found by the oracle.
 
     For ``rank == 2`` the subbundle was detected on the dual splitting as an
     invariant annihilator line, recorded in ``dual_sections``.
     """
 
-    rank: int
-    degree: int
-    sections: tuple[str, ...] = ()
-    dual_sections: tuple[str, ...] = ()
+    __slots__ = ("rank", "degree", "sections", "dual_sections")
+
+    def __init__(
+        self,
+        rank: int,
+        degree: int,
+        sections: tuple[str, ...] = (),
+        dual_sections: tuple[str, ...] = (),
+    ) -> None:
+        set_slot(self, "rank", rank)
+        set_slot(self, "degree", degree)
+        set_slot(self, "sections", sections)
+        set_slot(self, "dual_sections", dual_sections)
 
     def to_json_dict(self) -> dict:
         out: dict = {"rank": self.rank, "degree": self.degree}
@@ -299,13 +311,24 @@ class OracleWitness:
         return out
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
-    passes: bool
-    mode: str
-    field_name: str
-    slope: Fraction
-    witnesses: tuple[OracleWitness, ...] = ()
+class OracleVerdict(Frozen):
+    """PASSES or FAILS, with the mode, field, slope and any witnesses."""
+
+    __slots__ = ("passes", "mode", "field_name", "slope", "witnesses")
+
+    def __init__(
+        self,
+        passes: bool,
+        mode: str,
+        field_name: str,
+        slope: Fraction,
+        witnesses: tuple[OracleWitness, ...] = (),
+    ) -> None:
+        set_slot(self, "passes", passes)
+        set_slot(self, "mode", mode)
+        set_slot(self, "field_name", field_name)
+        set_slot(self, "slope", slope)
+        set_slot(self, "witnesses", witnesses)
 
     @property
     def verdict(self) -> str:

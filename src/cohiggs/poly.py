@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
+
+from .frozen import Frozen, set_slot
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -57,16 +58,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Frozen):
     """The field with p elements, p prime; elements are ints in [0, p)."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", operator.index(self.p))
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int) -> None:
+        p = operator.index(p)
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        set_slot(self, "p", p)
 
     @property
     def name(self) -> str:
@@ -81,8 +82,7 @@ class PrimeField:
         return self.name
 
 
-@dataclass(frozen=True)
-class HomogPoly:
+class HomogPoly(Frozen):
     """A homogeneous form in two variables over a prime field.
 
     ``coeffs`` has length ``degree + 1`` (empty at every negative degree),
@@ -91,21 +91,21 @@ class HomogPoly:
     degree or coefficient that is not an integer raises ``TypeError``.
     """
 
-    field: PrimeField
-    degree: int
-    coeffs: tuple
+    __slots__ = ("field", "degree", "coeffs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degree", operator.index(self.degree))
-        p = self.field.p
-        coeffs = tuple(operator.index(c) % p for c in self.coeffs)
+    def __init__(self, field: PrimeField, degree: int, coeffs: tuple) -> None:
+        degree = operator.index(degree)
+        p = field.p
+        coeffs = tuple([operator.index(c) % p for c in coeffs])
         # a negative degree has no coefficients, not degree + 1 of them
-        if len(coeffs) != self.degree + 1 and (coeffs or self.degree >= 0):
+        if len(coeffs) != degree + 1 and (coeffs or degree >= 0):
             raise ValueError(
-                f"degree {self.degree} needs {max(self.degree + 1, 0)} "
+                f"degree {degree} needs {max(degree + 1, 0)} "
                 f"coefficients, got {len(coeffs)}"
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        set_slot(self, "field", field)
+        set_slot(self, "degree", degree)
+        set_slot(self, "coeffs", coeffs)
 
     @classmethod
     def zero(cls, field: PrimeField, degree: int = -1) -> "HomogPoly":
@@ -147,7 +147,7 @@ class HomogPoly:
         return HomogPoly(self.field, self.degree, tuple(c * a for a in self.coeffs))
 
     def _check_field(self, other: "HomogPoly") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError(f"mixed fields {self.field} and {other.field}")
 
     @property

@@ -10,26 +10,25 @@ C_r criterion with the doubled (long-root) slot last.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
+from .frozen import Frozen, set_slot
 from .lie import CartanType, HNType, ReductiveGroup
 
 
-@dataclass(frozen=True)
-class SymplecticSplitting:
+class SymplecticSplitting(Frozen):
     """Weakly decreasing, nonnegative half-degrees e_1 >= ... >= e_r >= 0."""
 
-    half_degrees: tuple[int, ...]
+    __slots__ = ("half_degrees",)
 
-    def __post_init__(self) -> None:
-        e = tuple(map(operator.index, self.half_degrees))
+    def __init__(self, half_degrees: tuple[int, ...]) -> None:
+        e = tuple(map(operator.index, half_degrees))
         if not e:
             raise ValueError("need at least one half-degree")
         if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
             raise ValueError("half-degrees must be weakly decreasing")
         if e[-1] < 0:
             raise ValueError("half-degrees must be nonnegative")
-        object.__setattr__(self, "half_degrees", e)
+        set_slot(self, "half_degrees", e)
 
     @property
     def r(self) -> int:

@@ -561,6 +561,37 @@ def test_json_text_matches_json_dumps(capsys, monkeypatch, argv):
     assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
+class _Writes:
+    def __init__(self):
+        self.parts = []
+
+    def write(self, s):
+        self.parts.append(s)
+        return len(s)
+
+
+@pytest.mark.parametrize("chunk", [4, cohiggs.cli._JSON_CHUNK])
+def test_emit_json_writes_long_lists_in_chunks(monkeypatch, chunk):
+    # lists longer than one chunk, at the top and nested in a dict, next to
+    # values that are written whole; the text is the indented encoder's
+    monkeypatch.setattr(cohiggs.cli, "_JSON_CHUNK", chunk)
+    n = 3 * chunk + 1
+    payload = {
+        "degrees": list(range(n, -n, -1)),
+        "nested": {"ints": list(range(n)), "mixed": [True, 2, "x", [], {}] * n},
+        "short": [1, 2],
+        "empty": {},
+        "flag": False,
+    }
+    out = _Writes()
+    monkeypatch.setattr(cohiggs.cli.sys, "stdout", out)
+    cohiggs.cli._emit_json(payload)
+    assert "".join(out.parts) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # each write holds at most chunk pieces of at most chunk lines
+    assert max(part.count("\n") for part in out.parts) <= chunk * chunk
+    assert len(out.parts) > 2 if chunk == 4 else len(out.parts) == 2
+
+
 def test_model_field_gap_error(capsys):
     code, _, err = run(capsys, "model-field", "--splitting", "3,0", "--prime", "5")
     assert code == 1

@@ -1,0 +1,156 @@
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from cohiggs import (
+    CartanType,
+    CoHiggsMatrix,
+    CriterionReport,
+    HNType,
+    HomogPoly,
+    OracleVerdict,
+    OracleWitness,
+    PrimeField,
+    ReductiveGroup,
+    RootViolation,
+    SplittingType,
+    StratumRecord,
+    SymplecticSplitting,
+    build_root_system,
+    evaluate_criterion,
+    parse_group,
+    zero_field,
+)
+from cohiggs.frozen import Frozen
+
+F5 = PrimeField(5)
+
+
+def _instances():
+    # one instance per value type, each built afresh on every call
+    return [
+        CartanType("A", 2),
+        ReductiveGroup((CartanType("C", 3), CartanType("A", 1)), 2),
+        HNType(((1, 2),), (3,)),
+        SplittingType((1, 0)),
+        SymplecticSplitting((2, 1)),
+        PrimeField(5),
+        HomogPoly(PrimeField(5), 1, (1, 7)),
+        zero_field(SplittingType((0, -1)), PrimeField(5)),
+        OracleWitness(rank=1, degree=0, sections=("1", "x")),
+        OracleVerdict(
+            False, "stable", "F5", Fraction(1, 2), (OracleWitness(2, 1, dual_sections=("y",)),)
+        ),
+        RootViolation(0, 1, 3),
+        evaluate_criterion(parse_group("A1"), HNType(((3,),))),
+        StratumRecord(HNType(((0,),)), 6, 4, 2, True),
+    ]
+
+
+def _zero(d):
+    return f"HomogPoly(field=PrimeField(p=5), degree={d}, coeffs={(0,) * (d + 1)})"
+
+
+# the reprs the frozen dataclasses printed for the same instances
+PINNED_REPRS = [
+    "CartanType(family='A', rank=2)",
+    "ReductiveGroup(simple_factors=(CartanType(family='C', rank=3), "
+    "CartanType(family='A', rank=1)), central_rank=2)",
+    "HNType(simple_values=((1, 2),), central_degrees=(3,))",
+    "SplittingType(degrees=(1, 0))",
+    "SymplecticSplitting(half_degrees=(2, 1))",
+    "PrimeField(p=5)",
+    "HomogPoly(field=PrimeField(p=5), degree=1, coeffs=(1, 2))",
+    "CoHiggsMatrix(splitting=SplittingType(degrees=(0, -1)), field=PrimeField(p=5), "
+    f"entries=(({_zero(2)}, {_zero(3)}), ({_zero(1)}, {_zero(2)})))",
+    "OracleWitness(rank=1, degree=0, sections=('1', 'x'), dual_sections=())",
+    "OracleVerdict(passes=False, mode='stable', field_name='F5', slope=Fraction(1, 2), "
+    "witnesses=(OracleWitness(rank=2, degree=1, sections=(), dual_sections=('y',)),))",
+    "RootViolation(factor=0, root=1, value=3)",
+    "CriterionReport(admits_stable=False, violating_roots=(RootViolation(factor=0, root=0, "
+    "value=3),), adjoint_degrees=SplittingType(degrees=(3, 0, -3)))",
+    "StratumRecord(hn=HNType(simple_values=((0,),), central_degrees=()), dim_cohiggs=6, "
+    "dim_aut=4, dim_stratum=2, is_generic=True)",
+]
+
+IDS = [type(obj).__name__ for obj in _instances()]
+
+
+def _fields(obj):
+    return tuple(getattr(obj, name) for name in obj.__slots__)
+
+
+def test_every_value_type_is_pinned():
+    assert len(set(IDS)) == len(IDS) == 13
+    assert all(isinstance(obj, Frozen) for obj in _instances())
+
+
+@pytest.mark.parametrize("index", range(len(IDS)), ids=IDS)
+def test_repr_matches_the_dataclass_repr(index):
+    assert repr(_instances()[index]) == PINNED_REPRS[index]
+
+
+@pytest.mark.parametrize("index", range(len(IDS)), ids=IDS)
+def test_equal_instances_are_equal_with_equal_hashes(index):
+    a, b = _instances()[index], _instances()[index]
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(_fields(a))
+
+
+@pytest.mark.parametrize("index", range(len(IDS)), ids=IDS)
+def test_constructor_takes_the_fields_in_slot_order(index):
+    obj = _instances()[index]
+    cls, values = type(obj), _fields(obj)
+    assert cls(*values) == obj
+    assert cls(**dict(zip(obj.__slots__, values))) == obj
+
+
+@pytest.mark.parametrize("index", range(len(IDS)), ids=IDS)
+def test_assignment_and_deletion_raise(index):
+    obj = _instances()[index]
+    for name in obj.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.extra = None
+    assert repr(obj) == PINNED_REPRS[index]
+
+
+@pytest.mark.parametrize("index", range(len(IDS)), ids=IDS)
+def test_copies_and_pickles_are_equal(index):
+    obj = _instances()[index]
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj) and twin == obj
+
+
+def test_equality_needs_the_same_class():
+    assert SplittingType((1, 0)) != (1, 0)
+    assert SplittingType((1, 0)) != SymplecticSplitting((1, 0))
+    assert PrimeField(5) != 5
+    assert RootViolation(0, 1, 3) != (0, 1, 3)
+    assert CartanType("A", 2) != CartanType("A", 3)
+    assert HomogPoly(F5, 1, (1, 2)) != HomogPoly(F5, 1, (1, 3))
+    assert HomogPoly(F5, 1, (1, 2)) == HomogPoly(PrimeField(5), 1, (6, 7))
+
+
+def test_defaults_and_keywords():
+    assert ReductiveGroup() == ReductiveGroup((), 0)
+    assert ReductiveGroup(central_rank=1) == parse_group("+z1")
+    assert HNType() == HNType((), ())
+    assert HNType(central_degrees=[2]).central_degrees == (2,)
+    witness = OracleWitness(rank=1, degree=-1, sections=("x", "y"))
+    assert witness.dual_sections == ()
+    assert witness == OracleWitness(1, -1, ("x", "y"), ())
+    verdict = OracleVerdict(passes=True, mode="semistable", field_name="F2", slope=Fraction(0))
+    assert verdict.witnesses == ()
+    assert HomogPoly(field=F5, degree=0, coeffs=(3,)) == HomogPoly(F5, 0, (3,))
+
+
+def test_root_systems_are_cached_by_value():
+    # lru_cache keys on the Cartan type's hash and equality
+    assert build_root_system(CartanType("E", 6)) is build_root_system(CartanType("E", 6))

@@ -1,4 +1,5 @@
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,3 +54,30 @@ def test_only_strata_packs_integers():
         if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "from_bytes")
     }
     assert packers == {"strata.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # importing dataclasses, and running its decorator, took most of the
+    # package's import time; the value types derive from frozen.Frozen
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "dataclasses" not in modules, path.name
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, since the test run itself has loaded both
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cohiggs, cohiggs.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(src)], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
