@@ -12,11 +12,7 @@ from .criterion import (
 )
 from .glr import (
     SplittingType,
-    enumerate_splitting_types,
-    glr_admits_semistable,
-    hn_to_splitting,
     hom_degree,
-    hom_space_dim,
     splitting_to_hn,
 )
 from .lie import (
@@ -36,12 +32,10 @@ from .oracle import (
     OracleWitness,
     apply_field,
     build_model_field,
-    enumerate_all_fields,
     enumerate_line_subbundles,
     is_invariant,
     random_field,
     semistability_oracle,
-    zero_field,
 )
 from .poly import HomogPoly, PrimeField
 from .strata import (
@@ -51,7 +45,7 @@ from .strata import (
     dim_stratum,
     enumerate_strata,
 )
-from .symplectic import SymplecticSplitting, sp_admits_stable, sp_to_hn
+from .symplectic import SymplecticSplitting, sp_to_hn
 
 __version__ = "0.1.0"
 
@@ -80,15 +74,10 @@ __all__ = [
     "dim_automorphisms",
     "dim_cohiggs_space",
     "dim_stratum",
-    "enumerate_all_fields",
     "enumerate_line_subbundles",
-    "enumerate_splitting_types",
     "enumerate_strata",
     "evaluate_criterion",
-    "glr_admits_semistable",
-    "hn_to_splitting",
     "hom_degree",
-    "hom_space_dim",
     "hom_vanishing_certificate",
     "is_dominant",
     "is_invariant",
@@ -96,8 +85,6 @@ __all__ = [
     "random_field",
     "semistability_oracle",
     "semistable_obstruction",
-    "sp_admits_stable",
     "sp_to_hn",
     "splitting_to_hn",
-    "zero_field",
 ]

@@ -19,13 +19,13 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
-from .criterion import adjoint_splitting, evaluate_criterion
-from .glr import SplittingType, glr_admits_semistable, splitting_to_hn
+from .criterion import adjoint_splitting, admits_stable_cohiggs, evaluate_criterion
+from .glr import SplittingType, splitting_to_hn
 from .lie import HNType, parse_group
 from .oracle import build_model_field, random_field, require_oracle_rank, semistability_oracle
 from .poly import PrimeField
 from .strata import strata_rows
-from .symplectic import SymplecticSplitting, sp_admits_stable, sp_to_hn
+from .symplectic import SymplecticSplitting, sp_to_hn
 
 USAGE_ERROR = 1
 FAILS_ERROR = 2
@@ -214,8 +214,8 @@ def _cmd_strata(args) -> int:
 
 def _cmd_glr_check(args) -> int:
     st = SplittingType(args.splitting)
-    ok = glr_admits_semistable(st)
     group, hn = splitting_to_hn(st)
+    ok = admits_stable_cohiggs(group, hn)
     if args.format == "json":
         _emit_json(
             {
@@ -235,8 +235,8 @@ def _cmd_glr_check(args) -> int:
 
 def _cmd_sp_check(args) -> int:
     ss = SymplecticSplitting(args.half_degrees)
-    ok = sp_admits_stable(ss)
     group, hn = sp_to_hn(ss)
+    ok = admits_stable_cohiggs(group, hn)
     if args.format == "json":
         _emit_json(
             {

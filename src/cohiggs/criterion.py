@@ -6,8 +6,8 @@ most 2, and any value of 3 or more rules out even a semistable field.  There
 is no intermediate band.  The obstruction comes with a vanishing certificate
 (every root space outside the offending maximal parabolic sits in a line
 bundle of degree at most -3, so twisting by the degree-2 tangent bundle
-leaves no sections), and the adjoint bundle's splitting type provides a
-consistency check against the rank-r gap criterion.
+leaves no sections).  The rank-r gap rule and the symplectic rule are this
+criterion on the data of ``splitting_to_hn`` and ``sp_to_hn``.
 """
 
 from __future__ import annotations
@@ -131,8 +131,9 @@ def adjoint_splitting(group: ReductiveGroup, hn: HNType) -> SplittingType:
     sorted weakly decreasing; the total degree is always zero.
     """
     require_dominant(group, hn)
-    values = all_root_values(group, hn) + [0] * group.rank
-    return SplittingType(tuple(values))
+    values = all_root_values(group, hn)
+    values += [0] * group.rank
+    return SplittingType(values)
 
 
 def evaluate_criterion(group: ReductiveGroup, hn: HNType) -> CriterionReport:

@@ -37,8 +37,9 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import product
 
+from .criterion import admits_stable_cohiggs
 from .frozen import Frozen, set_slot
-from .glr import SplittingType, glr_admits_semistable, hom_degree, hom_space_dim
+from .glr import SplittingType, hom_degree, splitting_to_hn
 from .poly import HomogPoly, PrimeField, gcd_many, random_nonzero_poly, random_poly
 
 ORACLE_MAX_RANK = 3
@@ -131,11 +132,6 @@ def _grid(st: SplittingType, field: PrimeField, entry) -> CoHiggsMatrix:
     return CoHiggsMatrix(st, field, entries)
 
 
-def zero_field(st: SplittingType, field: PrimeField) -> CoHiggsMatrix:
-    """The zero co-Higgs field."""
-    return _grid(st, field, lambda i, j, d: HomogPoly.zero(field, d))
-
-
 def _rng(kind: str, st: SplittingType, field: PrimeField, seed: int) -> random.Random:
     return random.Random(f"{kind}:{st}:{field.name}:{seed}")
 
@@ -148,7 +144,7 @@ def build_model_field(st: SplittingType, field: PrimeField, seed: int = 0) -> Co
     some subdiagonal space is zero and the construction is impossible.
     Deterministic per (splitting, field, seed).
     """
-    if not glr_admits_semistable(st):
+    if not admits_stable_cohiggs(*splitting_to_hn(st)):
         raise ValueError(
             f"splitting {st} has a gap above 2; a subdiagonal space is zero"
         )
@@ -509,19 +505,3 @@ def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
                 d, sections = hit
                 witnesses = (OracleWitness(rank=2, degree=st.degree + d, dual_sections=sections),)
     return OracleVerdict(not witnesses, mode, phi.field.name, mu, witnesses)
-
-
-def enumerate_all_fields(st: SplittingType, field: PrimeField) -> Iterator[CoHiggsMatrix]:
-    """Every co-Higgs matrix on a splitting over a prime field.
-
-    The iteration ranges over the structurally free coefficients only;
-    entries with negative degree stay zero.  Intended for small exhaustive
-    certification sweeps.
-    """
-    r = st.rank
-    slots = [hom_space_dim(st, i, j) for i in range(r) for j in range(r)]
-    # an entry in a zero space has no slots and contributes one empty tuple;
-    # the coefficient tuples are drawn in _grid's row-major order
-    for combo in product(*(product(range(field.p), repeat=n) for n in slots)):
-        coeffs = iter(combo)
-        yield _grid(st, field, lambda i, j, d: HomogPoly(field, d, next(coeffs)))

@@ -2,9 +2,10 @@
 
 A rank-2r symplectic bundle on the line splits with palindromic degrees
 (e_1, ..., e_r, -e_r, ..., -e_1); the half-degree list determines
-everything.  A stable co-Higgs field exists iff consecutive half-degree
-gaps stay at most 2 and the middle gap 2 e_r does as well -- which is the
-C_r criterion with the doubled (long-root) slot last.
+everything.  ``sp_to_hn`` reads it as C_r data whose simple-root values are
+the consecutive half-degree gaps and then the middle gap 2 e_r, the long
+root last, so ``admits_stable_cohiggs`` on that pair is the symplectic
+criterion: a stable co-Higgs field exists iff all r values are at most 2.
 """
 
 from __future__ import annotations
@@ -41,14 +42,10 @@ class SymplecticSplitting(Frozen):
         return e + tuple(-x for x in reversed(e))
 
     def gaps(self) -> tuple[int, ...]:
-        """The r gaps that decide stability, the last one being 2 e_r."""
+        """The simple-root values ``sp_to_hn`` assigns: the consecutive
+        half-degree gaps, then the middle gap 2 e_r."""
         e = self.half_degrees
         return tuple(e[i] - e[i + 1] for i in range(self.r - 1)) + (2 * e[-1],)
-
-
-def sp_admits_stable(ss: SymplecticSplitting) -> bool:
-    """True iff all r gaps (including the doubled middle one) are <= 2."""
-    return all(g <= 2 for g in ss.gaps())
 
 
 def sp_to_hn(ss: SymplecticSplitting) -> tuple[ReductiveGroup, HNType]:
@@ -56,8 +53,5 @@ def sp_to_hn(ss: SymplecticSplitting) -> tuple[ReductiveGroup, HNType]:
 
     Rank 1 folds to A_1 with the doubled value, since Sp(2) = SL(2).
     """
-    if ss.r == 1:
-        group = ReductiveGroup((CartanType("A", 1),))
-        return group, HNType(((2 * ss.half_degrees[0],),))
-    group = ReductiveGroup((CartanType("C", ss.r),))
-    return group, HNType((ss.gaps(),))
+    ct = CartanType("A", 1) if ss.r == 1 else CartanType("C", ss.r)
+    return ReductiveGroup((ct,)), HNType((ss.gaps(),))

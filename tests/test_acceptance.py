@@ -27,19 +27,21 @@ from cohiggs import (
     dim_automorphisms,
     dim_cohiggs_space,
     dim_stratum,
-    enumerate_all_fields,
-    enumerate_splitting_types,
     enumerate_strata,
-    glr_admits_semistable,
     hom_vanishing_certificate,
     parse_group,
     semistability_oracle,
     semistable_obstruction,
-    sp_admits_stable,
     sp_to_hn,
     splitting_to_hn,
 )
 from cohiggs.symplectic import SymplecticSplitting
+from reference import (
+    enumerate_all_fields,
+    enumerate_splitting_types,
+    glr_admits_semistable,
+    sp_admits_stable,
+)
 
 RANK_LE_4_TYPES = [
     CartanType("A", 1), CartanType("A", 2), CartanType("A", 3), CartanType("A", 4),

@@ -7,6 +7,7 @@ import json
 import signal
 import time
 import tracemalloc
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -324,6 +325,33 @@ def test_printed_group_parses_back(capsys, argv):
     assert parse_group(str(g)) == g
 
 
+def _check_corpus():
+    # glr-check on every weakly decreasing splitting of rank 1-5 in [-3, 3],
+    # sp-check on every half-degree list of rank 1-4 in [0, 4]
+    for r in range(1, 6):
+        for degrees in combinations_with_replacement(range(3, -4, -1), r):
+            yield "glr-check", "--splitting=" + ",".join(map(str, degrees))
+    for r in range(1, 5):
+        for half in combinations_with_replacement(range(4, -1, -1), r):
+            yield "sp-check", "--half-degrees=" + ",".join(map(str, half))
+
+
+def test_check_commands_output_pinned(capsys):
+    # sha256 over the text and JSON output of every corpus invocation, in
+    # order, recorded when glr-check and sp-check still took their verdicts
+    # from separate gap rules rather than from admits_stable_cohiggs
+    digest = hashlib.sha256()
+    count = 0
+    for argv in _check_corpus():
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, *argv, f"--format={fmt}")
+            assert (code, err) == (0, ""), argv
+            digest.update(out.encode())
+            count += 1
+    assert count == 1832
+    assert digest.hexdigest() == "d4b67575d0ff4637f65ceaa0b4a761e2b5a56d8374c3c79c7392e5fb4f054cf6"
+
+
 def test_sp_check(capsys):
     code, out, _ = run(capsys, "sp-check", "--half-degrees", "2,1", "--format", "json")
     assert code == 0
@@ -595,7 +623,7 @@ def test_emit_json_writes_long_lists_in_chunks(monkeypatch, chunk):
 def test_model_field_gap_error(capsys):
     code, _, err = run(capsys, "model-field", "--splitting", "3,0", "--prime", "5")
     assert code == 1
-    assert "gap" in err
+    assert err == "cohiggs: error: splitting 3,0 has a gap above 2; a subdiagonal space is zero\n"
 
 
 _OPTION_TABLE = {

@@ -21,9 +21,9 @@ from cohiggs import (
     build_root_system,
     evaluate_criterion,
     parse_group,
-    zero_field,
 )
 from cohiggs.frozen import Frozen
+from reference import zero_field
 
 F5 = PrimeField(5)
 

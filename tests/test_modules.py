@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import cohiggs
+
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "cohiggs").glob("*.py"))
 
 
@@ -81,3 +83,51 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-I", "-S", "-c", code, str(src)], capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# public names that no library module, benchmark op or traced layer uses,
+# each with the reason it stays
+UNUSED_PUBLIC_NAMES = {
+    "hom_vanishing_certificate": "the obstruction certificate that --explain is planned to print",
+}
+
+
+def _referenced(tree, skip=None):
+    # names read as a Name or an Attribute, outside the top-level definition
+    # of ``skip``; import statements name no Name node, so they never count
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for stmt in tree.body
+        if not (isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name == skip)
+        for node in ast.walk(stmt)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def _bench_names():
+    worker = ast.parse((BENCH / "worker.py").read_text())
+    (targets,) = [
+        node.value
+        for node in ast.parse((BENCH / "tracing.py").read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    ]
+    traced = {path.split(".")[0] for _, _, path in ast.literal_eval(targets)}
+    return _referenced(worker) | traced
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    # src/ holds what the CLI, the library and the benchmark need; a helper
+    # that only the tests call belongs in tests/reference.py
+    trees = [ast.parse(path.read_text()) for path in SOURCES if path.name != "__init__.py"]
+    used = _bench_names()
+    unused = [
+        name
+        for name in cohiggs.__all__
+        if name not in used
+        and name not in UNUSED_PUBLIC_NAMES
+        and not any(name in _referenced(tree, skip=name) for tree in trees)
+    ]
+    assert unused == []
+    assert set(UNUSED_PUBLIC_NAMES) <= set(cohiggs.__all__)

@@ -16,18 +16,20 @@ from cohiggs import (
     SplittingType,
     apply_field,
     build_model_field,
-    enumerate_all_fields,
     enumerate_line_subbundles,
-    enumerate_splitting_types,
-    glr_admits_semistable,
     hom_degree,
     is_invariant,
     random_field,
     semistability_oracle,
-    zero_field,
 )
 from cohiggs import oracle
 from cohiggs.oracle import _eigen_forms, _kernel_head, _violation_threshold
+from reference import (
+    enumerate_all_fields,
+    enumerate_splitting_types,
+    glr_admits_semistable,
+    zero_field,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)

@@ -6,10 +6,9 @@ from cohiggs import (
     SplittingType,
     SymplecticSplitting,
     admits_stable_cohiggs,
-    glr_admits_semistable,
-    sp_admits_stable,
     sp_to_hn,
 )
+from reference import glr_admits_semistable, sp_admits_stable
 
 
 def all_half_degree_lists(r, e_max):
