@@ -7,16 +7,19 @@ tuple with entry i of degree ``m_i - d``, saturated when the nonzero entries
 share no projective zero, i.e. their gcd is a nonzero constant.
 
 A saturated line is invariant exactly when ``phi s = form * s`` for a
-degree-2 form (the spectral picture of a Higgs field).  Over a prime field
-the oracle takes the candidate forms from the eigenvalues of the numeric
-matrices phi([1:0]), phi([0:1]) and phi([1:1]), and from the top degree
-down to the destabilizing slope threshold looks for a nonzero kernel of
-``phi - form`` on the section space.  One Gaussian elimination over GF(p),
-from the last column to the first, yields the kernel vector leading at the
-first free column, which is the witness the enumeration meets first.
-For rank 3 it repeats the search on the dual splitting with the transposed
-matrix, which detects invariant rank-2 subbundles through their annihilator
-lines.  The dual's numeric matrices are anti-transposes of phi's, so both
+degree-2 form (the spectral picture of a Higgs field).  Such a line
+vanishes nowhere, so at every point the form's value is an eigenvalue of
+phi there.  Over a prime field the oracle takes the candidate forms from
+the eigenvalues of the numeric matrices phi([1:0]), phi([0:1]) and
+phi([1:1]), sieves them at [2:1], [3:1], ... up to 2r + 1 points in all,
+and for each form left looks for a nonzero kernel of ``phi - form`` on the
+section space, from the top degree down to the destabilizing slope
+threshold.  One Gaussian elimination over GF(p), from the last column to
+the first, yields the kernel vector leading at the first free column,
+which is the witness the enumeration meets first.  For rank 3 it repeats
+the search on the dual splitting with the transposed matrix, which detects
+invariant rank-2 subbundles through their annihilator lines.  The dual's
+numeric matrices are anti-transposes of phi's at every point, so both
 searches share one list of eigen-forms, and a field without one passes at
 once: it has no invariant subbundle of any rank.  A FAILS verdict is a
 certificate; a PASSES verdict only rules out destabilizing subbundles
@@ -350,20 +353,25 @@ def _violation_threshold(mode: str, slope: Fraction) -> int:
     raise ValueError(f"mode must be 'stable' or 'semistable', not {mode!r}")
 
 
+def _charpoly(m: list[list[int]]) -> tuple[int, ...]:
+    """The characteristic polynomial det(t - m) of a 2 x 2 or 3 x 3 integer
+    matrix, as its coefficients from the leading 1 down."""
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return 1, -(a + d), a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return (
+        1,
+        -(a + e + i),
+        a * e - b * d + a * i - c * g + e * i - f * h,
+        -(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)),
+    )
+
+
 def _eigenvalues(m: list[list[int]], p: int) -> list[int]:
     """Eigenvalues in GF(p) of a 2 x 2 or 3 x 3 integer matrix: the roots
     of its characteristic polynomial, found by trying every t."""
-    if len(m) == 2:
-        (a, b), (c, d) = m
-        charpoly = (1, -(a + d), a * d - b * c)
-    else:
-        (a, b, c), (d, e, f), (g, h, i) = m
-        charpoly = (
-            1,
-            -(a + e + i),
-            a * e - b * d + a * i - c * g + e * i - f * h,
-            -(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)),
-        )
+    charpoly = _charpoly(m)
     roots = []
     for t in range(p):
         acc = 0
@@ -374,13 +382,40 @@ def _eigenvalues(m: list[list[int]], p: int) -> list[int]:
     return roots
 
 
+def _horner(coeffs: Sequence[int], t: int, p: int) -> int:
+    """The value mod p at t of the polynomial with ``coeffs``, leading first."""
+    acc = 0
+    for k in coeffs:
+        acc = acc * t + k
+    return acc % p
+
+
+def _sieve(forms: list[tuple[int, int, int]], coeffs: list[list[tuple[int, ...]]], p: int) -> None:
+    """Drop from ``forms``, in place and keeping the order, every form whose
+    value at a point [t:1], t = 2, 3, ..., is no eigenvalue of phi there.
+
+    ``coeffs`` holds the coefficients of phi's entries.  The points stop when no form is left,
+    at t = p - 1, or after 2r - 2 of them: 2r + 1 with the three points of
+    ``_eigen_forms``.
+    """
+    for t in range(2, min(p, 2 * len(coeffs))):
+        if not forms:
+            break
+        charpoly = _charpoly([[_horner(c, t, p) for c in row] for row in coeffs])
+        forms[:] = [f for f in forms if not _horner(charpoly, _horner(f, t, p), p)]
+
+
 def _eigen_forms(phi: CoHiggsMatrix) -> list[tuple[int, int, int]]:
     """Every degree-2 form ``a x^2 + b xy + c y^2`` that can act on an
     invariant line subbundle, as its coefficient triple.
 
-    A saturated invariant line never vanishes, so at each of the points
-    [1:0], [0:1] and [1:1] the form's value is an eigenvalue of the numeric
-    matrix phi(point); those three values fix the form.
+    A saturated invariant line never vanishes, so at every point of P^1
+    over GF(p) the form's value is an eigenvalue of the numeric matrix of
+    phi there.  The values at [1:0], [0:1] and [1:1] fix the candidates;
+    ``_sieve`` then drops those that fail at further points.  A dropped
+    form has no nonzero kernel at any degree: a kernel vector divided by
+    the gcd of its entries would be an invariant line with that form, and
+    then the form's value would be an eigenvalue at every point.
     """
     p = phi.field.p
     # an entry in a zero space has no coefficients and evaluates to 0
@@ -388,7 +423,9 @@ def _eigen_forms(phi: CoHiggsMatrix) -> list[tuple[int, int, int]]:
     at_x = _eigenvalues([[c[0] for c in row] for row in coeffs], p)
     at_y = at_x and _eigenvalues([[c[-1] for c in row] for row in coeffs], p)
     at_one = at_y and _eigenvalues([[sum(c) for c in row] for row in coeffs], p)
-    return [(a, (v - a - c) % p, c) for a in at_x for c in at_y for v in at_one]
+    forms = [(a, (v - a - c) % p, c) for a in at_x for c in at_y for v in at_one]
+    _sieve(forms, coeffs, p)
+    return forms
 
 
 def _kernel_head(rows: list[list[int]], p: int) -> tuple[int, list[int]] | None:

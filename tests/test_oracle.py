@@ -23,7 +23,7 @@ from cohiggs import (
     semistability_oracle,
 )
 from cohiggs import oracle
-from cohiggs.oracle import _eigen_forms, _kernel_head, _violation_threshold
+from cohiggs.oracle import _eigen_forms, _kernel_head, _top_invariant_line, _violation_threshold
 from reference import (
     enumerate_all_fields,
     enumerate_splitting_types,
@@ -623,3 +623,140 @@ def test_no_eigen_form_passes_without_the_dual(monkeypatch):
     for phi in fields:
         for mode in ("stable", "semistable"):
             assert semistability_oracle(phi, mode).passes
+
+
+# ------------------------------------------------------- the eigen-form sieve
+
+# the gap patterns of the oracle-certify benchmark, top degree 0
+_CERTIFY_GAPS = ((0,), (1,), (2,), (0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2),
+                 (2, 1), (1, 2), (2, 2))
+_CERTIFY_SPLITTINGS = tuple(
+    SplittingType(tuple(-sum(gaps[:i]) for i in range(len(gaps) + 1))) for gaps in _CERTIFY_GAPS
+)
+_SIEVE_PRIMES = (5, 7, 11, 13)
+
+
+# forced zeros that make the top summand, or the top 2 x 2 block, invariant
+_BLOCK_ZEROS = {2: (((1, 0),),), 3: (((2, 0), (2, 1)), ((1, 0), (2, 0)))}
+
+
+def _certify_fields():
+    return [
+        random_field(st, PrimeField(p), seed)
+        for st in _CERTIFY_SPLITTINGS
+        for p in _SIEVE_PRIMES
+        for seed in range(10)
+    ]
+
+
+def _without_sieve(monkeypatch, call, *args):
+    # the three-point candidates only, as before the sieve
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_sieve", lambda forms, coeffs, p: None)
+        return call(*args)
+
+
+def test_sieve_verdicts_pinned():
+    # 960 verdicts at F5-F13, where the sieve visits several points
+    verdicts = [
+        semistability_oracle(phi, mode).to_json_dict()
+        for phi in _certify_fields()
+        for mode in ("stable", "semistable")
+    ]
+    assert len(verdicts) == 960
+    digest = hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest()
+    assert digest == "7093bba39a54d332adc5e7619ac61df9cc2055b38926342f290e6749d1c1c849"
+
+
+def test_sieve_matches_three_point_candidates(monkeypatch):
+    # a dropped form has no kernel at any degree on phi or on its dual, so
+    # the verdicts with and without the sieve agree
+    fields = [
+        random_field(st, PrimeField(p), seed)
+        for st in _CERTIFY_SPLITTINGS
+        for p in _SIEVE_PRIMES
+        for seed in range(4)
+    ] + [
+        _block_triangular(st, PrimeField(p), seed, zeros)
+        for st in _CERTIFY_SPLITTINGS
+        for p in _SIEVE_PRIMES
+        for seed in range(2)
+        for zeros in _BLOCK_ZEROS[st.rank]
+    ]
+    dropped = 0
+    witness_ranks = set()
+    for phi in fields:
+        for mode in ("stable", "semistable"):
+            got = semistability_oracle(phi, mode).to_json_dict()
+            assert got == _without_sieve(monkeypatch, semistability_oracle, phi, mode).to_json_dict()
+            witness_ranks.update(w["rank"] for w in got["witnesses"])
+        forms = _eigen_forms(phi)
+        three_point = _without_sieve(monkeypatch, _eigen_forms, phi)
+        assert forms == [f for f in three_point if f in forms], phi.to_json_dict()
+        dual = phi.transpose_dual()
+        for form in three_point:
+            if form not in forms:
+                dropped += 1
+                for psi in (phi, dual):
+                    floor = psi.splitting.degrees[-1] - 2
+                    assert _top_invariant_line(psi, [form], floor) is None, (phi.to_json_dict(), form)
+    assert dropped > 100
+    assert witness_ranks == {1, 2}
+
+
+def test_sieve_work_guard(monkeypatch):
+    # the sieve leaves few forms for the kernel search; the same corpus made
+    # 3036 eliminations with the three-point candidates alone
+    calls = []
+    kernel_head = oracle._kernel_head
+
+    def counted(rows, p):
+        calls.append(p)
+        return kernel_head(rows, p)
+
+    fields = _certify_fields()
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_kernel_head", counted)
+        for phi in fields:
+            for mode in ("stable", "semistable"):
+                semistability_oracle(phi, mode)
+    assert len(calls) <= 150
+
+    # a field whose sieve empties the list passes without a kernel or a dual
+    emptied = [
+        phi for phi in fields
+        if not _eigen_forms(phi) and _without_sieve(monkeypatch, _eigen_forms, phi)
+    ]
+    assert len(emptied) >= 10
+
+    def refuse(*args):
+        raise AssertionError("kernel search after an empty sieve")
+
+    monkeypatch.setattr(oracle, "_kernel_head", refuse)
+    monkeypatch.setattr(CoHiggsMatrix, "transpose_dual", refuse)
+    for phi in emptied:
+        for mode in ("stable", "semistable"):
+            assert semistability_oracle(phi, mode).passes
+
+
+def test_sieve_point_cap(monkeypatch):
+    # the model field is nilpotent at every point, so the zero form survives
+    # and the sieve runs to its cap: 2r + 1 points in all at F101; the scans
+    # take one characteristic polynomial each, the sieve one per point
+    counts = {"charpoly": 0, "scan": 0}
+    charpoly, eigenvalues = oracle._charpoly, oracle._eigenvalues
+
+    def counted_charpoly(m):
+        counts["charpoly"] += 1
+        return charpoly(m)
+
+    def counted_eigenvalues(m, p):
+        counts["scan"] += 1
+        return eigenvalues(m, p)
+
+    monkeypatch.setattr(oracle, "_charpoly", counted_charpoly)
+    monkeypatch.setattr(oracle, "_eigenvalues", counted_eigenvalues)
+    for st in _CERTIFY_SPLITTINGS:
+        counts.update(charpoly=0, scan=0)
+        assert (0, 0, 0) in _eigen_forms(build_model_field(st, PrimeField(101)))
+        assert counts["charpoly"] - counts["scan"] == 2 * st.rank - 2, st
