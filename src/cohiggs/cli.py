@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 from .criterion import adjoint_splitting, admits_stable_cohiggs, evaluate_criterion
@@ -84,16 +84,24 @@ def _json_text(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-_JSON_CHUNK = 512  # list items per piece, and pieces per write
+_CHUNK = 512  # list items per piece, and pieces or table rows per write
 
 
 def _in_pieces(value) -> bool:
-    return isinstance(value, dict) or isinstance(value, (list, tuple)) and len(value) > _JSON_CHUNK
+    return isinstance(value, dict) or isinstance(value, (list, tuple)) and len(value) > _CHUNK
+
+
+def _write_chunks(pieces: Iterator[str]) -> None:
+    # written in bounded chunks: the adjoint degrees or the strata table of
+    # a large group are tens of MB of text
+    write = sys.stdout.write
+    while chunk := "".join(islice(pieces, _CHUNK)):
+        write(chunk)
 
 
 def _json_pieces(value, indent: str = "\n") -> Iterator[str]:
     """``_json_text(value, indent)`` in pieces: a dict value by value, a
-    list of more than ``_JSON_CHUNK`` items that many items at a time, and
+    list of more than ``_CHUNK`` items that many items at a time, and
     anything else whole."""
     inner = indent + "  "
     sep = "," + inner
@@ -113,20 +121,15 @@ def _json_pieces(value, indent: str = "\n") -> Iterator[str]:
         yield indent + "}"
     else:
         yield "["
-        for start in range(0, len(value), _JSON_CHUNK):
-            items = _json_items(value[start : start + _JSON_CHUNK], inner)
+        for start in range(0, len(value), _CHUNK):
+            items = _json_items(value[start : start + _CHUNK], inner)
             yield (sep if start else inner) + sep.join(items)
         yield indent + "]"
 
 
 def _emit_json(payload) -> None:
-    # written in bounded chunks: the adjoint degrees of a large group are
-    # millions of ints, tens of MB of text
-    pieces = _json_pieces(payload)
-    write = sys.stdout.write
-    while chunk := "".join(islice(pieces, _JSON_CHUNK)):
-        write(chunk)
-    write("\n")
+    _write_chunks(_json_pieces(payload))
+    sys.stdout.write("\n")
 
 
 def _central(args, group) -> tuple[int, ...]:
@@ -165,7 +168,6 @@ def _cmd_adjoint(args) -> int:
 
 _STRATA_COLUMNS = ("a", "dim_VM", "dim_aut", "dim_stratum", "generic")
 _STRATA_WIDTHS = (12, 7, 8, 12, 8)
-_STRATA_CHUNK = 512  # rows per write
 _BOOLS = ("false", "true")
 
 
@@ -199,16 +201,12 @@ def _cmd_strata(args) -> int:
     group = parse_group(args.group)
     rows = strata_rows(group, _central(args, group))
     head, template, sep, tail = _strata_layout(args.format, group.semisimple_rank)
+    # each row after the first carries its separator; every group has the
+    # zero type, so there is a first row
+    template = sep + template
     lines = (template % (*a, vm, aut, dim, _BOOLS[generic]) for a, vm, aut, dim, generic in rows)
-    # streamed in chunks: the whole table of a large group is tens of MB
-    write = sys.stdout.write
-    write(head)
-    joint = ""
-    while chunk := sep.join(islice(lines, _STRATA_CHUNK)):
-        write(joint)
-        write(chunk)
-        joint = sep
-    write(tail)
+    first = next(lines)[len(sep) :]
+    _write_chunks(chain((head, first), lines, (tail,)))
     return 0
 
 

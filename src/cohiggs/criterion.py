@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 
-from .frozen import Frozen, set_slot
+from .frozen import Frozen
 from .glr import SplittingType
 from .lie import (
     HNType,
@@ -33,26 +33,11 @@ class RootViolation(Frozen):
 
     __slots__ = ("factor", "root", "value")
 
-    def __init__(self, factor: int, root: int, value: int) -> None:
-        set_slot(self, "factor", factor)
-        set_slot(self, "root", root)
-        set_slot(self, "value", value)
-
 
 class CriterionReport(Frozen):
     """The verdict on one HN type, its obstructing roots and adjoint splitting."""
 
     __slots__ = ("admits_stable", "violating_roots", "adjoint_degrees")
-
-    def __init__(
-        self,
-        admits_stable: bool,
-        violating_roots: tuple[RootViolation, ...],
-        adjoint_degrees: SplittingType,
-    ) -> None:
-        set_slot(self, "admits_stable", admits_stable)
-        set_slot(self, "violating_roots", violating_roots)
-        set_slot(self, "adjoint_degrees", adjoint_degrees)
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,8 +123,4 @@ def adjoint_splitting(group: ReductiveGroup, hn: HNType) -> SplittingType:
 
 def evaluate_criterion(group: ReductiveGroup, hn: HNType) -> CriterionReport:
     violations = semistable_obstruction(group, hn)
-    return CriterionReport(
-        admits_stable=not violations,
-        violating_roots=tuple(violations),
-        adjoint_degrees=adjoint_splitting(group, hn),
-    )
+    return CriterionReport(not violations, tuple(violations), adjoint_splitting(group, hn))

@@ -84,21 +84,15 @@ class CoHiggsMatrix(Frozen):
         entries: tuple[tuple[HomogPoly, ...], ...],
     ) -> None:
         r = splitting.rank
-        entries = tuple(tuple(row) for row in entries)
         if len(entries) != r or any(len(row) != r for row in entries):
             raise ValueError(f"expected an {r} x {r} entry grid")
-        # copied only when a zero space stores another form than the one
-        # given, so a grid of exact forms costs no more than its check
-        grid = None
-        for i, row in enumerate(entries):
-            for j, p in enumerate(row):
-                q = _check_form(p, field, hom_degree(splitting, i, j), f"entry ({i}, {j})")
-                if q is not p:
-                    if grid is None:
-                        grid = list(map(list, entries))
-                    grid[i][j] = q
-        if grid is not None:
-            entries = tuple(map(tuple, grid))
+        entries = tuple([
+            tuple([
+                _check_form(p, field, hom_degree(splitting, i, j), f"entry ({i}, {j})")
+                for j, p in enumerate(row)
+            ])
+            for i, row in enumerate(entries)
+        ])
         set_slot(self, "splitting", splitting)
         set_slot(self, "field", field)
         set_slot(self, "entries", entries)
@@ -288,18 +282,7 @@ class OracleWitness(Frozen):
     """
 
     __slots__ = ("rank", "degree", "sections", "dual_sections")
-
-    def __init__(
-        self,
-        rank: int,
-        degree: int,
-        sections: tuple[str, ...] = (),
-        dual_sections: tuple[str, ...] = (),
-    ) -> None:
-        set_slot(self, "rank", rank)
-        set_slot(self, "degree", degree)
-        set_slot(self, "sections", sections)
-        set_slot(self, "dual_sections", dual_sections)
+    _defaults = {"sections": (), "dual_sections": ()}
 
     def to_json_dict(self) -> dict:
         out: dict = {"rank": self.rank, "degree": self.degree}
@@ -314,20 +297,7 @@ class OracleVerdict(Frozen):
     """PASSES or FAILS, with the mode, field, slope and any witnesses."""
 
     __slots__ = ("passes", "mode", "field_name", "slope", "witnesses")
-
-    def __init__(
-        self,
-        passes: bool,
-        mode: str,
-        field_name: str,
-        slope: Fraction,
-        witnesses: tuple[OracleWitness, ...] = (),
-    ) -> None:
-        set_slot(self, "passes", passes)
-        set_slot(self, "mode", mode)
-        set_slot(self, "field_name", field_name)
-        set_slot(self, "slope", slope)
-        set_slot(self, "witnesses", witnesses)
+    _defaults = {"witnesses": ()}
 
     @property
     def verdict(self) -> str:
@@ -530,15 +500,17 @@ def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
     # a line bundle has no proper subbundles, and a constant splitting in
     # semistable mode no degree to visit, on phi or on its dual
     forms = _eigen_forms(phi) if st.rank > 1 and st.degrees[0] >= threshold else []
+    # the records get every field by position, Frozen's fast path: a
+    # keyword call binds its fields in Python, a few us per FAILS verdict
     witnesses: tuple[OracleWitness, ...] = ()
     if forms:
         hit = _top_invariant_line(phi, forms, threshold)
         if hit is not None:
             d, sections = hit
-            witnesses = (OracleWitness(rank=1, degree=d, sections=sections),)
+            witnesses = (OracleWitness(1, d, sections, ()),)
         elif st.rank == 3:
             hit = _top_invariant_line(phi.transpose_dual(), forms, _violation_threshold(mode, -mu))
             if hit is not None:
                 d, sections = hit
-                witnesses = (OracleWitness(rank=2, degree=st.degree + d, dual_sections=sections),)
+                witnesses = (OracleWitness(2, st.degree + d, (), sections),)
     return OracleVerdict(not witnesses, mode, phi.field.name, mu, witnesses)

@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from itertools import product
 
 from .criterion import STABLE_BOUND
-from .frozen import Frozen, set_slot
+from .frozen import Frozen
 from .lie import (
     CartanType,
     HNType,
@@ -43,15 +43,6 @@ class StratumRecord(Frozen):
     """One stratum: its HN type, three dimensions and whether it is generic."""
 
     __slots__ = ("hn", "dim_cohiggs", "dim_aut", "dim_stratum", "is_generic")
-
-    def __init__(
-        self, hn: HNType, dim_cohiggs: int, dim_aut: int, dim_stratum: int, is_generic: bool
-    ) -> None:
-        set_slot(self, "hn", hn)
-        set_slot(self, "dim_cohiggs", dim_cohiggs)
-        set_slot(self, "dim_aut", dim_aut)
-        set_slot(self, "dim_stratum", dim_stratum)
-        set_slot(self, "is_generic", is_generic)
 
 
 RootSums = tuple[int, int]

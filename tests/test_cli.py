@@ -598,11 +598,11 @@ class _Writes:
         return len(s)
 
 
-@pytest.mark.parametrize("chunk", [4, cohiggs.cli._JSON_CHUNK])
+@pytest.mark.parametrize("chunk", [4, cohiggs.cli._CHUNK])
 def test_emit_json_writes_long_lists_in_chunks(monkeypatch, chunk):
     # lists longer than one chunk, at the top and nested in a dict, next to
     # values that are written whole; the text is the indented encoder's
-    monkeypatch.setattr(cohiggs.cli, "_JSON_CHUNK", chunk)
+    monkeypatch.setattr(cohiggs.cli, "_CHUNK", chunk)
     n = 3 * chunk + 1
     payload = {
         "degrees": list(range(n, -n, -1)),

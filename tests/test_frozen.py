@@ -128,6 +128,26 @@ def test_copies_and_pickles_are_equal(index):
         assert type(twin) is type(obj) and twin == obj
 
 
+# the value types without checks of their own, which take Frozen's constructor
+RECORDS = ["OracleWitness", "OracleVerdict", "RootViolation", "CriterionReport", "StratumRecord"]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_constructor_raises_type_error_as_a_call_does(name):
+    obj = _instances()[IDS.index(name)]
+    cls, names, values = type(obj), obj.__slots__, _fields(obj)
+    calls = [
+        # the first field is missing; every record's first field is required
+        lambda: cls(**dict(zip(names[1:], values[1:]))),
+        lambda: cls(*values, no_such_field=1),
+        lambda: cls(*values, **{names[0]: values[0]}),
+        lambda: cls(*values, None),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_equality_needs_the_same_class():
     assert SplittingType((1, 0)) != (1, 0)
     assert SplittingType((1, 0)) != SymplecticSplitting((1, 0))

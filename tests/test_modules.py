@@ -72,6 +72,35 @@ def test_no_module_imports_dataclasses(path):
     assert "dataclasses" not in modules, path.name
 
 
+def _only_sets_slots(init: ast.FunctionDef) -> bool:
+    body = init.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]  # the docstring
+    return all(
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Call)
+        and isinstance(stmt.value.func, ast.Name)
+        and stmt.value.func.id == "set_slot"
+        for stmt in body
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_init_only_sets_slots(path):
+    # a value type that checks nothing takes Frozen's constructor, which
+    # reads the fields from __slots__; a hand-written one names each field
+    # twice more, in its signature and in a set_slot call
+    tree = ast.parse(path.read_text(), filename=str(path))
+    plain = [
+        cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__" and _only_sets_slots(stmt)
+    ]
+    assert plain == [], path.name
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # a fresh interpreter, since the test run itself has loaded both
     src = Path(__file__).resolve().parent.parent / "src"

@@ -86,6 +86,33 @@ def test_matrix_stores_zero_of_the_slot_degree():
     assert phi.to_json_dict() == zero_field(st, F5).to_json_dict()
 
 
+def test_matrix_keeps_exact_forms_and_stores_slot_degree_zeros():
+    # built as the benchmark's sweep builds its fields: one form per entry
+    # from its coefficients alone, so every slot of negative degree gets the
+    # degree -1 zero, here also the degree -4 slot (2, 0) of gaps (3, 3)
+    st = SplittingType((3, 0, -3))
+    rng = random.Random(7)
+    rows = [
+        [HomogPoly(F3, len(c) - 1, c) for c in ([rng.randrange(3) for _ in range(i - j + 3)]
+                                                for j in st.degrees)]
+        for i in st.degrees
+    ]
+    assert rows[2][0].degree == -1 and hom_degree(st, 2, 0) == -4
+    phi = CoHiggsMatrix(st, F3, rows)
+    for i in range(3):
+        for j in range(3):
+            stored, want = phi.entries[i][j], hom_degree(st, i, j)
+            assert stored.degree == want
+            if rows[i][j].degree == want:
+                assert stored is rows[i][j]
+    exact = [
+        [p if p.degree == hom_degree(st, i, j) else HomogPoly.zero(F3, hom_degree(st, i, j))
+         for j, p in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    assert phi == CoHiggsMatrix(st, F3, exact)
+
+
 def test_matrix_rejects_entries_over_another_field():
     st = SplittingType((1, -1))
     entries = build_model_field(st, PrimeField(7)).entries
