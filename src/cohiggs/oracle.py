@@ -160,7 +160,7 @@ def random_field(st: SplittingType, field: PrimeField, seed: int = 0) -> CoHiggs
     return _grid(st, field, lambda i, j, d: random_poly(field, d, rng))
 
 
-class LineSubbundle:
+class LineSubbundle(Frozen):
     """A degree-d line subbundle of the split bundle, as a section tuple.
 
     Entry i is a form of degree ``m_i - d``, stored without coefficients
@@ -188,18 +188,15 @@ class LineSubbundle:
         )
         if all(p.is_zero for p in sections):
             raise ValueError("the zero tuple defines no subbundle")
-        self.splitting = splitting
-        self.field = field
-        self.degree = degree
-        self.sections = sections
+        set_slot(self, "splitting", splitting)
+        set_slot(self, "field", field)
+        set_slot(self, "degree", degree)
+        set_slot(self, "sections", sections)
 
     @property
     def is_saturated(self) -> bool:
         g = gcd_many(self.sections)
         return g is not None and g.is_constant()
-
-    def __repr__(self) -> str:
-        return f"LineSubbundle(degree={self.degree}, sections={list(map(str, self.sections))})"
 
 
 def apply_field(phi: CoHiggsMatrix, line: LineSubbundle) -> tuple[HomogPoly, ...]:
@@ -224,13 +221,13 @@ def is_invariant(phi: CoHiggsMatrix, line: LineSubbundle) -> bool:
     """Whether the field maps the line into itself (twisted by degree 2).
 
     Exact test: the image tuple is proportional to the section tuple iff all
-    two-by-two wedges ``p_i (phi p)_j - p_j (phi p)_i`` vanish identically.
+    two-by-two wedges vanish identically: ``p_i (phi p)_j == p_j (phi p)_i``.
     """
     image = apply_field(phi, line)
     s = line.sections
     r = phi.rank
     return all(
-        (s[i] * image[j] - s[j] * image[i]).is_zero
+        s[i] * image[j] == s[j] * image[i]
         for i in range(r)
         for j in range(i + 1, r)
     )

@@ -14,14 +14,16 @@ The gcd of two binary forms is computed exactly: split off the common power
 of y, run the Euclidean algorithm on the dehomogenizations at y = 1, and
 rehomogenize; the result is normalized monic.  Forms are coprime exactly
 when they share no zero on the projective line over the algebraic closure,
-which is the saturation test for line subbundles.
+which is the saturation test for line subbundles.  Univariate coefficient
+lists lead with the top coefficient, as ``HomogPoly.coeffs`` does.
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from itertools import dropwhile
 
 from .frozen import Frozen, set_slot
 
@@ -73,11 +75,6 @@ class PrimeField(Frozen):
     def name(self) -> str:
         return f"F{self.p}"
 
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"0 has no inverse in {self.name}")
-        return pow(a, self.p - 2, self.p)
-
     def __str__(self) -> str:
         return self.name
 
@@ -127,12 +124,6 @@ class HomogPoly(Frozen):
             tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
         )
 
-    def __neg__(self) -> "HomogPoly":
-        return HomogPoly(self.field, self.degree, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "HomogPoly") -> "HomogPoly":
-        return self + (-other)
-
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         self._check_field(other)
         out = [0] * (self.degree + other.degree + 1)
@@ -141,10 +132,6 @@ class HomogPoly(Frozen):
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return HomogPoly(self.field, self.degree + other.degree, tuple(out))
-
-    def scale(self, c) -> "HomogPoly":
-        c = operator.index(c)
-        return HomogPoly(self.field, self.degree, tuple(c * a for a in self.coeffs))
 
     def _check_field(self, other: "HomogPoly") -> None:
         if self.field is not other.field and self.field != other.field:
@@ -170,22 +157,15 @@ class HomogPoly(Frozen):
         if other.is_zero:
             return self._monic()
         ys = min(self.y_multiplicity, other.y_multiplicity)
-        core = _univariate_gcd(self.field, self._dehomogenize(), other._dehomogenize())
-        coeffs = (0,) * ys + tuple(reversed(core))
+        coeffs = (0,) * ys + tuple(_univariate_gcd(self.field.p, self.coeffs, other.coeffs))
         return HomogPoly(self.field, len(coeffs) - 1, coeffs)
 
     def _monic(self) -> "HomogPoly":
         if self.is_zero:
             return self
-        lead = next(c for c in self.coeffs if c)
-        return self.scale(self.field.inv(lead))
-
-    def _dehomogenize(self) -> list:
-        """Coefficients of f(x, 1) in increasing powers of x, trimmed."""
-        low_to_high = list(reversed(self.coeffs))
-        while low_to_high and not low_to_high[-1]:
-            low_to_high.pop()
-        return low_to_high
+        p = self.field.p
+        inv_lead = pow(next(c for c in self.coeffs if c), p - 2, p)
+        return HomogPoly(self.field, self.degree, tuple(c * inv_lead for c in self.coeffs))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -207,28 +187,25 @@ class HomogPoly(Frozen):
         return " + ".join(terms)
 
 
-def _univariate_gcd(field: PrimeField, a: list, b: list) -> list:
-    """Euclidean gcd of univariate coefficient lists (increasing powers)."""
-    p = field.p
+def _univariate_gcd(p: int, a: Sequence[int], b: Sequence[int]) -> list:
+    """Monic Euclidean gcd over GF(p) of univariate coefficient lists, top
+    coefficient first; leading zeros are dropped, and two zero lists give
+    the empty list."""
 
-    def trim(u: list) -> list:
-        while u and not u[-1]:
-            u.pop()
-        return u
+    def trim(u: Iterable[int]) -> list:
+        return list(dropwhile(operator.not_, u))
 
-    a, b = trim(list(a)), trim(list(b))
+    a, b = trim(c % p for c in a), trim(c % p for c in b)
     while b:
-        inv_lead = field.inv(b[-1])
+        inv_lead = pow(b[0], p - 2, p)
         while len(a) >= len(b):
-            shift = len(a) - len(b)
-            factor = a[-1] * inv_lead
-            for k in range(len(b)):
-                a[shift + k] = (a[shift + k] - factor * b[k]) % p
-            trim(a)
-            if not a:
-                break
+            # cancel a's top term against b; a[0] becomes zero and drops
+            factor = a[0] * inv_lead
+            for k in range(1, len(b)):
+                a[k] = (a[k] - factor * b[k]) % p
+            a = trim(a[1:])
         a, b = b, a
-    inv_lead = field.inv(a[-1])
+    inv_lead = pow(a[0], p - 2, p) if a else 0
     return [c * inv_lead % p for c in a]
 
 

@@ -4,7 +4,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from itertools import combinations_with_replacement
@@ -389,6 +392,32 @@ def test_oracle_exit_codes(capsys):
     )
     assert code == 0
     assert json.loads(out)["verdict"] == "PASSES"
+
+
+def test_module_entry_point_exit_codes():
+    # python -m cohiggs hands main's return value to the process exit code
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "cohiggs", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    done = module("glr-check", "--splitting", "2,0")
+    assert done.returncode == 0
+    assert done.stdout == (
+        "splitting 2,0: a semistable co-Higgs field exists (generic one is stable)\n"
+    )
+    done = module(
+        "oracle", "--splitting", "2,-1", "--prime", "5", "--mode", "stable", "--format", "text",
+    )
+    assert done.returncode == 2
+    assert done.stdout.splitlines()[0] == "FAILS (stable mode over F5)"
+    done = module("oracle", "--splitting", "1,0", "--prime", "4", "--mode", "stable")
+    assert done.returncode == 1
+    assert "cohiggs: error: 4 is not prime" in done.stderr
 
 
 def test_oracle_large_prime_passes(capsys):

@@ -10,6 +10,7 @@ from cohiggs import (
     CriterionReport,
     HNType,
     HomogPoly,
+    LineSubbundle,
     OracleVerdict,
     OracleWitness,
     PrimeField,
@@ -39,6 +40,12 @@ def _instances():
         PrimeField(5),
         HomogPoly(PrimeField(5), 1, (1, 7)),
         zero_field(SplittingType((0, -1)), PrimeField(5)),
+        LineSubbundle(
+            SplittingType((1, 0)),
+            PrimeField(5),
+            0,
+            (HomogPoly(PrimeField(5), 1, (1, 2)), HomogPoly(PrimeField(5), 0, (3,))),
+        ),
         OracleWitness(rank=1, degree=0, sections=("1", "x")),
         OracleVerdict(
             False, "stable", "F5", Fraction(1, 2), (OracleWitness(2, 1, dual_sections=("y",)),)
@@ -65,6 +72,9 @@ PINNED_REPRS = [
     "HomogPoly(field=PrimeField(p=5), degree=1, coeffs=(1, 2))",
     "CoHiggsMatrix(splitting=SplittingType(degrees=(0, -1)), field=PrimeField(p=5), "
     f"entries=(({_zero(2)}, {_zero(3)}), ({_zero(1)}, {_zero(2)})))",
+    "LineSubbundle(splitting=SplittingType(degrees=(1, 0)), field=PrimeField(p=5), degree=0, "
+    "sections=(HomogPoly(field=PrimeField(p=5), degree=1, coeffs=(1, 2)), "
+    "HomogPoly(field=PrimeField(p=5), degree=0, coeffs=(3,))))",
     "OracleWitness(rank=1, degree=0, sections=('1', 'x'), dual_sections=())",
     "OracleVerdict(passes=False, mode='stable', field_name='F5', slope=Fraction(1, 2), "
     "witnesses=(OracleWitness(rank=2, degree=1, sections=(), dual_sections=('y',)),))",
@@ -83,7 +93,7 @@ def _fields(obj):
 
 
 def test_every_value_type_is_pinned():
-    assert len(set(IDS)) == len(IDS) == 13
+    assert len(set(IDS)) == len(IDS) == 14
     assert all(isinstance(obj, Frozen) for obj in _instances())
 
 

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from cohiggs import (
     semistability_oracle,
 )
 from cohiggs import oracle
+from cohiggs.frozen import set_slot
 from cohiggs.oracle import _eigen_forms, _kernel_head, _top_invariant_line, _violation_threshold
 from reference import (
     enumerate_all_fields,
@@ -183,8 +185,8 @@ def test_apply_scalar_diagonal_field():
     phi = CoHiggsMatrix(st, F5, ((q, z4), (z4, q)))
     L = line(st, F5, 0, (2,), (3,))
     out = apply_field(phi, L)
-    assert out[0].coeffs == q.scale(2).coeffs
-    assert out[1].coeffs == q.scale(3).coeffs
+    assert out[0].coeffs == HomogPoly(F5, 2, [2 * c for c in q.coeffs]).coeffs
+    assert out[1].coeffs == HomogPoly(F5, 2, [3 * c for c in q.coeffs]).coeffs
 
 
 def test_apply_model_field_shifts_down():
@@ -236,8 +238,9 @@ def test_invariance_is_scale_invariant():
             for L in enumerate_line_subbundles(st, d, F5):
                 verdict = is_invariant(phi, L)
                 for c in (2, 3, 4):
-                    scaled = LineSubbundle(st, F5, d, [p.scale(c) for p in L.sections])
-                    assert is_invariant(phi, scaled) == verdict
+                    sections = [HomogPoly(F5, p.degree, [c * a for a in p.coeffs])
+                                for p in L.sections]
+                    assert is_invariant(phi, LineSubbundle(st, F5, d, sections)) == verdict
 
 
 # ------------------------------------------------------------ enumeration
@@ -283,6 +286,26 @@ def test_enumeration_stream_pinned():
     )
 
 
+def test_line_subbundle_is_a_frozen_value():
+    st = SplittingType((1, 0, -1))
+    first, second = (list(enumerate_line_subbundles(st, 0, F3)) for _ in range(2))
+    assert first == second and first[0] is not second[0]
+    assert [hash(L) for L in first] == [hash(L) for L in second]
+    L = first[0]
+    with pytest.raises(AttributeError):
+        L.degree = 7
+    assert L.degree == 0
+    assert pickle.loads(pickle.dumps(L)) == L
+    # a pickle goes back through the checking constructor, so one of an
+    # all-zero tuple, built here without that constructor, fails to load
+    forged = object.__new__(LineSubbundle)
+    zeros = tuple(HomogPoly.zero(F3, m) for m in st.degrees)
+    for name, value in zip(LineSubbundle.__slots__, (st, F3, 0, zeros)):
+        set_slot(forged, name, value)
+    with pytest.raises(ValueError, match="zero tuple"):
+        pickle.loads(pickle.dumps(forged))
+
+
 def test_subbundle_validation():
     st = SplittingType((1, -1))
     with pytest.raises(ValueError):
@@ -292,7 +315,7 @@ def test_subbundle_validation():
     with pytest.raises(ValueError, match="F3.*F5"):
         LineSubbundle(st, F5, 1, (HomogPoly(F3, 0, (1,)), HomogPoly.zero(F5)))
     # a section in a zero space takes no coefficients, so not a zero form
-    # of degree 4, which is_invariant could not add to the other entries
+    # of degree 4, which apply_field could not add to the other entries
     with pytest.raises(ValueError, match="section 1 must vanish"):
         LineSubbundle(SplittingType((1, 0)), F5, 1,
                       (HomogPoly(F5, 0, (1,)), HomogPoly.zero(F5, 4)))
@@ -405,7 +428,7 @@ def test_annihilator_duality_rank_two():
                     dual,
                     F5,
                     dual_degree,
-                    (p1, -p2),
+                    (p1, HomogPoly(F5, p2.degree, [-c for c in p2.coeffs])),
                 )
                 assert is_invariant(phi, L) == is_invariant(phi_t, ann)
 
