@@ -7,17 +7,22 @@ which defaults to JSON; ``--format json`` emits a canonical JSON document
 Informational subcommands exit 0 whatever the verdict; ``oracle`` exits 0
 on PASSES and 2 on FAILS; usage errors exit 1.  All randomness is
 seed-controlled, so output is a deterministic function of argv.
+
+One table, ``_COMMANDS``, declares every subcommand and option.  A strict
+parser reads the well-formed requests from it; argparse, built from the
+same table on first use, renders help and usage errors and parses every
+argv the strict parser leaves to it.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .criterion import adjoint_splitting, admits_stable_cohiggs, evaluate_criterion
 from .glr import SplittingType, splitting_to_hn
@@ -31,12 +36,6 @@ USAGE_ERROR = 1
 FAILS_ERROR = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; this tool reserves 2 for FAILS.
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -44,7 +43,11 @@ def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+        # argparse prints the message of this error as it is; imported
+        # here, so that only a bad value imports argparse
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _json_items(value, inner: str) -> Iterable[str]:
@@ -251,14 +254,10 @@ def _cmd_sp_check(args) -> int:
     return 0
 
 
-def _field(args, build) -> tuple:
+def _cmd_model_field(args) -> int:
     st = SplittingType(args.splitting)
     fld = PrimeField(args.prime)
-    return st, fld, build(st, fld, args.seed)
-
-
-def _cmd_model_field(args) -> int:
-    st, fld, phi = _field(args, build_model_field)
+    phi = build_model_field(st, fld, args.seed)
     if args.format == "json":
         _emit_json(phi.to_json_dict() | {"seed": args.seed})
         return 0
@@ -269,8 +268,10 @@ def _cmd_model_field(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    require_oracle_rank(SplittingType(args.splitting))  # before a field is drawn
-    _, fld, phi = _field(args, build_model_field if args.model else random_field)
+    st = SplittingType(args.splitting)
+    require_oracle_rank(st)  # before a field is drawn
+    fld = PrimeField(args.prime)
+    phi = (build_model_field if args.model else random_field)(st, fld, args.seed)
     verdict = semistability_oracle(phi, args.mode)
     if args.format == "text":
         print(f"{verdict.verdict} ({args.mode} mode over {fld.name})")
@@ -281,56 +282,114 @@ def _cmd_oracle(args) -> int:
     return 0 if verdict.passes else FAILS_ERROR
 
 
-# options shared by several subcommands, each declared once
+# every option once, as the keyword arguments of argparse's add_argument;
+# the strict parser reads type, required, default, choices and store_true
 _OPTIONS = {
     "--group": dict(required=True, help="e.g. A2, C3xA1+z2"),
     "--hn": dict(type=_int_list, required=True, help="comma list of simple-root values"),
     "--central": dict(type=_int_list, default=None, help="comma list of central degrees"),
     "--splitting": dict(type=_int_list, required=True, help="e.g. 3,1,0"),
+    "--half-degrees": dict(type=_int_list, required=True, help="e.g. 2,1"),
     "--prime": dict(type=int, required=True),
+    "--mode": dict(choices=("stable", "semistable"), required=True),
     "--seed": dict(type=int, default=0),
+    "--model": dict(action="store_true", default=False,
+                    help="use the model field instead of a random one"),
+}
+
+# subcommand -> (handler, help, options), in the order of the help; the
+# first --format choice is the default
+_COMMANDS = {
+    name: (func, help, {o: _OPTIONS[o] for o in options}
+           | {"--format": dict(choices=formats, default=formats[0])})
+    for name, func, help, options, formats in (
+        ("criterion", _cmd_criterion, "stable/semistable existence for a group and HN type",
+         ("--group", "--hn", "--central"), ("text", "json")),
+        ("adjoint", _cmd_adjoint, "splitting type of the adjoint bundle",
+         ("--group", "--hn", "--central"), ("text", "json")),
+        ("strata", _cmd_strata, "enumerate moduli strata with dimensions",
+         ("--group", "--central"), ("text", "json", "csv")),
+        ("glr-check", _cmd_glr_check, "gap criterion for a splitting type",
+         ("--splitting",), ("text", "json")),
+        ("sp-check", _cmd_sp_check, "symplectic criterion from half-degrees",
+         ("--half-degrees",), ("text", "json")),
+        ("model-field", _cmd_model_field, "print the chained subdiagonal model field",
+         ("--splitting", "--prime", "--seed"), ("text", "json")),
+        ("oracle", _cmd_oracle, "invariant-subbundle (semi)stability test over a prime field",
+         ("--splitting", "--prime", "--mode", "--seed", "--model"), ("json", "text")),
+    )
 }
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    # parsing leaves a parser unchanged, so one serves every call of main
-    parser = _Parser(prog="cohiggs", description=__doc__.strip().splitlines()[0])
+def build_parser():
+    """The argparse parser of ``_COMMANDS``: it renders help and usage
+    errors, and parses every argv the strict parser leaves to it.  Parsing
+    leaves a parser unchanged, so one serves every call of ``main``."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        # argparse exits 2 on usage errors; this tool reserves 2 for FAILS.
+        def error(self, message: str) -> None:  # type: ignore[override]
+            self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(prog="cohiggs", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help, *options, formats=("text", "json")) -> None:
-        # an option is a shared name or a (flag, keyword arguments) pair;
-        # the first format is the default
+    for name, (func, help, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        for option in options:
-            flag, kwargs = (option, _OPTIONS[option]) if isinstance(option, str) else option
-            p.add_argument(flag, **kwargs)
-        p.add_argument("--format", choices=formats, default=formats[0])
+        for option, kwargs in options.items():
+            p.add_argument(option, **kwargs)
         p.set_defaults(func=func)
-
-    command("criterion", _cmd_criterion, "stable/semistable existence for a group and HN type",
-            "--group", "--hn", "--central")
-    command("adjoint", _cmd_adjoint, "splitting type of the adjoint bundle",
-            "--group", "--hn", "--central")
-    command("strata", _cmd_strata, "enumerate moduli strata with dimensions",
-            "--group", "--central", formats=("text", "json", "csv"))
-    command("glr-check", _cmd_glr_check, "gap criterion for a splitting type", "--splitting")
-    command("sp-check", _cmd_sp_check, "symplectic criterion from half-degrees",
-            ("--half-degrees", dict(type=_int_list, required=True, help="e.g. 2,1")))
-    command("model-field", _cmd_model_field, "print the chained subdiagonal model field",
-            "--splitting", "--prime", "--seed")
-    command("oracle", _cmd_oracle, "invariant-subbundle (semi)stability test over a prime field",
-            "--splitting", "--prime",
-            ("--mode", dict(choices=("stable", "semistable"), required=True)),
-            "--seed",
-            ("--model", dict(action="store_true",
-                             help="use the model field instead of a random one")),
-            formats=("json", "text"))
     return parser
 
 
+def _parse_strict(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The attributes ``build_parser().parse_args(argv)`` gives, for an argv
+    of the form ``SUBCOMMAND (--NAME=VALUE | --NAME VALUE | --FLAG)*`` with
+    every name in full and at most once, no space-form value starting with
+    "-", every value converted and in its choices, and every required
+    option present; None for any other argv, which argparse parses."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    given = {}
+    args = iter(argv[1:])
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        kwargs = options.get(name)
+        if kwargs is None or name in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            given[name] = True
+            continue
+        if not eq:
+            value = next(args, "-")  # a missing value is refused as "-" is
+            if value.startswith("-"):
+                return None
+        convert = kwargs.get("type")
+        if convert is not None:
+            try:
+                value = convert(value)
+            except Exception:  # argparse converts again, and reports or raises
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[name] = value
+    if any(kwargs.get("required") and name not in given for name, kwargs in options.items()):
+        return None
+    return SimpleNamespace(
+        command=argv[0],
+        **{name[2:].replace("-", "_"): given.get(name, kwargs.get("default"))
+           for name, kwargs in options.items()},
+        func=func,
+    )
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_strict(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:
