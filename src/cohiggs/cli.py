@@ -17,9 +17,8 @@ argv the strict parser leaves to it.
 from __future__ import annotations
 
 import functools
-import json
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -50,48 +49,7 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _json_items(value, inner: str) -> Iterable[str]:
-    """The rendered items of a non-empty list, tuple or dict, one string
-    each, for the indent ``inner`` of its items."""
-    if isinstance(value, dict):
-        return (
-            f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
-            for k, v in sorted(value.items())
-        )
-    if set(map(type, value)) == {int}:  # plain ints, not bools
-        return map(str, value)
-    return (_json_text(x, inner) for x in value)
-
-
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` for the CLI payloads.
-
-    With an indent ``json.dumps`` runs the pure-Python encoder, item by
-    item; here a list of plain ints is one join, and strings, ints, bools
-    and empty containers skip the encoder's set-up.
-    """
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return str(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if isinstance(value, (list, tuple, dict)):
-        brackets = "{}" if isinstance(value, dict) else "[]"
-        if not value:
-            return brackets
-        inner = indent + "  "
-        items = ("," + inner).join(_json_items(value, inner))
-        return brackets[0] + inner + items + indent + brackets[1]
-    return json.dumps(value)
-
-
 _CHUNK = 512  # list items per piece, and pieces or table rows per write
-
-
-def _in_pieces(value) -> bool:
-    return isinstance(value, dict) or isinstance(value, (list, tuple)) and len(value) > _CHUNK
 
 
 def _write_chunks(pieces: Iterator[str]) -> None:
@@ -103,31 +61,44 @@ def _write_chunks(pieces: Iterator[str]) -> None:
 
 
 def _json_pieces(value, indent: str = "\n") -> Iterator[str]:
-    """``_json_text(value, indent)`` in pieces: a dict value by value, a
-    list of more than ``_CHUNK`` items that many items at a time, and
-    anything else whole."""
-    inner = indent + "  "
-    sep = "," + inner
-    if not (_in_pieces(value) and value):
-        yield _json_text(value, indent)
-    elif isinstance(value, dict):
-        yield "{"
-        lead = inner
-        for k, v in sorted(value.items()):
-            head = lead + encode_basestring_ascii(k) + ": "
-            lead = sep
-            if _in_pieces(v):
-                yield head
-                yield from _json_pieces(v, inner)
-            else:
-                yield head + _json_text(v, inner)
-        yield indent + "}"
+    """``json.dumps(value, sort_keys=True, indent=2)`` for the CLI payloads
+    (strings, ints, bools, lists, tuples, dicts), in pieces: a dict key by
+    key, a list ``_CHUNK`` items at a time, a chunk of plain ints one join.
+    ``indent`` opens the value's own line; other types raise TypeError."""
+    kind = type(value)
+    if kind is str:
+        yield encode_basestring_ascii(value)
+    elif kind is int:
+        yield str(value)
+    elif kind is bool:
+        yield "true" if value else "false"
+    elif not isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"no JSON form for {kind.__name__}")
+    elif not value:
+        yield "{}" if isinstance(value, dict) else "[]"
     else:
+        inner = indent + "  "
+        sep = "," + inner
+        if isinstance(value, dict):
+            yield "{"
+            lead = inner
+            for k, v in sorted(value.items()):
+                yield lead + encode_basestring_ascii(k) + ": "
+                lead = sep
+                yield from _json_pieces(v, inner)
+            yield indent + "}"
+            return
+        plain = set(map(type, value)) == {int}  # plain ints, not bools
         yield "["
         for start in range(0, len(value), _CHUNK):
-            items = _json_items(value[start : start + _CHUNK], inner)
+            chunk = value[start : start + _CHUNK]
+            items = map(str, chunk) if plain else ("".join(_json_pieces(x, inner)) for x in chunk)
             yield (sep if start else inner) + sep.join(items)
         yield indent + "]"
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    return "".join(_json_pieces(value, indent))
 
 
 def _emit_json(payload) -> None:

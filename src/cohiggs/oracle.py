@@ -85,7 +85,7 @@ class CoHiggsMatrix(Frozen):
     ) -> None:
         r = splitting.rank
         if len(entries) != r or any(len(row) != r for row in entries):
-            raise ValueError(f"expected an {r} x {r} entry grid")
+            raise ValueError(f"expected {r} rows of {r} entries")
         entries = tuple([
             tuple([
                 _check_form(p, field, hom_degree(splitting, i, j), f"entry ({i}, {j})")

@@ -1,7 +1,11 @@
 """Stratification of the co-Higgs moduli by Harder-Narasimhan type.
 
-Fixing the topological degree leaves finitely many allowed types: every
-simple-root value must lie in {0, 1, 2}.  Each stratum is the space of
+The strata are the HN types whose simple-root values all lie in
+{0, 1, 2}, the types the criterion allows: every value vector in
+{0, 1, 2}^rank, one stratum each.  They are not the strata of one fixed
+topological degree: the vectors span every class of P^v/Q^v (coweights
+modulo coroots, the topological types), and a listing per class (an
+opt-in ``--class``) is not built yet.  Each stratum is the space of
 fields on the corresponding bundle modulo its automorphisms, so its
 dimension is the field dimension less the automorphism dimension, both
 sums of section counts over the root spaces.  A root pair of value
@@ -196,7 +200,8 @@ def strata_rows(
 def enumerate_strata(
     group: ReductiveGroup, central_degrees: tuple[int, ...] | list[int] = ()
 ) -> list[StratumRecord]:
-    """All strata of a fixed topological degree, one per allowed type.
+    """All strata with simple-root values in {0, 1, 2}, one per type, of
+    every topological degree at once (see the module docstring).
 
     Every combination of simple-root values in {0, 1, 2} (up to the stable
     bound of the criterion) appears exactly once, in lexicographic order of

@@ -617,6 +617,10 @@ def test_json_text_matches_json_dumps(capsys, monkeypatch, argv):
     main([*argv, "--format=json"])
     (payload,) = payloads
     assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    # a payload holds no other type: a float or None has no rendering
+    for bad in (0.5, None):
+        with pytest.raises(TypeError):
+            _json_text({**payload, "z": [bad]})
 
 
 class _Writes:
@@ -762,6 +766,44 @@ def test_well_formed_requests_import_neither_argparse_nor_gettext():
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out == "[0, 0, 0, 0, 0, 0, 0] []\n"
+
+
+def test_output_is_independent_of_the_hash_seed():
+    # one fresh interpreter per PYTHONHASHSEED, each running the seven
+    # determinism requests in process; -S but not -I, which ignores the seed
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    requests = [
+        ["criterion", "--group=C3xA1+z2", "--hn=1,0,2,3", "--central=1,2", "--format=json"],
+        ["strata", "--group=A2xB2+z1", "--central=1", "--format=json"],
+        ["oracle", "--splitting=1,0,-1", "--prime=7", "--mode=stable", "--seed=4"],
+        ["oracle", "--splitting=1,1,0", "--prime=3", "--mode=semistable", "--seed=38"],
+        ["adjoint", "--group=E6", "--hn=1,0,2,1,0,1", "--format=json"],
+        ["sp-check", "--half-degrees=2,1,0", "--format=json"],
+        ["model-field", "--splitting=2,0,-2", "--prime=5", "--seed=3", "--format=json"],
+    ]
+    code = (
+        "import contextlib, io, json, sys; sys.path.insert(0, sys.argv[1]); import cohiggs.cli\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        runs.append((cohiggs.cli.main(argv), out.getvalue(), err.getvalue()))\n"
+        "print(json.dumps([hash('cohiggs'), runs]))"
+    )
+
+    def under(seed):
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code, src, json.dumps(requests)],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        return json.loads(done.stdout)
+
+    (hash0, runs0), (hash1, runs1) = under("0"), under("12345")
+    assert hash0 != hash1  # the seed took effect
+    assert [exit for exit, _, _ in runs0] == [0, 0, 0, 2, 0, 0, 0]
+    assert all(out and not err for _, out, err in runs0)
+    assert runs0 == runs1
 
 
 # values for each option: well-formed ones first, then ones argparse

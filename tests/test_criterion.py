@@ -130,6 +130,8 @@ def test_certificate_precondition():
         hom_vanishing_certificate(A2, HNType(((3, 0),)), 0, 5)
     with pytest.raises(ValueError):
         hom_vanishing_certificate(A2, HNType(((3, 0),)), 1, 0)
+    with pytest.raises(ValueError, match="no simple root"):
+        hom_vanishing_certificate(A2, HNType(((3, 0),)), 0, 2)
 
 
 def test_adjoint_splitting_examples():

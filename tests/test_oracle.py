@@ -122,6 +122,31 @@ def test_matrix_rejects_entries_over_another_field():
         CoHiggsMatrix(st, F5, entries)
 
 
+def test_matrix_rejects_a_short_row():
+    # r rows, one of them short: the grid must be r by r for every r
+    for r in (2, 3):
+        st = SplittingType((0,) * r)
+        rows = [list(row) for row in zero_field(st, F5).entries]
+        rows[-1].pop()
+        with pytest.raises(ValueError, match=f"^expected {r} rows of {r} entries$"):
+            CoHiggsMatrix(st, F5, tuple(map(tuple, rows)))
+    with pytest.raises(ValueError, match="^expected 2 rows of 2 entries$"):
+        CoHiggsMatrix(SplittingType((0, 0)), F5, zero_field(SplittingType((0, 0, 0)), F5).entries)
+
+
+def test_equal_but_distinct_fields_are_accepted():
+    # fields compare by value: forms over another PrimeField(5) object fit
+    twin = PrimeField(5)
+    assert twin is not F5 and twin == F5
+    st = SplittingType((1, -1))
+    phi = build_model_field(st, twin, seed=3)
+    assert CoHiggsMatrix(st, F5, phi.entries) == phi
+    assert line(st, twin, 0, (1, 0), ()) == line(st, F5, 0, (1, 0), ())
+    a, b = HomogPoly(F5, 1, (1, 2)), HomogPoly(twin, 1, (3, 4))
+    assert a + b == HomogPoly(F5, 1, (4, 1))
+    assert a * b == HomogPoly(F5, 2, (3, 10, 8))
+
+
 def test_model_field_shape():
     phi = build_model_field(SplittingType((1, -1)), F5, seed=3)
     nonzero = [
@@ -357,9 +382,9 @@ def test_every_stored_form_has_its_slot_degree(degrees):
 # ----------------------------------------------------------------- oracle
 
 def test_oracle_rejects_big_ranks_and_infinite_fields():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^oracle supports rank <= 3, got 4$"):
         semistability_oracle(zero_field(SplittingType((0, 0, 0, 0)), F5), "stable")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mode must be"):
         semistability_oracle(zero_field(SplittingType((0, 0)), F5), "almost")
 
 
