@@ -20,8 +20,13 @@ import functools
 import sys
 from collections.abc import Iterator, Sequence
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
+
+try:
+    # the C encoder json.encoder binds, without loading the json package
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without the _json accelerator
+    from json.encoder import encode_basestring_ascii
 
 from .criterion import adjoint_splitting, admits_stable_cohiggs, evaluate_criterion
 from .glr import SplittingType, splitting_to_hn

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable
-from fractions import Fraction
 
 from .frozen import Frozen, set_slot
 from .lie import CartanType, HNType, ReductiveGroup
@@ -43,10 +42,6 @@ class SplittingType(Frozen):
     @property
     def degree(self) -> int:
         return sum(self.degrees)
-
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.degree, self.rank)
 
     def gaps(self) -> tuple[int, ...]:
         return tuple(

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 from itertools import product
 
 from .criterion import admits_stable_cohiggs
@@ -291,7 +290,7 @@ class OracleWitness(Frozen):
 
 
 class OracleVerdict(Frozen):
-    """PASSES or FAILS, with the mode, field, slope and any witnesses."""
+    """PASSES or FAILS, with the mode, field, slope text and any witnesses."""
 
     __slots__ = ("passes", "mode", "field_name", "slope", "witnesses")
     _defaults = {"witnesses": ()}
@@ -305,19 +304,26 @@ class OracleVerdict(Frozen):
             "verdict": self.verdict,
             "mode": self.mode,
             "field": self.field_name,
-            "slope": str(self.slope),
+            "slope": self.slope,
             "witnesses": [w.to_json_dict() for w in self.witnesses],
         }
 
 
-def _violation_threshold(mode: str, slope: Fraction) -> int:
-    # stable: an invariant subbundle of slope >= mu violates;
-    # semistable: only slope > mu does.
+def _violation_threshold(mode: str, degree: int, rank: int) -> int:
+    # the least line degree that violates at slope mu = degree / rank, in
+    # integers: stable, an invariant subbundle of slope >= mu violates (the
+    # ceiling of mu); semistable, only slope > mu does (its floor plus 1)
     if mode == "stable":
-        return math.ceil(slope)
+        return -(-degree // rank)
     if mode == "semistable":
-        return math.floor(slope) + 1
+        return degree // rank + 1
     raise ValueError(f"mode must be 'stable' or 'semistable', not {mode!r}")
+
+
+def _slope_text(degree: int, rank: int) -> str:
+    # reduced, as str(Fraction(degree, rank)) prints it: "1/2", "-1" or "0"
+    g = math.gcd(degree, rank)
+    return str(degree // g) if g == rank else f"{degree // g}/{rank // g}"
 
 
 def _charpoly(m: list[list[int]]) -> tuple[int, ...]:
@@ -492,11 +498,11 @@ def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
     """
     st = phi.splitting
     require_oracle_rank(st)
-    mu = st.slope
-    threshold = _violation_threshold(mode, mu)
+    degree, rank = st.degree, st.rank
+    threshold = _violation_threshold(mode, degree, rank)
     # a line bundle has no proper subbundles, and a constant splitting in
     # semistable mode no degree to visit, on phi or on its dual
-    forms = _eigen_forms(phi) if st.rank > 1 and st.degrees[0] >= threshold else []
+    forms = _eigen_forms(phi) if rank > 1 and st.degrees[0] >= threshold else []
     # the records get every field by position, Frozen's fast path: a
     # keyword call binds its fields in Python, a few us per FAILS verdict
     witnesses: tuple[OracleWitness, ...] = ()
@@ -505,9 +511,11 @@ def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
         if hit is not None:
             d, sections = hit
             witnesses = (OracleWitness(1, d, sections, ()),)
-        elif st.rank == 3:
-            hit = _top_invariant_line(phi.transpose_dual(), forms, _violation_threshold(mode, -mu))
+        elif rank == 3:
+            hit = _top_invariant_line(
+                phi.transpose_dual(), forms, _violation_threshold(mode, -degree, rank)
+            )
             if hit is not None:
                 d, sections = hit
-                witnesses = (OracleWitness(2, st.degree + d, (), sections),)
-    return OracleVerdict(not witnesses, mode, phi.field.name, mu, witnesses)
+                witnesses = (OracleWitness(2, degree + d, (), sections),)
+    return OracleVerdict(not witnesses, mode, phi.field.name, _slope_text(degree, rank), witnesses)

@@ -617,6 +617,11 @@ def test_json_text_matches_json_dumps(capsys, monkeypatch, argv):
     main([*argv, "--format=json"])
     (payload,) = payloads
     assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    # strings as keys and as values: the escapes, DEL, a non-ASCII letter, a
+    # line separator and a character outside the BMP (a surrogate pair)
+    strings = ["", "key", '"', "\\", "\n\t\x00\x1f", "\x7f", "\u00e9", "\u2028", "\U0001F600"]
+    mixed = {**payload, **{s: s for s in strings}, "strings": strings}
+    assert _json_text(mixed) == json.dumps(mixed, sort_keys=True, indent=2)
     # a payload holds no other type: a float or None has no rendering
     for bad in (0.5, None):
         with pytest.raises(TypeError):
@@ -742,8 +747,10 @@ def test_help_and_argparse_only_forms_pinned(capsys, monkeypatch):
 
 
 def test_well_formed_requests_import_neither_argparse_nor_gettext():
-    # a fresh interpreter, since the test run itself has loaded both; one
-    # request per subcommand, in both value forms
+    # a fresh interpreter, since the test run itself has loaded them all;
+    # one request per subcommand, in both value forms, passed as plain argv
+    # strings so that the child imports nothing the package does not; the
+    # forbidden set is checked after the import and after the requests
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     requests = [
         ["criterion", "--group=A2+z1", "--hn=1,1", "--central=3", "--format=json"],
@@ -755,17 +762,19 @@ def test_well_formed_requests_import_neither_argparse_nor_gettext():
         ["oracle", "--splitting=1,-1", "--prime=5", "--mode", "stable", "--model"],
     ]
     code = (
-        "import io, json, sys; sys.path.insert(0, sys.argv[1]); import cohiggs, cohiggs.cli; "
+        "import io, sys; sys.path.insert(0, sys.argv[1]); import cohiggs, cohiggs.cli; "
+        "forbidden = {'argparse', 'gettext', 'fractions', 'decimal', 'numbers', 'json'}; "
+        "imported = sorted(forbidden & set(sys.modules)); "
         "sys.stdout = io.StringIO(); "
-        "codes = [cohiggs.cli.main(argv) for argv in json.loads(sys.argv[2])]; "
+        "codes = [cohiggs.cli.main(request.split(' ')) for request in sys.argv[2:]]; "
         "sys.stdout = sys.__stdout__; "
-        "print(codes, sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        "print(codes, imported, sorted(forbidden & set(sys.modules)))"
     )
     out = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, src, json.dumps(requests)],
+        [sys.executable, "-I", "-S", "-c", code, src, *map(" ".join, requests)],
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
-    assert out == "[0, 0, 0, 0, 0, 0, 0] []\n"
+    assert out == "[0, 0, 0, 0, 0, 0, 0] [] []\n"
 
 
 def test_output_is_independent_of_the_hash_seed():

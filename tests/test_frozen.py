@@ -1,6 +1,5 @@
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -48,7 +47,7 @@ def _instances():
         ),
         OracleWitness(rank=1, degree=0, sections=("1", "x")),
         OracleVerdict(
-            False, "stable", "F5", Fraction(1, 2), (OracleWitness(2, 1, dual_sections=("y",)),)
+            False, "stable", "F5", "1/2", (OracleWitness(2, 1, dual_sections=("y",)),)
         ),
         RootViolation(0, 1, 3),
         evaluate_criterion(parse_group("A1"), HNType(((3,),))),
@@ -76,7 +75,7 @@ PINNED_REPRS = [
     "sections=(HomogPoly(field=PrimeField(p=5), degree=1, coeffs=(1, 2)), "
     "HomogPoly(field=PrimeField(p=5), degree=0, coeffs=(3,))))",
     "OracleWitness(rank=1, degree=0, sections=('1', 'x'), dual_sections=())",
-    "OracleVerdict(passes=False, mode='stable', field_name='F5', slope=Fraction(1, 2), "
+    "OracleVerdict(passes=False, mode='stable', field_name='F5', slope='1/2', "
     "witnesses=(OracleWitness(rank=2, degree=1, sections=(), dual_sections=('y',)),))",
     "RootViolation(factor=0, root=1, value=3)",
     "CriterionReport(admits_stable=False, violating_roots=(RootViolation(factor=0, root=0, "
@@ -176,7 +175,7 @@ def test_defaults_and_keywords():
     witness = OracleWitness(rank=1, degree=-1, sections=("x", "y"))
     assert witness.dual_sections == ()
     assert witness == OracleWitness(1, -1, ("x", "y"), ())
-    verdict = OracleVerdict(passes=True, mode="semistable", field_name="F2", slope=Fraction(0))
+    verdict = OracleVerdict(passes=True, mode="semistable", field_name="F2", slope="0")
     assert verdict.witnesses == ()
     assert HomogPoly(field=F5, degree=0, coeffs=(3,)) == HomogPoly(F5, 0, (3,))
 

@@ -101,6 +101,42 @@ def test_no_init_only_sets_slots(path):
     assert plain == [], path.name
 
 
+# each took a large share of ``import cohiggs, cohiggs.cli``, which every
+# CLI request pays; statistics loads fractions
+IMPORT_COSTLY = {"argparse", "json", "fractions", "decimal", "statistics"}
+
+
+def _import_time_modules(body):
+    # the modules a statement list imports while its module is imported: not
+    # inside a function, nor in an ``except ImportError`` fallback
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(stmt, ast.Import):
+            yield from (alias.name for alias in stmt.names)
+        elif isinstance(stmt, ast.ImportFrom):
+            if not stmt.level:
+                yield stmt.module
+        elif isinstance(stmt, ast.Try):
+            for part in (stmt.body, stmt.orelse, stmt.finalbody):
+                yield from _import_time_modules(part)
+            for handler in stmt.handlers:
+                if not (isinstance(handler.type, ast.Name) and handler.type.id == "ImportError"):
+                    yield from _import_time_modules(handler.body)
+        else:
+            for field in ("body", "orelse"):
+                yield from _import_time_modules(getattr(stmt, field, []))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_costly_import_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    costly = sorted(
+        name for name in _import_time_modules(tree.body) if name.partition(".")[0] in IMPORT_COSTLY
+    )
+    assert costly == [], path.name
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # a fresh interpreter, since the test run itself has loaded both
     src = Path(__file__).resolve().parent.parent / "src"

@@ -2,8 +2,10 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,7 +27,9 @@ from cohiggs import (
 )
 from cohiggs import oracle
 from cohiggs.frozen import set_slot
-from cohiggs.oracle import _eigen_forms, _kernel_head, _top_invariant_line, _violation_threshold
+from cohiggs.oracle import (
+    _eigen_forms, _kernel_head, _slope_text, _top_invariant_line, _violation_threshold,
+)
 from reference import (
     enumerate_all_fields,
     enumerate_splitting_types,
@@ -493,7 +497,9 @@ def test_model_field_sufficiency_across_primes():
                     for p in primes
                 ]
                 assert all(not v.passes for v in verdicts), st
-                assert all(v.witnesses[0].degree == st.slope for v in verdicts), st
+                assert all(
+                    v.witnesses[0].degree == Fraction(st.degree, st.rank) for v in verdicts
+                ), st
                 assert semistability_oracle(
                     build_model_field(st, primes[0], 0), "semistable"
                 ).passes, st
@@ -574,29 +580,54 @@ def _lines(st, degree, field):
     return tuple(enumerate_line_subbundles(st, degree, field))
 
 
+def _reference_threshold(mode, slope):
+    # the least violating line degree, from the slope as a Fraction
+    return math.ceil(slope) if mode == "stable" else math.floor(slope) + 1
+
+
 def _reference_oracle(phi, mode):
     # the enumerate-and-test oracle the kernel search replaced: every
     # saturated line from the top degree down, first invariant one wins;
     # for rank 3 the same on the dual splitting under the transposed field
     st, fld = phi.splitting, phi.field
-    mu = st.slope
+    mu = Fraction(st.degree, st.rank)
+    text = str(mu)
     if st.rank > 1:
-        for d in range(st.degrees[0], _violation_threshold(mode, mu) - 1, -1):
+        for d in range(st.degrees[0], _reference_threshold(mode, mu) - 1, -1):
             for L in _lines(st, d, fld):
                 if is_invariant(phi, L):
                     w = OracleWitness(rank=1, degree=d, sections=tuple(map(str, L.sections)))
-                    return OracleVerdict(False, mode, fld.name, mu, (w,))
+                    return OracleVerdict(False, mode, fld.name, text, (w,))
     if st.rank == 3:
         phi_t = phi.transpose_dual()
         dual = phi_t.splitting
-        for d in range(dual.degrees[0], _violation_threshold(mode, dual.slope) - 1, -1):
+        for d in range(dual.degrees[0], _reference_threshold(mode, -mu) - 1, -1):
             for L in _lines(dual, d, fld):
                 if is_invariant(phi_t, L):
                     w = OracleWitness(
                         rank=2, degree=st.degree + d, dual_sections=tuple(map(str, L.sections))
                     )
-                    return OracleVerdict(False, mode, fld.name, mu, (w,))
-    return OracleVerdict(True, mode, fld.name, mu)
+                    return OracleVerdict(False, mode, fld.name, text, (w,))
+    return OracleVerdict(True, mode, fld.name, text)
+
+
+def test_integer_thresholds_and_slope_text_match_fractions():
+    # exhaustive against Fraction: the ceiling (stable) and floor + 1
+    # (semistable) of degree / rank, for the degree and its negation as the
+    # rank-3 dual search passes it, and the reduced slope text, which the
+    # verdict of a balanced splitting carries for the oracle's ranks
+    for degree in range(-40, 41):
+        for rank in range(1, 10):
+            mu = Fraction(degree, rank)
+            assert _slope_text(degree, rank) == str(mu), (degree, rank)
+            q, m = divmod(degree, rank)
+            st = SplittingType((q + 1,) * m + (q,) * (rank - m))
+            for mode in ("stable", "semistable"):
+                assert _violation_threshold(mode, degree, rank) == _reference_threshold(mode, mu)
+                assert _violation_threshold(mode, -degree, rank) == _reference_threshold(mode, -mu)
+                if rank <= 3:
+                    verdict = semistability_oracle(zero_field(st, F2), mode)
+                    assert verdict.to_json_dict()["slope"] == str(mu), (degree, rank, mode)
 
 
 def _assert_matches_reference(fields):
