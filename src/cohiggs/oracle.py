@@ -271,29 +271,26 @@ def enumerate_line_subbundles(
 
 
 class OracleWitness(Frozen):
-    """A destabilizing invariant subbundle found by the oracle.
+    """A destabilizing invariant subbundle found by the oracle, with the
+    section strings of one line.
 
-    For ``rank == 2`` the subbundle was detected on the dual splitting as an
-    invariant annihilator line, recorded in ``dual_sections``.
+    For ``rank == 1`` they are the destabilizing line's.  For ``rank == 2``
+    the subbundle was detected on the dual splitting, and they are the
+    sections of its invariant annihilator line there, written as
+    ``dual_sections`` in JSON.
     """
 
-    __slots__ = ("rank", "degree", "sections", "dual_sections")
-    _defaults = {"sections": (), "dual_sections": ()}
+    __slots__ = ("rank", "degree", "sections")
 
     def to_json_dict(self) -> dict:
-        out: dict = {"rank": self.rank, "degree": self.degree}
-        if self.sections:
-            out["sections"] = list(self.sections)
-        if self.dual_sections:
-            out["dual_sections"] = list(self.dual_sections)
-        return out
+        key = "sections" if self.rank == 1 else "dual_sections"
+        return {"rank": self.rank, "degree": self.degree, key: list(self.sections)}
 
 
 class OracleVerdict(Frozen):
     """PASSES or FAILS, with the mode, field, slope text and any witnesses."""
 
     __slots__ = ("passes", "mode", "field_name", "slope", "witnesses")
-    _defaults = {"witnesses": ()}
 
     @property
     def verdict(self) -> str:
@@ -359,8 +356,8 @@ def _horner(coeffs: Sequence[int], t: int, p: int) -> int:
     """The value mod p at t of the polynomial with ``coeffs``, leading first."""
     acc = 0
     for k in coeffs:
-        acc = acc * t + k
-    return acc % p
+        acc = (acc * t + k) % p
+    return acc
 
 
 def _sieve(forms: list[tuple[int, int, int]], coeffs: list[list[tuple[int, ...]]], p: int) -> None:
@@ -503,19 +500,17 @@ def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
     # a line bundle has no proper subbundles, and a constant splitting in
     # semistable mode no degree to visit, on phi or on its dual
     forms = _eigen_forms(phi) if rank > 1 and st.degrees[0] >= threshold else []
-    # the records get every field by position, Frozen's fast path: a
-    # keyword call binds its fields in Python, a few us per FAILS verdict
     witnesses: tuple[OracleWitness, ...] = ()
     if forms:
         hit = _top_invariant_line(phi, forms, threshold)
         if hit is not None:
             d, sections = hit
-            witnesses = (OracleWitness(1, d, sections, ()),)
+            witnesses = (OracleWitness(1, d, sections),)
         elif rank == 3:
             hit = _top_invariant_line(
                 phi.transpose_dual(), forms, _violation_threshold(mode, -degree, rank)
             )
             if hit is not None:
                 d, sections = hit
-                witnesses = (OracleWitness(2, degree + d, (), sections),)
+                witnesses = (OracleWitness(2, degree + d, sections),)
     return OracleVerdict(not witnesses, mode, phi.field.name, _slope_text(degree, rank), witnesses)

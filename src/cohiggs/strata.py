@@ -22,7 +22,9 @@ its own counts the values of ``all_root_values``.  The paper's
 formulas for the automorphism and stratum dimensions are checked against
 per-root sums in ``tests/test_strata.py`` (``reference_dimensions`` and
 ``test_automorphism_forms_agree_on_big_sweep``) and by acceptance
-criterion 05.  The generic stratum has twice the group dimension.
+criterion 05.  The generic stratum has twice the group dimension.  The
+``generic`` column marks the zero type, the all-zero value vector: the
+top-dimension row of the class of 0 alone, not of the other classes.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from .lie import (
 
 
 class StratumRecord(Frozen):
-    """One stratum: its HN type, three dimensions and whether it is generic."""
+    """One stratum: its HN type, three dimensions and whether it is the
+    zero type (``is_generic``)."""
 
     __slots__ = ("hn", "dim_cohiggs", "dim_aut", "dim_stratum", "is_generic")
 
@@ -173,7 +176,8 @@ def strata_rows(
 ) -> Iterator[tuple]:
     """``enumerate_strata`` as a lazy stream of plain rows.
 
-    Each row is ``(flat values, fields, automorphisms, stratum, generic)``.
+    Each row is ``(flat values, fields, automorphisms, stratum, generic)``,
+    where ``generic`` marks the zero type, the all-zero value vector.
     The request is checked before the stream is returned, so a rejected one
     raises here, never part way through the rows; so is its size, at most
     3^``MAX_STRATA_RANK`` rows.
@@ -206,7 +210,8 @@ def enumerate_strata(
     Every combination of simple-root values in {0, 1, 2} (up to the stable
     bound of the criterion) appears exactly once, in lexicographic order of
     the flattened value vector.  The central part is carried through
-    unchanged; a wrong length is rejected before any work.
+    unchanged; a wrong length is rejected before any work.  ``is_generic``
+    is true for the zero type only.
     """
     rows = strata_rows(group, central_degrees)  # checks the request
     return [

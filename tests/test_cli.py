@@ -430,6 +430,17 @@ def test_oracle_large_prime_passes(capsys):
     assert "PASSES" in out
 
 
+def test_oracle_large_gap_answers_quickly(capsys):
+    # the sieve evaluates the entry of degree 200002 at [t:1]; reducing at
+    # every Horner step keeps that linear in the degree, not quadratic
+    with deadline(2):
+        code, out, _ = run(
+            capsys, "oracle", "--splitting=200000,0", "--prime=5", "--mode=stable"
+        )
+    assert code == 2
+    assert '"degree": 200000' in out
+
+
 def test_oracle_composite_modulus_rejected_quickly(capsys):
     # 1000000007 * 1000000009: trial division to its square root took minutes
     start = time.perf_counter()

@@ -28,7 +28,7 @@ from cohiggs import (
 from cohiggs import oracle
 from cohiggs.frozen import set_slot
 from cohiggs.oracle import (
-    _eigen_forms, _kernel_head, _slope_text, _top_invariant_line, _violation_threshold,
+    _eigen_forms, _horner, _kernel_head, _slope_text, _top_invariant_line, _violation_threshold,
 )
 from reference import (
     enumerate_all_fields,
@@ -177,6 +177,13 @@ def test_model_and_random_fields_deterministic():
     assert build_model_field(st, F5, 9).entries == build_model_field(st, F5, 9).entries
     assert random_field(st, F5, 9).entries == random_field(st, F5, 9).entries
     assert random_field(st, F5, 9).entries != random_field(st, F5, 10).entries
+
+
+def test_fields_default_to_seed_zero():
+    # the CLI's --seed defaults to 0 as well; both must name the same field
+    st = SplittingType((1, 0, -1))
+    assert build_model_field(st, F5) == build_model_field(st, F5, 0) != build_model_field(st, F5, 1)
+    assert random_field(st, F5) == random_field(st, F5, 0) != random_field(st, F5, 1)
 
 
 def test_random_field_respects_forced_zeros():
@@ -438,7 +445,7 @@ def test_rank_three_quotient_witness():
     assert not verdict.passes
     w = verdict.witnesses[0]
     assert (w.rank, w.degree) == (2, 4)
-    assert w.dual_sections
+    assert w.sections and list(w.to_json_dict()) == ["rank", "degree", "dual_sections"]
 
 
 def test_annihilator_duality_rank_two():
@@ -596,7 +603,7 @@ def _reference_oracle(phi, mode):
         for d in range(st.degrees[0], _reference_threshold(mode, mu) - 1, -1):
             for L in _lines(st, d, fld):
                 if is_invariant(phi, L):
-                    w = OracleWitness(rank=1, degree=d, sections=tuple(map(str, L.sections)))
+                    w = OracleWitness(1, d, tuple(map(str, L.sections)))
                     return OracleVerdict(False, mode, fld.name, text, (w,))
     if st.rank == 3:
         phi_t = phi.transpose_dual()
@@ -604,11 +611,9 @@ def _reference_oracle(phi, mode):
         for d in range(dual.degrees[0], _reference_threshold(mode, -mu) - 1, -1):
             for L in _lines(dual, d, fld):
                 if is_invariant(phi_t, L):
-                    w = OracleWitness(
-                        rank=2, degree=st.degree + d, dual_sections=tuple(map(str, L.sections))
-                    )
+                    w = OracleWitness(2, st.degree + d, tuple(map(str, L.sections)))
                     return OracleVerdict(False, mode, fld.name, text, (w,))
-    return OracleVerdict(True, mode, fld.name, text)
+    return OracleVerdict(True, mode, fld.name, text, ())
 
 
 def test_integer_thresholds_and_slope_text_match_fractions():
@@ -760,6 +765,18 @@ def _without_sieve(monkeypatch, call, *args):
     with monkeypatch.context() as m:
         m.setattr(oracle, "_sieve", lambda forms, coeffs, p: None)
         return call(*args)
+
+
+def test_horner_matches_the_power_sum_on_long_forms():
+    # the sieve evaluates entries of any degree, and characteristic
+    # polynomials with unreduced or negative coefficients
+    rng = random.Random("horner")
+    for p in (2, 3, 5, 101, 1000003):
+        for d in (0, 1, 2, 3, 50, 1000, 4000):
+            coeffs = [rng.randrange(-p * p, p * p) for _ in range(d + 1)]
+            for t in {0, 1, p - 1, rng.randrange(p)}:
+                want = sum(c * pow(t, d - k, p) for k, c in enumerate(coeffs)) % p
+                assert _horner(coeffs, t, p) == want
 
 
 def test_sieve_verdicts_pinned():
