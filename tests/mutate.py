@@ -3,24 +3,28 @@
 Run from the repository root, naming one module or more:
 
     python tests/mutate.py frozen oracle
-    python tests/mutate.py oracle --list      # the mutants, without running
 
 Each mutant changes one node of the module's syntax tree: a comparison
 flipped (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``is`` and
 ``is not``, ``in`` and ``not in``), an integer constant plus one, or
-``and`` swapped with ``or``.  The harness copies ``src``, ``tests`` and
-``pyproject.toml`` to a temporary directory and writes one mutant at a time
-into the copy.  For each it runs pytest on the module's test files from
-``TESTS``, one child process at a time, under a timeout, stopping at the
-first failure.  Tests that already fail on the unmutated module are
-deselected, so only a test that passes without the mutant can kill it.  A
+``and`` swapped with ``or``.  The harness copies ``src``, ``tests``,
+``bench`` and ``pyproject.toml`` to a temporary directory and writes one
+mutant at a time into the copy.  For each it runs pytest on the module's
+test files from ``TESTS``, one child process at a time, under a timeout,
+stopping at the first failure.  Tests that already fail on the unmutated module are
+deselected, so only a test that passes without the mutant can kill it.
+Each child gets five times the unmutated run, and at least a minute; a
 mutant that times out counts as killed.  A survivor listed in
 ``EQUIVALENT`` is reported apart with its reason; the exit code is 1 when
 any other mutant survives.
 
-A mutant is named ``file:scope:change#n``: the enclosing functions and
-classes, the change, and its index among the same change in that scope.
-The name does not move when lines elsewhere in the file do.
+A mutant is named ``file:scope:change#n in text``: the enclosing functions
+and classes, the change, its index among the same change of the same text
+in that scope, and the source text of the expression it sits in (the
+outermost one below a statement).  The name does not move when lines
+elsewhere in the file do, and an edit at the site renames the mutant.  An
+``EQUIVALENT`` name that no mutant of its module has any more stops the
+run, so a stale entry cannot excuse a new survivor.
 
 Pytest does not collect this file, and it uses only the standard library.
 """
@@ -55,14 +59,15 @@ TESTS = {
 
 # survivors that behave exactly as the module does, by name, with the reason
 EQUIVALENT = {
-    "oracle.py:_sections:0->1#0":
+    "oracle.py:_sections:0->1#0 in "
+    "tuple((HomogPoly(field, e, vector[c0:c0 + max(e + 1, 0)]) for c0, e in blocks))":
         "a summand without slots comes after every summand with slots (the degrees "
         "decrease), so its slice starts at the vector's end and is empty either way",
-    "oracle.py:_kernel_head:0->1#0":
+    "oracle.py:_kernel_head:0->1#0 in reversed(range(len(rows[0])))":
         "every row has the same length, and the oracle's matrices have at least 3 rows",
-    "oracle.py:_kernel_head:0->1#2":
+    "oracle.py:_kernel_head:0->1#1 in [0] * len(rows[0])":
         "every row has the same length, and the oracle's matrices have at least 3 rows",
-    "oracle.py:_top_invariant_line:2->3#0":
+    "oracle.py:_top_invariant_line:2->3#0 in _blocks(st, d - 2)":
         "the layout of H^0(E(-d + 3)) only adds a zero row at the end of each summand's block",
 }
 
@@ -73,33 +78,38 @@ FLIPS = {
 }
 
 
-def mutation_sites(tree: ast.Module) -> list[tuple[str, int, ast.AST, str, object]]:
-    """Every mutation of ``tree``, in source order, as ``(change, line,
-    node, field, new)``: the mutant sets ``node.field`` to ``new``.
-    ``change`` is prefixed with the enclosing scope."""
+def mutation_sites(tree: ast.Module) -> list[tuple[str, str, int, ast.AST, str, object]]:
+    """Every mutation of ``tree``, in source order, as ``(change, text,
+    line, node, field, new)``: the mutant sets ``node.field`` to ``new``.
+    ``change`` is prefixed with the enclosing scope; ``text`` is the
+    source of the outermost expression below a statement that holds it."""
     sites = []
 
-    def visit(node: ast.AST, scope: str) -> None:
+    def visit(node: ast.AST, scope: str, text: str | None) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope != "<module>" else node.name
+        if isinstance(node, (ast.stmt, ast.excepthandler)):
+            text = None
+        elif text is None:
+            text = ast.unparse(node)
         if isinstance(node, ast.Compare):
             for i, op in enumerate(node.ops):
                 if type(op) in FLIPS:
                     new = FLIPS[type(op)]
                     ops = [*node.ops[:i], new(), *node.ops[i + 1 :]]
-                    sites.append((f"{scope}:{type(op).__name__}->{new.__name__}",
+                    sites.append((f"{scope}:{type(op).__name__}->{new.__name__}", text,
                                   node.lineno, node, "ops", ops))
         elif isinstance(node, ast.BoolOp):
             new = ast.Or if isinstance(node.op, ast.And) else ast.And
-            sites.append((f"{scope}:{type(node.op).__name__}->{new.__name__}",
+            sites.append((f"{scope}:{type(node.op).__name__}->{new.__name__}", text,
                           node.lineno, node, "op", new()))
         elif isinstance(node, ast.Constant) and type(node.value) is int:
-            sites.append((f"{scope}:{node.value}->{node.value + 1}",
+            sites.append((f"{scope}:{node.value}->{node.value + 1}", text,
                           node.lineno, node, "value", node.value + 1))
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            visit(child, scope, text)
 
-    visit(tree, "<module>")
+    visit(tree, "<module>", None)
     return sites
 
 
@@ -115,12 +125,12 @@ def mutants(module: str, root: Path = ROOT) -> list[tuple[str, int, str]]:
     path = root / "src" / "cohiggs" / f"{module}.py"
     tree = ast.parse(path.read_text(), str(path))
     out, seen = [], {}
-    for change, line, node, field, new in mutation_sites(tree):
-        n = seen[change] = seen.get(change, -1) + 1
+    for change, text, line, node, field, new in mutation_sites(tree):
+        n = seen[change, text] = seen.get((change, text), -1) + 1
         old = _swap(node, field, new)
         source = ast.unparse(tree)
         _swap(node, field, old)
-        out.append((f"{path.name}:{change}#{n}", line, source))
+        out.append((f"{path.name}:{change}#{n} in {text}", line, source))
     return out
 
 
@@ -158,7 +168,7 @@ def run_tests(
 Survivor = tuple[str, int, str]
 
 
-def mutate_module(copy: Path, module: str, timeout: float | None) -> tuple[int, list[Survivor]]:
+def mutate_module(copy: Path, module: str) -> tuple[int, list[Survivor]]:
     """Run every mutant of ``module`` in ``copy``; the mutant count and the
     survivors as ``(name, line, status)``, status ``survived`` or
     ``equivalent``."""
@@ -166,16 +176,20 @@ def mutate_module(copy: Path, module: str, timeout: float | None) -> tuple[int, 
     target = copy / "src" / "cohiggs" / f"{module}.py"
     original = target.read_text()
     todo = mutants(module, copy)
+    names = {name for name, _, _ in todo}
+    stale = [n for n in EQUIVALENT if n.startswith(f"{module}.py:") and n not in names]
+    if stale:
+        raise SystemExit(f"{module}: EQUIVALENT names no mutant: {stale}")
     # the baseline goes through the same unparse as every mutant
     target.write_text(ast.unparse(ast.parse(original)))
-    code, broken, base_s = run_tests(copy, files, [], timeout or 3600, first=False)
+    code, broken, base_s = run_tests(copy, files, [], 3600, first=False)
     # pytest exits 1 when tests fail, 2 to 5 when they could not run
     if code not in (0, 1):
         target.write_text(original)
         raise SystemExit(f"{module}: the unmutated tests did not run (exit {code})")
     if broken:
         print(f"{module}: deselected, failing without a mutant: {' '.join(broken)}")
-    limit = timeout or max(60.0, 5 * base_s)
+    limit = max(60.0, 5 * base_s)
     survivors = []
     print(f"{module}: {len(todo)} mutants against {' '.join(files)}, {limit:.0f} s each")
     try:
@@ -196,16 +210,7 @@ def mutate_module(copy: Path, module: str, timeout: float | None) -> tuple[int, 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+", choices=sorted(TESTS), metavar="MODULE")
-    parser.add_argument("--list", action="store_true", help="print the mutants and exit")
-    parser.add_argument(
-        "--timeout", type=float, help="seconds per child (default: 5 x the unmutated run)"
-    )
     args = parser.parse_args(argv)
-    if args.list:
-        for module in args.modules:
-            for name, line, _ in mutants(module):
-                print(f"{name} (line {line})")
-        return 0
     report = {}
     with tempfile.TemporaryDirectory(prefix="cohiggs-mutate-") as tmp:
         copy = Path(tmp)
@@ -215,9 +220,9 @@ def main(argv: list[str] | None = None) -> int:
             shutil.copytree(ROOT / part, copy / part, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
         for module in args.modules:
-            report[module] = mutate_module(copy, module, args.timeout)
+            report[module] = mutate_module(copy, module)
     real = 0
-    print("\nsurvivors (file:scope:change#n, line):")
+    print("\nsurvivors (file:scope:change#n in text, line):")
     for module, (total, survivors) in report.items():
         alive = [s for s in survivors if s[2] == "survived"]
         real += len(alive)
