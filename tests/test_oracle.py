@@ -883,3 +883,27 @@ def test_sieve_point_cap(monkeypatch):
         counts.update(charpoly=0, scan=0)
         assert (0, 0, 0) in _eigen_forms(build_model_field(st, PrimeField(101)))
         assert counts["charpoly"] - counts["scan"] == 2 * st.rank - 2, st
+
+
+# ------------------------------------------------------- the top summand
+
+# the gap patterns of the oracle-sweep benchmark, top degree 0
+_SWEEP_GAPS = ((0,), (1,), (2,), (3,), (4,), (1, 0), (0, 1), (3, 0), (0, 3), (4, 0), (3, 3))
+_SWEEP_SPLITTINGS = tuple(
+    SplittingType(tuple(-sum(gaps[:i]) for i in range(len(gaps) + 1))) for gaps in _SWEEP_GAPS
+)
+
+
+def test_top_summand_verdicts_pinned():
+    # 880 verdicts over F2 and F3, 472 of them on a field that keeps its top
+    # summand invariant; recorded before the first-line test existed
+    verdicts = [
+        semistability_oracle(random_field(st, fld, seed), mode).to_json_dict()
+        for st in _SWEEP_SPLITTINGS
+        for fld in (F2, F3)
+        for seed in range(20)
+        for mode in ("stable", "semistable")
+    ]
+    assert len(verdicts) == 880
+    digest = hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest()
+    assert digest == "befc06ec37acdee2266055d182cb9292a6d7eaa3b57bc666d693687085222542"
