@@ -6,25 +6,32 @@ when that degree is negative.  A line subbundle of degree d is a section
 tuple with entry i of degree ``m_i - d``, saturated when the nonzero entries
 share no projective zero, i.e. their gcd is a nonzero constant.
 
-A saturated line is invariant exactly when ``phi s = form * s`` for a
-degree-2 form (the spectral picture of a Higgs field).  Such a line
-vanishes nowhere, so at every point the form's value is an eigenvalue of
-phi there.  Over a prime field the oracle takes the candidate forms from
-the eigenvalues of the numeric matrices phi([1:0]), phi([0:1]) and
-phi([1:1]), sieves them at [2:1], [3:1], ... up to 2r + 1 points in all,
-and for each form left looks for a nonzero kernel of ``phi - form`` on the
-section space, from the top degree down to the destabilizing slope
-threshold.  One Gaussian elimination over GF(p), from the last column to
-the first, yields the kernel vector leading at the first free column,
-which is the witness the enumeration meets first.  For rank 3 it repeats
-the search on the dual splitting with the transposed matrix, which detects
-invariant rank-2 subbundles through their annihilator lines.  The dual's
-numeric matrices are anti-transposes of phi's at every point, so both
-searches share one list of eigen-forms, and a field without one passes at
-once: it has no invariant subbundle of any rank.  A FAILS verdict is a
-certificate; a PASSES verdict only rules out destabilizing subbundles
-rational over the chosen field, so confidence comes from passing at
-several primes.
+The oracle first tests the line the enumeration meets first, e_0 =
+(1, 0, ..., 0) at the top degree m_0, which spans the top summand O(m_0).
+It is invariant exactly when every entry below the diagonal in column 0
+vanishes, and then it is the witness.  A first simple-root value
+``m_0 - m_1`` above 2 puts all those entries in zero spaces: the paper's
+obstruction at the first simple root, decided with no search.
+
+Otherwise the oracle searches.  A saturated line is invariant exactly when
+``phi s = form * s`` for a degree-2 form (the spectral picture of a Higgs
+field).  Such a line vanishes nowhere, so at every point the form's value
+is an eigenvalue of phi there.  Over a prime field the oracle takes the
+candidate forms from the eigenvalues of the numeric matrices phi([1:0]),
+phi([0:1]) and phi([1:1]), sieves them at [2:1], [3:1], ... up to 2r + 1
+points in all, and for each form left looks for a nonzero kernel of
+``phi - form`` on the section space, from the top degree down to the
+destabilizing slope threshold.  One Gaussian elimination over GF(p), from
+the last column to the first, yields the kernel vector leading at the
+first free column, which is the witness the enumeration meets first.  For
+rank 3 it repeats the search on the dual splitting with the transposed
+matrix, which detects invariant rank-2 subbundles through their
+annihilator lines.  The dual's numeric matrices are anti-transposes of
+phi's at every point, so both searches share one list of eigen-forms, and
+a field without one passes at once: it has no invariant subbundle of any
+rank.  A FAILS verdict is a certificate; a PASSES verdict only rules out
+destabilizing subbundles rational over the chosen field, so confidence
+comes from passing at several primes.
 
 ``enumerate_line_subbundles`` and ``is_invariant`` remain as the slow
 reference: the kernel search returns the witness they would find first.
@@ -484,7 +491,12 @@ def _top_invariant_line(
 def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
     """Search for a destabilizing invariant subbundle over the prime field.
 
-    Invariant line subbundles are found from the top degree down to the
+    When phi keeps the top summand (every entry below the diagonal in
+    column 0 is zero, as a first gap above 2 forces), its line e_0 at the
+    top degree is the witness, with no eigen-form computed: the search
+    would return it too, since phi_00 is an eigen-form that survives the
+    sieve and (0, e_0) is the least kernel head.  Otherwise invariant
+    line subbundles are found from the top degree down to the
     slope threshold as kernels of ``phi - form`` for the eigen-forms of the
     field; for rank 3, invariant rank-2 subbundles are found as invariant
     annihilator lines of the dual splitting under the transposed field,
@@ -499,8 +511,16 @@ def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
     threshold = _violation_threshold(mode, degree, rank)
     # a line bundle has no proper subbundles, and a constant splitting in
     # semistable mode no degree to visit, on phi or on its dual
-    forms = _eigen_forms(phi) if rank > 1 and st.degrees[0] >= threshold else []
+    forms = []
     witnesses: tuple[OracleWitness, ...] = ()
+    if rank > 1 and st.degrees[0] >= threshold:
+        if all(phi.entries[i][0].is_zero for i in range(1, rank)):
+            # phi keeps the top summand, spanned by e_0: the enumerator's
+            # first line, and the least kernel head (0, e_0) of the search
+            sections = ("1",) + ("0",) * (rank - 1)
+            witnesses = (OracleWitness(1, st.degrees[0], sections),)
+        else:
+            forms = _eigen_forms(phi)
     if forms:
         hit = _top_invariant_line(phi, forms, threshold)
         if hit is not None:

@@ -441,6 +441,17 @@ def test_oracle_large_gap_answers_quickly(capsys):
     assert '"degree": 200000' in out
 
 
+def test_oracle_kept_top_summand_answers_at_a_large_prime(capsys):
+    # a first gap of 3 leaves the entry below O(3) in a zero space, so the
+    # verdict needs no eigenvalue scan, which tries every t < p
+    with deadline(2):
+        code, out, _ = run(
+            capsys, "oracle", "--splitting=3,0", "--prime=1000000007", "--mode=stable"
+        )
+    assert code == 2
+    assert '"degree": 3' in out
+
+
 def test_oracle_composite_modulus_rejected_quickly(capsys):
     # 1000000007 * 1000000009: trial division to its square root took minutes
     start = time.perf_counter()

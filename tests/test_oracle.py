@@ -738,11 +738,17 @@ def test_no_eigen_form_passes_without_the_dual(monkeypatch):
 
 # ------------------------------------------------------- the eigen-form sieve
 
-# the gap patterns of the oracle-certify benchmark, top degree 0
-_CERTIFY_GAPS = ((0,), (1,), (2,), (0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2),
-                 (2, 1), (1, 2), (2, 2))
-_CERTIFY_SPLITTINGS = tuple(
-    SplittingType(tuple(-sum(gaps[:i]) for i in range(len(gaps) + 1))) for gaps in _CERTIFY_GAPS
+def _top_degree_zero(gap_patterns):
+    # one splitting per pattern of consecutive gaps, with top degree 0
+    return tuple(
+        SplittingType(tuple(-sum(gaps[:i]) for i in range(len(gaps) + 1)))
+        for gaps in gap_patterns
+    )
+
+
+# the gap patterns of the oracle-certify benchmark
+_CERTIFY_SPLITTINGS = _top_degree_zero(
+    ((0,), (1,), (2,), (0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2))
 )
 _SIEVE_PRIMES = (5, 7, 11, 13)
 
@@ -887,10 +893,9 @@ def test_sieve_point_cap(monkeypatch):
 
 # ------------------------------------------------------- the top summand
 
-# the gap patterns of the oracle-sweep benchmark, top degree 0
-_SWEEP_GAPS = ((0,), (1,), (2,), (3,), (4,), (1, 0), (0, 1), (3, 0), (0, 3), (4, 0), (3, 3))
-_SWEEP_SPLITTINGS = tuple(
-    SplittingType(tuple(-sum(gaps[:i]) for i in range(len(gaps) + 1))) for gaps in _SWEEP_GAPS
+# the gap patterns of the oracle-sweep benchmark
+_SWEEP_SPLITTINGS = _top_degree_zero(
+    ((0,), (1,), (2,), (3,), (4,), (1, 0), (0, 1), (3, 0), (0, 3), (4, 0), (3, 3))
 )
 
 
@@ -907,3 +912,42 @@ def test_top_summand_verdicts_pinned():
     assert len(verdicts) == 880
     digest = hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest()
     assert digest == "befc06ec37acdee2266055d182cb9292a6d7eaa3b57bc666d693687085222542"
+
+
+def _top_summand_fields():
+    # fields that keep the top summand: a first gap of 3 or more leaves
+    # every entry below it in a zero space, else forced zeros do
+    return [
+        *(
+            phi
+            for degrees in ((3, 0), (4, 0))
+            for phi in enumerate_all_fields(SplittingType(degrees), F2)
+        ),
+        *_seeded_fields(((3, 0, 0), (4, 1, 0)), (2, 3, 5, 7), range(6)),
+        *(
+            _block_triangular(SplittingType(degrees), PrimeField(p), seed, ((1, 0), (2, 0)))
+            for p in (2, 3, 5, 7)
+            for degrees in ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 0, -1), (2, 0, -2))
+            for seed in range(3)
+        ),
+    ]
+
+
+def test_top_summand_decided_without_a_search(monkeypatch):
+    # the first-line test answers before any eigen-form, kernel or dual, and
+    # gives the enumerate-and-test verdict
+    def refuse(*args):
+        raise AssertionError("search for a field that keeps its top summand")
+
+    fields = _top_summand_fields()
+    modes = ("stable", "semistable")
+    assert len(fields) == 2**12 + 2**13 + 48 + 60
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_eigenvalues", refuse)
+        m.setattr(oracle, "_kernel_head", refuse)
+        m.setattr(CoHiggsMatrix, "transpose_dual", refuse)
+        got = [semistability_oracle(phi, mode) for phi in fields for mode in modes]
+    want = [_reference_oracle(phi, mode) for phi in fields for mode in modes]
+    assert [v.to_json_dict() for v in got] == [v.to_json_dict() for v in want]
+    # only the balanced (0, 0, 0) in semistable mode has no degree to visit
+    assert sum(v.passes for v in got) == 12
