@@ -251,8 +251,8 @@ def _cmd_oracle(args) -> int:
     verdict = semistability_oracle(phi, args.mode)
     if args.format == "text":
         print(f"{verdict.verdict} ({args.mode} mode over {fld.name})")
-        for w in verdict.witnesses:
-            print(f"witness: rank {w.rank} degree {w.degree}")
+        if not verdict.passes:
+            print(f"witness: rank {verdict.witness.rank} degree {verdict.witness.degree}")
     else:
         _emit_json(verdict.to_json_dict() | {"seed": args.seed, "model": args.model})
     return 0 if verdict.passes else FAILS_ERROR

@@ -25,7 +25,7 @@ from .lie import (
 )
 
 STABLE_BOUND = 2
-OBSTRUCTION_BOUND = 3
+OBSTRUCTION_BOUND = STABLE_BOUND + 1
 
 
 class RootViolation(Frozen):
@@ -35,9 +35,13 @@ class RootViolation(Frozen):
 
 
 class CriterionReport(Frozen):
-    """The verdict on one HN type, its obstructing roots and adjoint splitting."""
+    """The obstructing simple roots of one HN type and its adjoint splitting."""
 
-    __slots__ = ("admits_stable", "violating_roots", "adjoint_degrees")
+    __slots__ = ("violating_roots", "adjoint_degrees")
+
+    @property
+    def admits_stable(self) -> bool:
+        return not self.violating_roots
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,5 +126,4 @@ def adjoint_splitting(group: ReductiveGroup, hn: HNType) -> SplittingType:
 
 
 def evaluate_criterion(group: ReductiveGroup, hn: HNType) -> CriterionReport:
-    violations = semistable_obstruction(group, hn)
-    return CriterionReport(not violations, tuple(violations), adjoint_splitting(group, hn))
+    return CriterionReport(tuple(semistable_obstruction(group, hn)), adjoint_splitting(group, hn))

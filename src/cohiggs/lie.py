@@ -112,19 +112,21 @@ def build_root_system(ct: CartanType) -> tuple[tuple[int, ...], ...]:
     (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
     10.2).  So the positive roots are the closure of the simple roots under
     the raising reflections ``c -> c - k e_i`` with ``k = A[i] . c < 0``.
-    The count is checked against the Lie-algebra dimension, which catches
-    any generation or Cartan-matrix bug.  Roots come ordered by height (sum
-    of coefficients), then lexicographically.
+    The count is checked against the Lie-algebra dimension, which also
+    bounds the closure, so any generation or Cartan-matrix bug fails the
+    check and cannot loop.  Roots come ordered by height (sum of
+    coefficients), then lexicographically.
 
     Each root travels with its pairings ``w = A . c``, so a raising at
     ``w[i] = k < 0`` sets ``c[i] -= k`` and subtracts ``k`` times column
     ``i`` of the Cartan matrix from ``w``.
     """
     n = ct.rank
+    expected = (ct.dim - n) // 2
     columns = tuple(zip(*cartan_matrix(ct)))
     frontier = [(tuple(int(i == j) for j in range(n)), columns[i]) for i in range(n)]
     seen = {c for c, _ in frontier}
-    while frontier:
+    while frontier and len(seen) <= expected:
         c, w = frontier.pop()
         for i, k in enumerate(w):
             if k < 0:
@@ -133,7 +135,6 @@ def build_root_system(ct: CartanType) -> tuple[tuple[int, ...], ...]:
                     seen.add(rt)
                     frontier.append((rt, tuple([x - k * y for x, y in zip(w, columns[i])])))
 
-    expected = (ct.dim - n) // 2
     assert len(seen) == expected, (
         f"BUG: {ct} produced {len(seen)} positive roots, expected {expected}"
     )

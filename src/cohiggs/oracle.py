@@ -24,19 +24,18 @@ points in all, and for each form left looks for a nonzero kernel of
 destabilizing slope threshold.  One Gaussian elimination over GF(p), from
 the last column to the first, yields the kernel vector leading at the
 first free column, which is the witness the enumeration meets first.  For
-rank 3 it repeats the search on the dual splitting with the transposed
-matrix, which detects invariant rank-2 subbundles through their
-annihilator lines.  The dual's numeric matrices are anti-transposes of
-phi's at every point, so both searches share one list of eigen-forms, and
-a field without one passes at once: it has no invariant subbundle of any
-rank.  A FAILS verdict is a certificate; a PASSES verdict only rules out
-destabilizing subbundles rational over the chosen field, so confidence
-comes from passing at several primes.
+rank 3, when no line is found, it repeats the search on the dual
+splitting with the transposed matrix, which detects invariant rank-2
+subbundles through their annihilator lines.  The dual's numeric matrices
+are anti-transposes of phi's at every point, so both searches share one
+list of eigen-forms, and a field without one passes at once: it has no
+invariant subbundle of any rank.  FAILS carries the first witness found,
+a certificate; PASSES only rules out destabilizing subbundles rational
+over the chosen field, so confidence comes from passing at several primes.
 
 ``enumerate_line_subbundles`` and ``is_invariant`` remain as the slow
-reference: the kernel search returns the witness they would find first.
-All randomness is driven by seeds through ``random.Random``, so every run
-is reproducible bit for bit.
+reference.  All randomness is driven by seeds through ``random.Random``,
+so every run is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -295,9 +294,13 @@ class OracleWitness(Frozen):
 
 
 class OracleVerdict(Frozen):
-    """PASSES or FAILS, with the mode, field, slope text and any witnesses."""
+    """One oracle call's mode, field and slope text, and its witness or None."""
 
-    __slots__ = ("passes", "mode", "field_name", "slope", "witnesses")
+    __slots__ = ("mode", "field_name", "slope", "witness")
+
+    @property
+    def passes(self) -> bool:
+        return self.witness is None
 
     @property
     def verdict(self) -> str:
@@ -309,7 +312,7 @@ class OracleVerdict(Frozen):
             "mode": self.mode,
             "field": self.field_name,
             "slope": self.slope,
-            "witnesses": [w.to_json_dict() for w in self.witnesses],
+            "witnesses": [] if self.passes else [self.witness.to_json_dict()],
         }
 
 
@@ -488,49 +491,42 @@ def _top_invariant_line(
     return None
 
 
-def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
-    """Search for a destabilizing invariant subbundle over the prime field.
-
-    When phi keeps the top summand (every entry below the diagonal in
-    column 0 is zero, as a first gap above 2 forces), its line e_0 at the
-    top degree is the witness, with no eigen-form computed: the search
-    would return it too, since phi_00 is an eigen-form that survives the
-    sieve and (0, e_0) is the least kernel head.  Otherwise invariant
-    line subbundles are found from the top degree down to the
-    slope threshold as kernels of ``phi - form`` for the eigen-forms of the
-    field; for rank 3, invariant rank-2 subbundles are found as invariant
-    annihilator lines of the dual splitting under the transposed field,
-    whose eigen-forms are phi's.  The witness is the one the enumerator
-    would return: top degree first, first nonzero coefficient 1, smallest
-    tuple.  PASSES only certifies the absence of destabilizing subbundles
-    rational over this field.
-    """
+def _first_witness(phi: CoHiggsMatrix, mode: str) -> OracleWitness | None:
+    """The witness of the first of ``semistability_oracle``'s tests that finds one."""
     st = phi.splitting
-    require_oracle_rank(st)
     degree, rank = st.degree, st.rank
     threshold = _violation_threshold(mode, degree, rank)
     # a line bundle has no proper subbundles, and a constant splitting in
     # semistable mode no degree to visit, on phi or on its dual
-    forms = []
-    witnesses: tuple[OracleWitness, ...] = ()
-    if rank > 1 and st.degrees[0] >= threshold:
-        if all(phi.entries[i][0].is_zero for i in range(1, rank)):
-            # phi keeps the top summand, spanned by e_0: the enumerator's
-            # first line, and the least kernel head (0, e_0) of the search
-            sections = ("1",) + ("0",) * (rank - 1)
-            witnesses = (OracleWitness(1, st.degrees[0], sections),)
-        else:
-            forms = _eigen_forms(phi)
-    if forms:
-        hit = _top_invariant_line(phi, forms, threshold)
-        if hit is not None:
-            d, sections = hit
-            witnesses = (OracleWitness(1, d, sections),)
-        elif rank == 3:
-            hit = _top_invariant_line(
-                phi.transpose_dual(), forms, _violation_threshold(mode, -degree, rank)
-            )
-            if hit is not None:
-                d, sections = hit
-                witnesses = (OracleWitness(2, degree + d, sections),)
-    return OracleVerdict(not witnesses, mode, phi.field.name, _slope_text(degree, rank), witnesses)
+    if rank == 1 or st.degrees[0] < threshold:
+        return None
+    if all(phi.entries[i][0].is_zero for i in range(1, rank)):
+        # phi keeps the top summand, spanned by e_0: the enumerator's
+        # first line, and the least kernel head (0, e_0) of the search
+        return OracleWitness(1, st.degrees[0], ("1",) + ("0",) * (rank - 1))
+    forms = _eigen_forms(phi)
+    if not forms:  # no invariant subbundle of any rank
+        return None
+    if hit := _top_invariant_line(phi, forms, threshold):
+        return OracleWitness(1, *hit)
+    if rank == 3:
+        dual_threshold = _violation_threshold(mode, -degree, rank)
+        if hit := _top_invariant_line(phi.transpose_dual(), forms, dual_threshold):
+            return OracleWitness(2, degree + hit[0], hit[1])
+    return None
+
+
+def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
+    """Search for a destabilizing invariant subbundle over the prime field.
+
+    The tests of the module docstring run in order (the top summand, the
+    line search, the rank-3 dual search) up to the first witness, which is
+    the one the enumerator would return: top degree first, first nonzero
+    coefficient 1, smallest tuple.  A field with none PASSES, which only
+    certifies the absence of destabilizing subbundles rational over this
+    field.
+    """
+    st = phi.splitting
+    require_oracle_rank(st)
+    slope = _slope_text(st.degree, st.rank)
+    return OracleVerdict(mode, phi.field.name, slope, _first_witness(phi, mode))

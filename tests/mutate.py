@@ -69,6 +69,28 @@ EQUIVALENT = {
         "every row has the same length, and the oracle's matrices have at least 3 rows",
     "oracle.py:_top_invariant_line:2->3#0 in _blocks(st, d - 2)":
         "the layout of H^0(E(-d + 3)) only adds a zero row at the end of each summand's block",
+    "lie.py:build_root_system:Lt->LtE#0 in k < 0":
+        "a raising by k = 0 gives back the root itself, which is already seen",
+    "lie.py:build_root_system:0->1#0 in k < 0":
+        "k < 1 is k <= 0, and a raising by k = 0 gives back the root itself, already seen",
+    "lie.py:all_root_values:0->1#0 in [0] * (2 * expected)":
+        "both slices overwrite every slot, so the fill value is never read",
+    "poly.py:_univariate_gcd:0->1#1 in pow(a[0], p - 2, p) if a else 0":
+        "with a empty the result is the empty list, and the inverse is never read",
+    "cli.py:<module>:512->513#0 in 512":
+        "the chunk size only decides where the output is cut into writes, not its bytes",
+    "cli.py:_central:0->1#0 in "
+    "args.central if args.central is not None else (0,) * group.central_rank":
+        "central degrees reach no output: simple roots vanish on the center, and strata "
+        "checks only their count",
+    "strata.py:_factor_table:Lt->LtE#0 in top < 256":
+        "under MAX_STRATA_RANK the largest highest-root value is 58 (E8), far below 256",
+    "strata.py:_factor_table:256->257#0 in top < 256":
+        "under MAX_STRATA_RANK the largest highest-root value is 58 (E8), far below 256",
+    "strata.py:_factor_table:2->3#0 in ct.rank // 2":
+        "the split only moves where the table is cut into two halves; the rows are the same",
+    "strata.py:strata_rows:0->1#0 in (0,) * group.semisimple_rank":
+        "the probe only checks shape and dominance, which any nonnegative vector passes",
 }
 
 FLIPS = {

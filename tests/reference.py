@@ -4,14 +4,19 @@ The rank-r gap rule and the symplectic half-degree rule are the classical
 forms of the criterion (Rayan, *Co-Higgs bundles on P^1*, New York J. Math.
 2013, for rank r).  The library decides both through
 ``admits_stable_cohiggs`` on ``splitting_to_hn`` and ``sp_to_hn``; the rules
-here are what the tests compare that path against.  The rest builds inputs:
-the inverse of ``splitting_to_hn``, splitting types in a degree box, entry
-space dimensions and the zero and exhaustive co-Higgs fields.
+here are what the tests compare that path against, as ``per_root_values``
+is for ``all_root_values``.  The rest builds inputs: the inverse of
+``splitting_to_hn``, splitting types in a degree box, entry space
+dimensions and the zero and exhaustive co-Higgs fields; ``deadline``
+bounds a test's time.
 """
 
+import contextlib
+import operator
+import signal
 from itertools import combinations_with_replacement, product
 
-from cohiggs import CoHiggsMatrix, HomogPoly, SplittingType, hom_degree
+from cohiggs import CoHiggsMatrix, HomogPoly, SplittingType, build_root_system, hom_degree
 from cohiggs.lie import check_shapes
 
 
@@ -27,6 +32,44 @@ def glr_admits_semistable(st):
 def sp_admits_stable(ss):
     """True iff all r gaps (including the doubled middle one) are <= 2."""
     return all(g <= 2 for g in ss.gaps())
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` in the block after ``seconds``.
+
+    A bounded-time test must fail, not hang, when its bound is broken: the
+    alarm raises in the test, and ``cli.main`` lets anything but
+    ``ValueError`` through.
+    """
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def per_root_values(group, hn):
+    """Slow reference for ``all_root_values``: one dot product per root.
+
+    It pairs every positive root of ``build_root_system`` with the factor's
+    simple-root values, in the layout of ``all_root_values``: factor by
+    factor, each positive value followed by its negative.  The classical
+    fast path and the packed strata factor tables are both checked against
+    it.
+    """
+    check_shapes(group, hn)
+    out = []
+    for ct, vec in zip(group.simple_factors, hn.simple_values):
+        for root in build_root_system(ct):
+            v = sum(map(operator.mul, root, vec))
+            out += (v, -v)
+    return out
 
 
 def hn_to_splitting(group, hn):

@@ -199,7 +199,7 @@ def test_criterion_07_oracle_necessity_exhaustive():
         if verdict.passes:
             bad += 1
             continue
-        w = verdict.witnesses[0]
+        w = verdict.witness
         if (w.rank, w.degree, w.sections) != (1, 3, ("1", "0")):
             bad += 1
     elapsed = time.perf_counter() - start

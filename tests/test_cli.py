@@ -1,12 +1,10 @@
 import argparse
-import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
 import random
-import signal
 import subprocess
 import sys
 import time
@@ -22,29 +20,13 @@ from cohiggs.cli import (
     _STRATA_COLUMNS, _STRATA_WIDTHS, _json_text, _strata_layout, build_parser, main,
 )
 from cohiggs.strata import strata_rows
+from reference import deadline
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@contextlib.contextmanager
-def deadline(seconds):
-    # a bounded-time test must fail, not hang, when its bound is broken:
-    # the alarm raises in the test, and main lets anything but ValueError
-    # through
-    def expire(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
 
 
 def test_criterion_text(capsys):

@@ -46,7 +46,7 @@ def _instances():
             (HomogPoly(PrimeField(5), 1, (1, 2)), HomogPoly(PrimeField(5), 0, (3,))),
         ),
         OracleWitness(1, 0, ("1", "x")),
-        OracleVerdict(False, "stable", "F5", "1/2", (OracleWitness(2, 1, ("y",)),)),
+        OracleVerdict("stable", "F5", "1/2", OracleWitness(2, 1, ("y",))),
         RootViolation(0, 1, 3),
         evaluate_criterion(parse_group("A1"), HNType(((3,),))),
         StratumRecord(HNType(((0,),)), 6, 4, 2, True),
@@ -57,7 +57,7 @@ def _zero(d):
     return f"HomogPoly(field=PrimeField(p=5), degree={d}, coeffs={(0,) * (d + 1)})"
 
 
-# the reprs the frozen dataclasses printed for the same instances
+# the reprs a frozen dataclass with the same fields prints for these instances
 PINNED_REPRS = [
     "CartanType(family='A', rank=2)",
     "ReductiveGroup(simple_factors=(CartanType(family='C', rank=3), "
@@ -73,11 +73,11 @@ PINNED_REPRS = [
     "sections=(HomogPoly(field=PrimeField(p=5), degree=1, coeffs=(1, 2)), "
     "HomogPoly(field=PrimeField(p=5), degree=0, coeffs=(3,))))",
     "OracleWitness(rank=1, degree=0, sections=('1', 'x'))",
-    "OracleVerdict(passes=False, mode='stable', field_name='F5', slope='1/2', "
-    "witnesses=(OracleWitness(rank=2, degree=1, sections=('y',)),))",
+    "OracleVerdict(mode='stable', field_name='F5', slope='1/2', "
+    "witness=OracleWitness(rank=2, degree=1, sections=('y',)))",
     "RootViolation(factor=0, root=1, value=3)",
-    "CriterionReport(admits_stable=False, violating_roots=(RootViolation(factor=0, root=0, "
-    "value=3),), adjoint_degrees=SplittingType(degrees=(3, 0, -3)))",
+    "CriterionReport(violating_roots=(RootViolation(factor=0, root=0, value=3),), "
+    "adjoint_degrees=SplittingType(degrees=(3, 0, -3)))",
     "StratumRecord(hn=HNType(simple_values=((0,),), central_degrees=()), dim_cohiggs=6, "
     "dim_aut=4, dim_stratum=2, is_generic=True)",
 ]

@@ -73,9 +73,10 @@ def test_hom_degree_examples():
 
 
 def test_hom_degree_bad_indices():
-    # a negative index must not wrap round to the last summand
-    for i, j in ((2, 0), (-1, 0), (0, -1)):
-        with pytest.raises(IndexError):
+    # a negative index must not wrap round to the last summand, and an index
+    # at the rank must be refused by the range check, not by the tuple
+    for i, j in ((2, 0), (-1, 0), (0, -1), (0, 2)):
+        with pytest.raises(IndexError, match="out of range for rank"):
             hom_degree(SplittingType((1, 0)), i, j)
 
 

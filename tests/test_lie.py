@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+import cohiggs.lie
 from cohiggs import (
     CartanType,
     HNType,
@@ -20,7 +21,7 @@ from cohiggs import (
     is_dominant,
     parse_group,
 )
-from root_pairing import per_root_values
+from reference import deadline, per_root_values
 
 ALL_TYPES = [
     ("A", 1, 3), ("A", 2, 8), ("A", 3, 15), ("A", 4, 24), ("A", 5, 35),
@@ -33,7 +34,7 @@ ALL_TYPES = [
 
 
 @pytest.mark.parametrize("family,rank", [
-    ("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("G", 3),
+    ("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("F", 5), ("G", 3),
 ])
 def test_invalid_ranks_rejected(family, rank):
     with pytest.raises(ValueError):
@@ -156,6 +157,15 @@ LARGE_CLASSICAL = [(family, n) for family in "ABCD" for n in range(25, 41)]
 def test_root_system_matches_tuple_closure(family, rank):
     ct = CartanType(family, rank)
     assert build_root_system(ct) == reference_root_system(ct)
+
+
+def test_wrong_cartan_matrix_fails_the_count_check(monkeypatch):
+    # a hyperbolic matrix has infinitely many real roots: the closure stops
+    # one root past the expected count and reaches the check, which a
+    # closure stopping at the count would pass with wrong roots
+    monkeypatch.setattr(cohiggs.lie, "cartan_matrix", lambda ct: ((2, -3), (-3, 2)))
+    with deadline(5), pytest.raises(AssertionError, match="4 positive roots, expected 3"):
+        build_root_system.__wrapped__(CartanType("A", 2))
 
 
 def test_a1_and_a2_positive_roots():

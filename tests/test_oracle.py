@@ -410,7 +410,7 @@ def test_obstructed_splitting_fails_for_every_field_instance():
     for seed in range(8):
         verdict = semistability_oracle(random_field(st, F2, seed), "semistable")
         assert not verdict.passes
-        w = verdict.witnesses[0]
+        w = verdict.witness
         assert (w.rank, w.degree) == (1, 3)
         assert w.sections == ("1", "0")
 
@@ -418,7 +418,7 @@ def test_obstructed_splitting_fails_for_every_field_instance():
 def test_zero_field_fails_semistable_on_unbalanced_splitting():
     verdict = semistability_oracle(zero_field(SplittingType((1, -1)), F5), "semistable")
     assert not verdict.passes
-    assert verdict.witnesses[0].degree == 1
+    assert verdict.witness.degree == 1
 
 
 def test_zero_field_semistable_on_balanced_splitting():
@@ -443,7 +443,7 @@ def test_rank_three_quotient_witness():
     phi = CoHiggsMatrix(st, F5, tuple(map(tuple, rows)))
     verdict = semistability_oracle(phi, "semistable")
     assert not verdict.passes
-    w = verdict.witnesses[0]
+    w = verdict.witness
     assert (w.rank, w.degree) == (2, 4)
     assert w.sections and list(w.to_json_dict()) == ["rank", "degree", "dual_sections"]
 
@@ -505,7 +505,7 @@ def test_model_field_sufficiency_across_primes():
                 ]
                 assert all(not v.passes for v in verdicts), st
                 assert all(
-                    v.witnesses[0].degree == Fraction(st.degree, st.rank) for v in verdicts
+                    v.witness.degree == Fraction(st.degree, st.rank) for v in verdicts
                 ), st
                 assert semistability_oracle(
                     build_model_field(st, primes[0], 0), "semistable"
@@ -604,7 +604,7 @@ def _reference_oracle(phi, mode):
             for L in _lines(st, d, fld):
                 if is_invariant(phi, L):
                     w = OracleWitness(1, d, tuple(map(str, L.sections)))
-                    return OracleVerdict(False, mode, fld.name, text, (w,))
+                    return OracleVerdict(mode, fld.name, text, w)
     if st.rank == 3:
         phi_t = phi.transpose_dual()
         dual = phi_t.splitting
@@ -612,8 +612,8 @@ def _reference_oracle(phi, mode):
             for L in _lines(dual, d, fld):
                 if is_invariant(phi_t, L):
                     w = OracleWitness(2, st.degree + d, tuple(map(str, L.sections)))
-                    return OracleVerdict(False, mode, fld.name, text, (w,))
-    return OracleVerdict(True, mode, fld.name, text, ())
+                    return OracleVerdict(mode, fld.name, text, w)
+    return OracleVerdict(mode, fld.name, text, None)
 
 
 def test_integer_thresholds_and_slope_text_match_fractions():

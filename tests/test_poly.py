@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cohiggs import HomogPoly, PrimeField
-from cohiggs.poly import _is_prime, gcd_many, random_nonzero_poly, random_poly
+from cohiggs.poly import _MR_BASES, _is_prime, gcd_many, random_nonzero_poly, random_poly
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -36,11 +36,14 @@ def test_primality_agrees_with_trial_division():
 
 
 def test_primality_of_large_moduli():
+    # the cited bound holds for the first 13 primes as bases, no others
+    assert _MR_BASES == tuple(filter(_trial_division, range(42)))
     assert PrimeField(1000000000039).p == 1000000000039
     assert _is_prime(2**61 - 1)
-    # 1000000007 * 1000000009, and the least strong pseudoprime to the
-    # first 12 prime bases (caught by the 13th)
-    for n in (1000000016000000063, 318665857834031151167461):
+    # 1000000007 * 1000000009, the Carmichael number 211 * 421 * 631 (a
+    # Fermat test passes it at every base, as no factor is one), and the
+    # least strong pseudoprime to the first 12 prime bases (caught by the 13th)
+    for n in (1000000016000000063, 56052361, 318665857834031151167461):
         assert not _is_prime(n)
         with pytest.raises(ValueError, match="not prime"):
             PrimeField(n)
@@ -68,8 +71,9 @@ def test_coefficients_must_be_integers():
 def test_construction_validates_lengths_and_degree():
     with pytest.raises(ValueError):
         HomogPoly(F5, 2, (1, 2))
-    with pytest.raises(ValueError, match="degree 1 needs 2 coefficients, got 0"):
-        HomogPoly(F5, 1, ())
+    for d in (0, 1):
+        with pytest.raises(ValueError, match=f"degree {d} needs {d + 1} coefficients, got 0"):
+            HomogPoly(F5, d, ())
     # a negative degree is a zero space: valid, with no coefficients
     assert HomogPoly(F5, -3, ()).coeffs == ()
     with pytest.raises(ValueError, match="degree -2 needs 0 coefficients, got 1"):
@@ -83,6 +87,7 @@ def test_zero_polynomial_any_degree():
     for d in (-4, -1, 0, 1, 5):
         assert HomogPoly.zero(F5, d).is_zero
         assert HomogPoly.zero(F5, d).degree == d
+        assert HomogPoly.zero(F5, d).y_multiplicity == d + 1
 
 
 def test_add_and_mul_track_degrees():

@@ -17,7 +17,7 @@ from cohiggs import (
 )
 from cohiggs.criterion import STABLE_BOUND
 from cohiggs.strata import MAX_STRATA_RANK, StratumRecord, _count_sums, strata_rows
-from root_pairing import per_root_values
+from reference import per_root_values
 
 A1 = ReductiveGroup((CartanType("A", 1),))
 
