@@ -112,9 +112,9 @@ def build_root_system(ct: CartanType) -> tuple[tuple[int, ...], ...]:
     (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
     10.2).  So the positive roots are the closure of the simple roots under
     the raising reflections ``c -> c - k e_i`` with ``k = A[i] . c < 0``.
-    The count is checked against the Lie-algebra dimension, which also
-    bounds the closure, so any generation or Cartan-matrix bug fails the
-    check and cannot loop.  Roots come ordered by height (sum of
+    The count is checked against the Lie-algebra dimension, which catches
+    generation and Cartan-matrix bugs and also bounds the closure, so a
+    wrong matrix cannot loop.  Roots come ordered by height (sum of
     coefficients), then lexicographically.
 
     Each root travels with its pairings ``w = A . c``, so a raising at

@@ -492,7 +492,7 @@ def _top_invariant_line(
 
 
 def _first_witness(phi: CoHiggsMatrix, mode: str) -> OracleWitness | None:
-    """The witness of the first of ``semistability_oracle``'s tests that finds one."""
+    """The witness of the first of ``semistability_oracle``'s checks that finds one."""
     st = phi.splitting
     degree, rank = st.degree, st.rank
     threshold = _violation_threshold(mode, degree, rank)
@@ -519,7 +519,7 @@ def _first_witness(phi: CoHiggsMatrix, mode: str) -> OracleWitness | None:
 def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
     """Search for a destabilizing invariant subbundle over the prime field.
 
-    The tests of the module docstring run in order (the top summand, the
+    The checks of the module docstring run in order (the top summand, the
     line search, the rank-3 dual search) up to the first witness, which is
     the one the enumerator would return: top degree first, first nonzero
     coefficient 1, smallest tuple.  A field with none PASSES, which only
