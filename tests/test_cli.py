@@ -434,6 +434,18 @@ def test_oracle_kept_top_summand_answers_at_a_large_prime(capsys):
     assert '"degree": 3' in out
 
 
+def test_oracle_eigenvalues_at_a_large_prime_pinned(capsys):
+    # the eigenvalue scan tries every t < p at three points; the exit code
+    # and the bytes were recorded before the scan moved into poly.roots
+    with deadline(10):
+        code, out, _ = run(
+            capsys, "oracle", "--splitting=2,0,-2", "--prime=1000003", "--mode=stable"
+        )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "05f2925acf23405f883f643d3bea0e3a62de7538c50d113fa2e3798fbcd04622"
+
+
 def test_oracle_composite_modulus_rejected_quickly(capsys):
     # 1000000007 * 1000000009: trial division to its square root took minutes
     start = time.perf_counter()
