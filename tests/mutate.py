@@ -59,10 +59,6 @@ TESTS = {
 
 # survivors that behave exactly as the module does, by name, with the reason
 EQUIVALENT = {
-    "oracle.py:_sections:0->1#0 in "
-    "tuple((HomogPoly(field, e, vector[c0:c0 + max(e + 1, 0)]) for c0, e in blocks))":
-        "a summand without slots comes after every summand with slots (the degrees "
-        "decrease), so its slice starts at the vector's end and is empty either way",
     "oracle.py:_kernel_head:0->1#0 in reversed(range(len(rows[0])))":
         "every row has the same length, and the oracle's matrices have at least 3 rows",
     "oracle.py:_kernel_head:0->1#1 in [0] * len(rows[0])":
@@ -77,6 +73,10 @@ EQUIVALENT = {
         "both slices overwrite every slot, so the fill value is never read",
     "poly.py:_univariate_gcd:0->1#1 in pow(a[0], p - 2, p) if a else 0":
         "with a empty the result is the empty list, and the inverse is never read",
+    "poly.py:_is_prime:0->1#0 in (n - 1, 0)":
+        "squaring once more only accepts on a^((n - 1) 2^j) = -1 mod n, which no odd n > 1 has",
+    "poly.py:_is_prime:1->2#0 in (d // 2, s + 1)":
+        "squaring further only accepts on a^((n - 1) 2^j) = -1 mod n, which no odd n > 1 has",
     "cli.py:<module>:512->513#0 in 512":
         "the chunk size only decides where the output is cut into writes, not its bytes",
     "cli.py:_central:0->1#0 in "

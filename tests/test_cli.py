@@ -612,6 +612,28 @@ def test_strata_rejects_highest_root_past_a_byte(capsys, group, top):
     assert err == f"cohiggs: error: {group}: 3^{rank} strata exceed the limit of 3^12\n"
 
 
+# ranks whose zero vector of values or central degrees cannot be built: past
+# the address space it raised OverflowError, past the memory MemoryError,
+# and A10000000 built its zero type for 0.9 s before the row limit refused
+# it; any exception but ValueError leaves main as a traceback
+@pytest.mark.parametrize("argv", [
+    ["strata", "--group=A99999999999999999999"],
+    ["strata", "--group=+z99999999999999999999"],
+    ["criterion", "--group=+z99999999999999999999", "--hn="],
+    ["adjoint", "--group=A1+z99999999999999999999", "--hn=1"],
+    ["strata", "--group=+z1000000000000"],
+    ["strata", "--group=A1000000000000"],
+    ["criterion", "--group=+z1000000000000", "--hn="],
+    ["strata", "--group=A10000000"],
+])
+def test_very_large_ranks_are_usage_errors(capsys, argv):
+    with deadline(2):
+        code, out, err = run(capsys, *argv)
+    group = argv[1].partition("=")[2]
+    assert (code, out) == (1, "")
+    assert err.startswith(f"cohiggs: error: {group}: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("argv", [
     ["criterion", "--group=A2", "--hn=1,5"],
     ["criterion", "--group=C3xA1+z2", "--hn=1,0,2,3", "--central=1,2"],
@@ -839,8 +861,8 @@ _FUZZ_VALUES = {
     "--central": (["1", "0,-2", "3", ""], ["-1", "1,y"]),
     "--splitting": (["1,0", "2,0,-1", "1,-1", "3,0", "2,2,1", "1"], ["-1,0", "1,x", "0.5"]),
     "--half-degrees": (["2,1", "1", "2,1,0", "0,0"], ["-1", "a"]),
-    # primes stay at 1000 or below: the large-prime hang of
-    # oracle._eigenvalues (ROADMAP item 2) is left out of this fuzzer
+    # primes stay at 1000 or below: the large-prime hang of poly.roots
+    # (ROADMAP item 2) is left out of this fuzzer
     "--prime": (["2", "3", "5", "7", "13", "997"], ["4", "0", "x", "-5", "1e3"]),
     "--mode": (["stable", "semistable"], ["fast", "Stable"]),
     "--seed": (["0", "1", "17", "38"], ["-3", "s", "1.0"]),

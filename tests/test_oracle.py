@@ -28,8 +28,9 @@ from cohiggs import (
 from cohiggs import oracle
 from cohiggs.frozen import set_slot
 from cohiggs.oracle import (
-    _eigen_forms, _horner, _kernel_head, _slope_text, _top_invariant_line, _violation_threshold,
+    _eigen_forms, _kernel_head, _slope_text, _top_invariant_line, _violation_threshold,
 )
+from cohiggs.poly import horner
 from reference import (
     enumerate_all_fields,
     enumerate_splitting_types,
@@ -706,13 +707,13 @@ def test_eigen_forms_shared_with_the_dual():
 
 def test_one_eigen_form_pass_per_call(monkeypatch):
     calls = []
-    eigenvalues = oracle._eigenvalues
+    roots = oracle.roots
 
-    def counted(m, p):
+    def counted(coeffs, p):
         calls.append(p)
-        return eigenvalues(m, p)
+        return roots(coeffs, p)
 
-    monkeypatch.setattr(oracle, "_eigenvalues", counted)
+    monkeypatch.setattr(oracle, "roots", counted)
     for phi in _seeded_fields(_RANK_THREE, (3, 5, 7), range(6)):
         for mode in ("stable", "semistable"):
             calls.clear()
@@ -782,7 +783,7 @@ def test_horner_matches_the_power_sum_on_long_forms():
             coeffs = [rng.randrange(-p * p, p * p) for _ in range(d + 1)]
             for t in {0, 1, p - 1, rng.randrange(p)}:
                 want = sum(c * pow(t, d - k, p) for k, c in enumerate(coeffs)) % p
-                assert _horner(coeffs, t, p) == want
+                assert horner(coeffs, t, p) == want
 
 
 def test_sieve_verdicts_pinned():
@@ -873,18 +874,18 @@ def test_sieve_point_cap(monkeypatch):
     # and the sieve runs to its cap: 2r + 1 points in all at F101; the scans
     # take one characteristic polynomial each, the sieve one per point
     counts = {"charpoly": 0, "scan": 0}
-    charpoly, eigenvalues = oracle._charpoly, oracle._eigenvalues
+    charpoly, roots = oracle._charpoly, oracle.roots
 
     def counted_charpoly(m):
         counts["charpoly"] += 1
         return charpoly(m)
 
-    def counted_eigenvalues(m, p):
+    def counted_roots(coeffs, p):
         counts["scan"] += 1
-        return eigenvalues(m, p)
+        return roots(coeffs, p)
 
     monkeypatch.setattr(oracle, "_charpoly", counted_charpoly)
-    monkeypatch.setattr(oracle, "_eigenvalues", counted_eigenvalues)
+    monkeypatch.setattr(oracle, "roots", counted_roots)
     for st in _CERTIFY_SPLITTINGS:
         counts.update(charpoly=0, scan=0)
         assert (0, 0, 0) in _eigen_forms(build_model_field(st, PrimeField(101)))
@@ -943,7 +944,7 @@ def test_top_summand_decided_without_a_search(monkeypatch):
     modes = ("stable", "semistable")
     assert len(fields) == 2**12 + 2**13 + 48 + 60
     with monkeypatch.context() as m:
-        m.setattr(oracle, "_eigenvalues", refuse)
+        m.setattr(oracle, "roots", refuse)
         m.setattr(oracle, "_kernel_head", refuse)
         m.setattr(CoHiggsMatrix, "transpose_dual", refuse)
         got = [semistability_oracle(phi, mode) for phi in fields for mode in modes]

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from cohiggs import HomogPoly, PrimeField
-from cohiggs.poly import _MR_BASES, _is_prime, gcd_many, random_nonzero_poly, random_poly
+from cohiggs.oracle import _charpoly, _kernel_head
+from cohiggs.poly import _MR_BASES, _is_prime, gcd_many, random_nonzero_poly, random_poly, roots
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -190,6 +191,42 @@ def test_gcd_many_detects_coprimality():
     assert gcd_many([HomogPoly.zero(F5), x2]).coeffs == (1, 0, 0)
     assert gcd_many([HomogPoly.zero(F5, 2)]) is None
 
+
+
+def _singular_shifts(m, p):
+    # the t in 0..p-1 for which m - t I has a nonzero kernel, by elimination
+    r = len(m)
+    return [
+        t for t in range(p)
+        if _kernel_head([[m[i][j] - t * (i == j) for j in range(r)] for i in range(r)], p)
+        is not None
+    ]
+
+
+def test_roots_of_every_2x2_charpoly_are_the_singular_shifts():
+    # the eigenvalues the oracle starts from; a faster root finder must
+    # return the same list
+    counts = set()
+    for p in (2, 3, 5, 7):
+        for a, b, c, d in itertools.product(range(p), repeat=4):
+            m = [[a, b], [c, d]]
+            found = roots(_charpoly(m), p)
+            assert found == _singular_shifts(m, p), (m, p)
+            counts.add(len(found))
+    assert counts == {0, 1, 2}
+
+
+def test_roots_of_seeded_3x3_charpolys_are_the_singular_shifts():
+    rng = random.Random("roots:3x3")
+    primes = [p for p in range(11, 102) if _is_prime(p)]
+    counts = set()
+    for k in range(300):
+        p = primes[k % len(primes)]
+        m = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+        found = roots(_charpoly(m), p)
+        assert found == _singular_shifts(m, p), (m, p)
+        counts.add(len(found))
+    assert counts == {0, 1, 2, 3}
 
 def test_string_rendering():
     assert str(P(F5, 2, 3, 1, 4)) == "3*x^2 + x*y + 4*y^2"
