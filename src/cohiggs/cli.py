@@ -9,9 +9,10 @@ on PASSES and 2 on FAILS; usage errors exit 1.  All randomness is
 seed-controlled, so output is a deterministic function of argv.
 
 One table, ``_COMMANDS``, declares every subcommand and option.  A strict
-parser reads the well-formed requests from it; argparse, built from the
-same table on first use, renders help and usage errors and parses every
-argv the strict parser leaves to it.
+parser reads the well-formed requests from it, and reports a bad value or
+missing options in argparse's words when every name is spelled in full.
+argparse, built from the same table on first use, renders help and every
+other usage error, and parses every argv the strict parser leaves to it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ except ImportError:  # an interpreter without the _json accelerator
 from .criterion import adjoint_splitting, admits_stable_cohiggs, evaluate_criterion
 from .glr import SplittingType, splitting_to_hn
 from .lie import HNType, parse_group
-from .oracle import build_model_field, random_field, require_oracle_rank, semistability_oracle
+from .oracle import (
+    build_model_field, random_field, require_oracle_rank, semistability_oracle, splitting_verdict,
+)
 from .poly import PrimeField
 from .strata import strata_rows
 from .symplectic import SymplecticSplitting, sp_to_hn
@@ -46,12 +49,9 @@ def _int_list(text: str) -> tuple[int, ...]:
         return ()
     try:
         return tuple(int(t) for t in text.split(","))
-    except ValueError as exc:
-        # argparse prints the message of this error as it is; imported
-        # here, so that only a bad value imports argparse
-        from argparse import ArgumentTypeError
-
-        raise ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+    except ValueError:
+        # the strict parser and argparse both print this message as it is
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 _CHUNK = 512  # list items per piece, and pieces or table rows per write
@@ -250,8 +250,11 @@ def _cmd_oracle(args) -> int:
     st = SplittingType(args.splitting)
     require_oracle_rank(st)  # before a field is drawn
     fld = PrimeField(args.prime)
-    phi = (build_model_field if args.model else random_field)(st, fld, args.seed)
-    verdict = semistability_oracle(phi, args.mode)
+    if args.model:  # its gap error comes first
+        verdict = semistability_oracle(build_model_field(st, fld, args.seed), args.mode)
+    else:  # a first gap above 2 decides every field, so none is drawn
+        verdict = splitting_verdict(st, fld, args.mode) or semistability_oracle(
+            random_field(st, fld, args.seed), args.mode)
     if args.format == "text":
         print(f"{verdict.verdict} ({args.mode} mode over {fld.name})")
         if not verdict.passes:
@@ -302,9 +305,10 @@ _COMMANDS = {
 
 @functools.cache
 def build_parser():
-    """The argparse parser of ``_COMMANDS``: it renders help and usage
-    errors, and parses every argv the strict parser leaves to it.  Parsing
-    leaves a parser unchanged, so one serves every call of ``main``."""
+    """The argparse parser of ``_COMMANDS``: it parses every argv the
+    strict parser leaves to it, rendering help and any usage error.
+    Parsing leaves a parser unchanged, so one serves every call of
+    ``main``."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -312,10 +316,19 @@ def build_parser():
         def error(self, message: str) -> None:  # type: ignore[override]
             self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
+    def int_list(text: str) -> tuple[int, ...]:
+        # argparse words a ValueError as "invalid _int_list value"; an
+        # ArgumentTypeError's message it prints as it is
+        try:
+            return _int_list(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
     parser = Parser(prog="cohiggs", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
+        p.register("type", _int_list, int_list)  # each parser has its own registry
         for option, kwargs in options.items():
             p.add_argument(option, **kwargs)
         p.set_defaults(func=func)
@@ -327,11 +340,18 @@ def _parse_strict(argv: Sequence[str]) -> SimpleNamespace | None:
     of the form ``SUBCOMMAND (--NAME=VALUE | --NAME VALUE | --FLAG)*`` with
     every name in full and at most once, no space-form value starting with
     "-", every value converted and in its choices, and every required
-    option present; None for any other argv, which argparse parses."""
+    option present.
+
+    An argv of that form but for a value its type refuses, or for missing
+    required options, gets argparse's error line for the first fault in
+    argv order on stderr and ``SystemExit(1)``: the bad value, else the
+    missing options in table order.  None for any other argv, a bad choice
+    first among them, which argparse parses."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     func, _, options = _COMMANDS[argv[0]]
     given = {}
+    fault = None  # argparse's message for the first value its type refuses
     args = iter(argv[1:])
     for arg in args:
         name, eq, value = arg.partition("=")
@@ -347,23 +367,33 @@ def _parse_strict(argv: Sequence[str]) -> SimpleNamespace | None:
             value = next(args, "-")  # a missing value is refused as "-" is
             if value.startswith("-"):
                 return None
+        given[name] = value
+        if fault is not None:
+            continue  # argparse stops at the first bad value
         convert = kwargs.get("type")
         if convert is not None:
             try:
-                value = convert(value)
-            except Exception:  # argparse converts again, and reports or raises
-                return None
-        if "choices" in kwargs and value not in kwargs["choices"]:
-            return None
-        given[name] = value
-    if any(kwargs.get("required") and name not in given for name, kwargs in options.items()):
-        return None
-    return SimpleNamespace(
-        command=argv[0],
-        **{name[2:].replace("-", "_"): given.get(name, kwargs.get("default"))
-           for name, kwargs in options.items()},
-        func=func,
-    )
+                given[name] = convert(value)
+            except ValueError as exc:
+                # argparse prints _int_list's message as it is (see
+                # build_parser) and words any other type's refusal itself
+                worded = f"invalid {convert.__name__} value: {value!r}"
+                fault = f"argument {name}: {exc if convert is _int_list else worded}"
+                continue
+        if "choices" in kwargs and given[name] not in kwargs["choices"]:
+            return None  # argparse words a bad choice
+    if fault is None:
+        missing = [n for n, kwargs in options.items() if kwargs.get("required") and n not in given]
+        if not missing:
+            return SimpleNamespace(
+                command=argv[0],
+                **{name[2:].replace("-", "_"): given.get(name, kwargs.get("default"))
+                   for name, kwargs in options.items()},
+                func=func,
+            )
+        fault = "the following arguments are required: " + ", ".join(missing)
+    sys.stderr.write(f"cohiggs {argv[0]}: error: {fault}\n")
+    raise SystemExit(USAGE_ERROR)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

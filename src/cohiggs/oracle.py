@@ -11,7 +11,8 @@ The oracle first tests the line the enumeration meets first, e_0 =
 It is invariant exactly when every entry below the diagonal in column 0
 vanishes, and then it is the witness.  A first simple-root value
 ``m_0 - m_1`` above 2 puts all those entries in zero spaces: the paper's
-obstruction at the first simple root, decided with no search.
+obstruction at the first simple root, decided with no search, and by
+``splitting_verdict`` with no field at all.
 
 Otherwise the oracle searches.  A saturated line is invariant exactly when
 ``phi s = form * s`` for a degree-2 form (the spectral picture of a Higgs
@@ -88,12 +89,14 @@ class CoHiggsMatrix(Frozen):
         field: PrimeField,
         entries: tuple[tuple[HomogPoly, ...], ...],
     ) -> None:
-        r = splitting.rank
+        m = splitting.degrees
+        r = len(m)
         if len(entries) != r or any(len(row) != r for row in entries):
             raise ValueError(f"expected {r} rows of {r} entries")
+        # entry (i, j) has degree m_i - m_j + 2, as glr.hom_degree says
         entries = tuple([
             tuple([
-                _check_form(p, field, hom_degree(splitting, i, j), f"entry ({i}, {j})")
+                _check_form(p, field, m[i] - m[j] + 2, f"entry ({i}, {j})")
                 for j, p in enumerate(row)
             ])
             for i, row in enumerate(entries)
@@ -470,6 +473,12 @@ def _top_invariant_line(
     return None
 
 
+def _top_summand_witness(st: SplittingType) -> OracleWitness:
+    # the top summand O(m_0), spanned by e_0: the enumerator's first line,
+    # and the least kernel head (0, e_0) of the search
+    return OracleWitness(1, st.degrees[0], ("1",) + ("0",) * (st.rank - 1))
+
+
 def _first_witness(phi: CoHiggsMatrix, mode: str) -> OracleWitness | None:
     """The witness of the first of ``semistability_oracle``'s checks that finds one."""
     st = phi.splitting
@@ -480,9 +489,7 @@ def _first_witness(phi: CoHiggsMatrix, mode: str) -> OracleWitness | None:
     if rank == 1 or st.degrees[0] < threshold:
         return None
     if all(phi.entries[i][0].is_zero for i in range(1, rank)):
-        # phi keeps the top summand, spanned by e_0: the enumerator's
-        # first line, and the least kernel head (0, e_0) of the search
-        return OracleWitness(1, st.degrees[0], ("1",) + ("0",) * (rank - 1))
+        return _top_summand_witness(st)  # phi keeps the top summand
     forms = _eigen_forms(phi)
     if not forms:  # no invariant subbundle of any rank
         return None
@@ -493,6 +500,24 @@ def _first_witness(phi: CoHiggsMatrix, mode: str) -> OracleWitness | None:
         if hit := _top_invariant_line(phi.transpose_dual(), forms, dual_threshold):
             return OracleWitness(2, degree + hit[0], hit[1])
     return None
+
+
+def splitting_verdict(st: SplittingType, field: PrimeField, mode: str) -> OracleVerdict | None:
+    """``semistability_oracle``'s verdict on every field over ``field`` on
+    ``st``, when the splitting alone decides it; None otherwise.
+
+    A first simple-root value ``m_0 - m_1`` above 2 puts every entry below
+    the diagonal in column 0 in a zero space, so every field keeps the top
+    summand, and ``m_0``, above the slope, reaches the threshold of either
+    mode: the oracle's first check FAILS with that summand, and no field
+    need be drawn.
+    """
+    require_oracle_rank(st)
+    _violation_threshold(mode, st.degree, st.rank)  # a bad mode raises, as in the oracle
+    if st.rank == 1 or st.degrees[0] - st.degrees[1] <= 2:
+        return None
+    slope = _slope_text(st.degree, st.rank)
+    return OracleVerdict(mode, field.name, slope, _top_summand_witness(st))
 
 
 def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:

@@ -446,6 +446,49 @@ def test_oracle_eigenvalues_at_a_large_prime_pinned(capsys):
     assert digest == "05f2925acf23405f883f643d3bea0e3a62de7538c50d113fa2e3798fbcd04622"
 
 
+# oracle requests with a first gap above 2, whose output (exit code and
+# stdout) was recorded when every field was drawn and searched
+_FIRST_GAP_ABOVE_TWO = [
+    ["oracle", "--splitting=3,0", "--prime=5", "--mode=stable"],
+    ["oracle", "--splitting=3,0", "--prime=2", "--mode=semistable", "--seed=7", "--format=text"],
+    ["oracle", "--splitting=4,1,0", "--prime=3", "--mode=stable", "--seed=2"],
+    ["oracle", "--splitting=7,2,1", "--prime=11", "--mode=semistable", "--seed=5",
+     "--format=text"],
+    ["oracle", "--splitting=5,0,0", "--prime=7", "--mode=semistable"],
+    ["oracle", "--splitting=0,-3,-3", "--prime=13", "--mode=stable", "--seed=1", "--format=text"],
+    ["oracle", "--splitting=1,-2", "--prime=1000000007", "--mode=semistable"],
+    ["oracle", "--splitting=3000000,0", "--prime=5", "--mode=stable"],
+]
+
+
+def test_oracle_first_gap_above_two_draws_no_field(capsys, monkeypatch):
+    # every field keeps the top summand there, so no field is drawn; drawing
+    # one takes time linear in the gap, so a gap of 10^20 never answered
+    def refuse(*args):
+        raise AssertionError("a field drawn on a splitting that decides the verdict")
+
+    monkeypatch.setattr(cohiggs.cli, "random_field", refuse)
+    digest = hashlib.sha256()
+    with deadline(2):
+        for argv in _FIRST_GAP_ABOVE_TWO:
+            code, out, _ = run(capsys, *argv)
+            digest.update(f"{code}\0{out}\0".encode())
+        code, out, _ = run(
+            capsys, "oracle", "--splitting=99999999999999999999,0", "--prime=5", "--mode=stable"
+        )
+        model = run(
+            capsys, "oracle", "--splitting=99999999999999999999,0", "--prime=5", "--mode=stable",
+            "--model",
+        )
+    assert digest.hexdigest() == "a2ab36e438f8c2fb0f68124790e674d6c44773bc2aa6ddc367655b6eb669b7c5"
+    assert code == 2 and json.loads(out)["witnesses"] == [
+        {"degree": 99999999999999999999, "rank": 1, "sections": ["1", "0"]}
+    ]
+    # the model field keeps its gap error
+    assert model[:2] == (1, "")
+    assert model[2].endswith("has a gap above 2; a subdiagonal space is zero\n")
+
+
 def test_oracle_composite_modulus_rejected_quickly(capsys):
     # 1000000007 * 1000000009: trial division to its square root took minutes
     start = time.perf_counter()
@@ -754,10 +797,13 @@ def _exit_code(argv):
         return exc.code
 
 
-# argvs that only argparse handles: help at the top and for each subcommand,
-# usage errors, and forms the strict parser leaves to argparse (an
+# help at the top and for each subcommand, and usage errors.  The strict
+# parser answers a missing option (criterion --group=A2) and a value its
+# type refuses (--prime=x, --splitting=1,x) itself, in argparse's words;
+# argparse answers the rest: help, an unknown option, a bad choice, a value
+# for a flag, and the forms the strict parser leaves to it (an
 # abbreviation, a repeated option, a negative value in the space form)
-_ARGPARSE_ONLY = [
+_HELP_AND_USAGE_ERRORS = [
     ["--help"],
     *([name, "--help"] for name in _OPTION_TABLE),
     ["criterion", "--group=A2", "--hn=1,1", "--bogus"],
@@ -777,7 +823,7 @@ def test_help_and_argparse_only_forms_pinned(capsys, monkeypatch):
     # recorded when argparse parsed every argv; help wraps to COLUMNS
     monkeypatch.setenv("COLUMNS", "80")
     digest = hashlib.sha256()
-    for argv in _ARGPARSE_ONLY:
+    for argv in _HELP_AND_USAGE_ERRORS:
         code = _exit_code(argv)
         out, err = capsys.readouterr()
         digest.update(f"{code}\0{out}\0{err}\0".encode())
@@ -813,6 +859,40 @@ def test_well_formed_requests_import_neither_argparse_nor_gettext():
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out == "[0, 0, 0, 0, 0, 0, 0] [] []\n"
+
+
+def test_strict_usage_errors_import_neither_argparse_nor_gettext():
+    # a fresh interpreter, as above: a value its type refuses and a missing
+    # option exit 1 with argparse's line, which the strict parser writes
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    requests = [
+        ["glr-check", "--splitting=1,x"],
+        ["oracle", "--splitting=1,0", "--prime=x", "--mode=stable"],
+        ["criterion", "--group=A2"],
+    ]
+    code = (
+        "import io, sys; sys.path.insert(0, sys.argv[1]); import cohiggs.cli\n"
+        "codes, sys.stderr = [], io.StringIO()\n"
+        "for request in sys.argv[2:]:\n"
+        "    try:\n"
+        "        codes.append(cohiggs.cli.main(request.split(' ')))\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "err, sys.stderr = sys.stderr.getvalue(), sys.__stderr__\n"
+        "print(codes, sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+        "print(err, end='')"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, src, *map(" ".join, requests)],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out == (
+        "[1, 1, 1] []\n"
+        "cohiggs glr-check: error: argument --splitting: expected comma-separated integers,"
+        " got '1,x'\n"
+        "cohiggs oracle: error: argument --prime: invalid int value: 'x'\n"
+        "cohiggs criterion: error: the following arguments are required: --hn\n"
+    )
 
 
 def test_output_is_independent_of_the_hash_seed():
@@ -896,18 +976,69 @@ def _fuzz_argv(rng):
     return [name, *(token for part in parts for token in part)]
 
 
-def test_strict_parser_agrees_with_argparse_on_fuzzed_argvs(capsys):
-    # where the strict parser accepts an argv it must give argparse's
-    # attributes; every argv, accepted or not, must end in exit 0, 1 or 2
+# the first fault decides the message: a bad value before a bad choice, an
+# ambiguous abbreviation (argparse sees that before any value), a missing
+# option or a second bad value, a bad choice and an abbreviation before a
+# bad value, and a bad value before a repeated option or a negative
+# space-form value, which leave the argv to argparse
+_ORDERED_FAULTS = [
+    (["oracle", "--splitting=1,x", "--mode=fast", "--prime=5"],
+     "argument --splitting: expected comma-separated integers, got '1,x'"),
+    (["oracle", "--mode=fast", "--splitting=1,x", "--prime=5"],
+     "argument --mode: invalid choice: 'fast' (choose from 'stable', 'semistable')"),
+    (["oracle", "--splitting=1,x", "--s=3", "--prime=5", "--mode=stable"],
+     "ambiguous option: --s=3 could match --splitting, --seed"),
+    (["oracle", "--s=3", "--splitting=1,x", "--prime=5", "--mode=stable"],
+     "ambiguous option: --s=3 could match --splitting, --seed"),
+    (["oracle", "--splitting", "1,x", "--prime", "5"],
+     "argument --splitting: expected comma-separated integers, got '1,x'"),
+    (["oracle", "--prime=5"],
+     "the following arguments are required: --splitting, --mode"),
+    (["oracle", "--prime=y", "--splitting=1,x", "--mode=stable"],
+     "argument --prime: invalid int value: 'y'"),
+    (["model-field", "--seed", "s", "--prime", "p", "--splitting", "1,0"],
+     "argument --seed: invalid int value: 's'"),
+    (["criterion", "--hn= 1, x ", "--hn=1", "--group=A2"],
+     "argument --hn: expected comma-separated integers, got '1, x'"),
+    (["criterion", "--hn=1,x", "--group", "A2", "--central", "-1"],
+     "argument --hn: expected comma-separated integers, got '1,x'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _ORDERED_FAULTS)
+def test_first_fault_in_argv_order(capsys, argv, message):
+    assert _exit_code(argv) == 1
+    assert capsys.readouterr() == ("", f"cohiggs {argv[0]}: error: {message}\n")
+
+
+def test_strict_parser_agrees_with_argparse_on_fuzzed_argvs(capsys, monkeypatch):
+    # main must give every argv the exit code, stdout and stderr it gives
+    # when argparse parses every argv, so each error line the strict parser
+    # writes is argparse's byte for byte; an argv the strict parser accepts
+    # must get argparse's attributes, and every argv must exit 0, 1 or 2
     rng = random.Random(20250)
-    accepted = 0
     argvs = [_fuzz_argv(rng) for _ in range(400)]
-    with deadline(120):
-        for argv in argvs:
-            strict = cohiggs.cli._parse_strict(argv)
+    accepted = refused = 0
+
+    def outcome(argv):
+        code = _exit_code(argv)
+        return (code, *capsys.readouterr())
+
+    with deadline(180):
+        for argv in [*argvs, *(argv for argv, _ in _ORDERED_FAULTS)]:
+            try:
+                strict = cohiggs.cli._parse_strict(argv)
+            except SystemExit:
+                strict = None
+                refused += 1
             if strict is not None:
                 accepted += 1
                 assert vars(strict) == vars(build_parser().parse_args(argv)), argv
-            assert _exit_code(argv) in (0, 1, 2), argv
             capsys.readouterr()
+            got = outcome(argv)
+            with monkeypatch.context() as m:
+                m.setattr(cohiggs.cli, "_parse_strict", lambda argv: None)
+                assert outcome(argv) == got, argv
+            assert got[0] in (0, 1, 2), argv
     assert 0.2 * len(argvs) < accepted < 0.8 * len(argvs)
+    assert refused > 0.05 * len(argvs)

@@ -29,6 +29,7 @@ from cohiggs import oracle
 from cohiggs.frozen import set_slot
 from cohiggs.oracle import (
     _eigen_forms, _kernel_head, _slope_text, _top_invariant_line, _violation_threshold,
+    splitting_verdict,
 )
 from cohiggs.poly import horner
 from reference import (
@@ -414,6 +415,27 @@ def test_obstructed_splitting_fails_for_every_field_instance():
         w = verdict.witness
         assert (w.rank, w.degree) == (1, 3)
         assert w.sections == ("1", "0")
+
+
+def test_splitting_verdict_is_the_verdict_of_every_field():
+    # a first gap above 2 decides the verdict of every field; any other
+    # splitting, rank 1 included, is left to the oracle
+    decided = 0
+    cases = list(itertools.product((F2, F3, F5), range(2), ("stable", "semistable")))
+    for rank in (1, 2, 3):
+        for st in enumerate_splitting_types(rank, -2, 4):
+            for fld, seed, mode in cases:
+                verdict = splitting_verdict(st, fld, mode)
+                if st.rank == 1 or st.degrees[0] - st.degrees[1] <= 2:
+                    assert verdict is None, (st, mode)
+                    continue
+                decided += 1
+                assert verdict == semistability_oracle(random_field(st, fld, seed), mode), st
+    assert decided == len(cases) * (10 + 20)  # 10 splittings of rank 2, 20 of rank 3
+    with pytest.raises(ValueError, match="mode"):
+        splitting_verdict(SplittingType((3, 0)), F5, "almost")
+    with pytest.raises(ValueError, match="rank <= 3"):
+        splitting_verdict(SplittingType((9, 0, 0, 0)), F5, "stable")
 
 
 def test_zero_field_fails_semistable_on_unbalanced_splitting():
