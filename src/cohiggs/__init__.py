@@ -12,7 +12,6 @@ from .criterion import (
 )
 from .glr import (
     SplittingType,
-    hom_degree,
     splitting_to_hn,
 )
 from .lie import (
@@ -77,7 +76,6 @@ __all__ = [
     "enumerate_line_subbundles",
     "enumerate_strata",
     "evaluate_criterion",
-    "hom_degree",
     "hom_vanishing_certificate",
     "is_dominant",
     "is_invariant",

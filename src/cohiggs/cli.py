@@ -316,6 +316,14 @@ def build_parser():
         def error(self, message: str) -> None:  # type: ignore[override]
             self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
+    class Store(argparse.Action):
+        # the default action, but refusing the [] argparse stores for
+        # "--NAME=--", whose value "--" it drops; no option's type gives a list
+        def __call__(self, parser, namespace, values, option_string=None) -> None:
+            if values == []:
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
     def int_list(text: str) -> tuple[int, ...]:
         # argparse words a ValueError as "invalid _int_list value"; an
         # ArgumentTypeError's message it prints as it is
@@ -328,7 +336,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        p.register("type", _int_list, int_list)  # each parser has its own registry
+        # each parser has its own registry; None is the default action
+        p.register("type", _int_list, int_list)
+        p.register("action", None, Store)
         for option, kwargs in options.items():
             p.add_argument(option, **kwargs)
         p.set_defaults(func=func)
@@ -339,8 +349,8 @@ def _parse_strict(argv: Sequence[str]) -> SimpleNamespace | None:
     """The attributes ``build_parser().parse_args(argv)`` gives, for an argv
     of the form ``SUBCOMMAND (--NAME=VALUE | --NAME VALUE | --FLAG)*`` with
     every name in full and at most once, no space-form value starting with
-    "-", every value converted and in its choices, and every required
-    option present.
+    "-", no value "--" in the ``=`` form, every value converted and in its
+    choices, and every required option present.
 
     An argv of that form but for a value its type refuses, or for missing
     required options, gets argparse's error line for the first fault in
@@ -367,6 +377,8 @@ def _parse_strict(argv: Sequence[str]) -> SimpleNamespace | None:
             value = next(args, "-")  # a missing value is refused as "-" is
             if value.startswith("-"):
                 return None
+        elif value == "--":
+            return None  # argparse refuses it as a missing value
         given[name] = value
         if fault is not None:
             continue  # argparse stops at the first bad value

@@ -68,14 +68,3 @@ def splitting_to_hn(st: SplittingType) -> tuple[ReductiveGroup, HNType]:
     group = ReductiveGroup((CartanType("A", r - 1),), central_rank=1)
     return group, HNType((st.gaps(),), (st.degree,))
 
-
-def hom_degree(st: SplittingType, i: int, j: int) -> int:
-    """Degree of the form housing entry (i, j) of a co-Higgs field.
-
-    Indices are 0-based; the entry maps summand j into summand i, twisted by
-    the degree-2 tangent bundle, so the degree is ``m_i - m_j + 2``.  A
-    negative value means the entry space is zero.
-    """
-    if not (0 <= i < st.rank and 0 <= j < st.rank):
-        raise IndexError(f"entry ({i}, {j}) out of range for rank {st.rank}")
-    return st.degrees[i] - st.degrees[j] + 2

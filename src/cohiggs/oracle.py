@@ -48,7 +48,7 @@ from itertools import product
 
 from .criterion import admits_stable_cohiggs
 from .frozen import Frozen, set_slot
-from .glr import SplittingType, hom_degree, splitting_to_hn
+from .glr import SplittingType, splitting_to_hn
 from .poly import HomogPoly, PrimeField, gcd_many, horner, random_nonzero_poly, random_poly, roots
 
 ORACLE_MAX_RANK = 3
@@ -93,17 +93,20 @@ class CoHiggsMatrix(Frozen):
         r = len(m)
         if len(entries) != r or any(len(row) != r for row in entries):
             raise ValueError(f"expected {r} rows of {r} entries")
-        # entry (i, j) has degree m_i - m_j + 2, as glr.hom_degree says
-        entries = tuple([
-            tuple([
-                _check_form(p, field, m[i] - m[j] + 2, f"entry ({i}, {j})")
-                for j, p in enumerate(row)
-            ])
-            for i, row in enumerate(entries)
-        ])
+        rows = []
+        for i, (mi, row) in enumerate(zip(m, entries)):
+            checked = []
+            for j, (mj, p) in enumerate(zip(m, row)):
+                # entry (i, j) has degree m_i - m_j + 2; a form of that degree
+                # over this very field object is what _check_form returns
+                d = mi - mj + 2
+                if p.degree != d or p.field is not field:
+                    p = _check_form(p, field, d, f"entry ({i}, {j})")
+                checked.append(p)
+            rows.append(tuple(checked))
         set_slot(self, "splitting", splitting)
         set_slot(self, "field", field)
-        set_slot(self, "entries", entries)
+        set_slot(self, "entries", tuple(rows))
 
     @property
     def rank(self) -> int:
@@ -132,9 +135,9 @@ class CoHiggsMatrix(Frozen):
 def _grid(st: SplittingType, field: PrimeField, entry) -> CoHiggsMatrix:
     """The field whose (i, j) entry is ``entry(i, j, degree)``, filled row
     by row, so a seeded stream is drawn in row-major order."""
-    r = st.rank
-    entries = tuple(tuple(entry(i, j, hom_degree(st, i, j)) for j in range(r)) for i in range(r))
-    return CoHiggsMatrix(st, field, entries)
+    m = st.degrees
+    return CoHiggsMatrix(st, field, tuple(
+        tuple(entry(i, j, mi - mj + 2) for j, mj in enumerate(m)) for i, mi in enumerate(m)))
 
 
 def _rng(kind: str, st: SplittingType, field: PrimeField, seed: int) -> random.Random:

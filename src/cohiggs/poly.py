@@ -246,8 +246,22 @@ def gcd_many(polys: Iterable[HomogPoly]) -> HomogPoly | None:
 
 
 def random_poly(field: PrimeField, degree: int, rng: random.Random) -> HomogPoly:
-    """A form with coefficients drawn uniformly (none in negative degree)."""
-    coeffs = tuple(rng.randrange(field.p) for _ in range(degree + 1))
+    """A form with coefficients drawn uniformly (none in negative degree).
+
+    Each coefficient is drawn as ``random.Random.randrange(p)`` draws it:
+    ``getrandbits(k)`` with k the bit length of p, drawn again while it is
+    p or more.  So the stream, and every seeded form, is ``randrange``'s,
+    without the argument checks ``randrange`` makes on every call.
+    """
+    p = field.p
+    k = p.bit_length()
+    getrandbits = rng.getrandbits
+    coeffs = []
+    for _ in range(degree + 1):
+        c = getrandbits(k)
+        while c >= p:
+            c = getrandbits(k)
+        coeffs.append(c)
     return HomogPoly(field, degree, coeffs)
 
 

@@ -6,8 +6,8 @@ forms of the criterion (Rayan, *Co-Higgs bundles on P^1*, New York J. Math.
 ``admits_stable_cohiggs`` on ``splitting_to_hn`` and ``sp_to_hn``; the rules
 here are what the tests compare that path against, as ``per_root_values``
 is for ``all_root_values``.  The rest builds inputs: the inverse of
-``splitting_to_hn``, splitting types in a degree box, entry space
-dimensions and the zero and exhaustive co-Higgs fields; ``deadline``
+``splitting_to_hn``, splitting types in a degree box, entry degrees and
+space dimensions, and the zero and exhaustive co-Higgs fields; ``deadline``
 bounds a test's time.
 """
 
@@ -16,7 +16,7 @@ import operator
 import signal
 from itertools import combinations_with_replacement, product
 
-from cohiggs import CoHiggsMatrix, HomogPoly, SplittingType, build_root_system, hom_degree
+from cohiggs import CoHiggsMatrix, HomogPoly, SplittingType, build_root_system
 from cohiggs.lie import check_shapes
 
 
@@ -96,6 +96,18 @@ def hn_to_splitting(group, hn):
     if rem:
         raise ValueError("central degree incompatible with the gap vector")
     return SplittingType(t + base for t in tails)
+
+
+def hom_degree(st, i, j):
+    """Degree of the form housing entry (i, j) of a co-Higgs field.
+
+    Indices are 0-based; the entry maps summand j into summand i, twisted by
+    the degree-2 tangent bundle, so the degree is ``m_i - m_j + 2``.  A
+    negative value means the entry space is zero.
+    """
+    if not (0 <= i < st.rank and 0 <= j < st.rank):
+        raise IndexError(f"entry ({i}, {j}) out of range for rank {st.rank}")
+    return st.degrees[i] - st.degrees[j] + 2
 
 
 def hom_space_dim(st, i, j):

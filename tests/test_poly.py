@@ -242,3 +242,30 @@ def test_random_polys_deterministic_per_seed():
     assert not random_nonzero_poly(F2, 0, random.Random(0)).is_zero
     with pytest.raises(ValueError):
         random_nonzero_poly(F5, -1, random.Random(0))
+
+
+def test_random_poly_draws_randrange_stream():
+    # the coefficients are randrange(p)'s, and the generator is left where
+    # randrange leaves it, so every later draw agrees too; at p = 2 the
+    # bit length draws 2 bits and rejects half of the draws
+    for p in (2, 3, 5, 7, 13, 101, 1000003, 2**61 - 1):
+        field = PrimeField(p)
+        for degree in range(-3, 41):
+            rng, ref = random.Random(f"draw:{p}:{degree}"), random.Random(f"draw:{p}:{degree}")
+            form = random_poly(field, degree, rng)
+            assert form.degree == degree
+            assert list(form.coeffs) == [ref.randrange(p) for _ in range(degree + 1)], (p, degree)
+            assert rng.getstate() == ref.getstate(), (p, degree)
+
+
+def test_random_nonzero_poly_draws_randrange_stream():
+    # redrawn whole while zero: at p = 2 and degree 0, half the forms are
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        for degree, seed in itertools.product(range(3), range(40)):
+            rng, ref = random.Random(seed), random.Random(seed)
+            coeffs = [0]
+            while not any(coeffs):
+                coeffs = [ref.randrange(p) for _ in range(degree + 1)]
+            assert list(random_nonzero_poly(field, degree, rng).coeffs) == coeffs
+            assert rng.getstate() == ref.getstate(), (p, degree, seed)
