@@ -14,25 +14,37 @@ vanishes, and then it is the witness.  A first simple-root value
 obstruction at the first simple root, decided with no search, and by
 ``splitting_verdict`` with no field at all.
 
-Otherwise the oracle searches.  A saturated line is invariant exactly when
-``phi s = form * s`` for a degree-2 form (the spectral picture of a Higgs
-field).  Such a line vanishes nowhere, so at every point the form's value
-is an eigenvalue of phi there.  Over a prime field the oracle takes the
-candidate forms from the eigenvalues (``poly.roots``) of the numeric
-matrices phi([1:0]), phi([0:1]) and phi([1:1]), sieves them at [2:1],
-[3:1], ... up to 2r + 1 points in all, and for each form left looks for a
-nonzero kernel of ``phi - form`` on the section space, from the top degree
-down to the destabilizing slope threshold.  One Gaussian elimination over
-GF(p), from the last column to the first, yields the kernel vector leading
-at the first free column, which is the witness the enumeration meets
-first.  For rank 3, when no line is found, it repeats the search on the
-dual splitting with the transposed matrix, which detects invariant rank-2
-subbundles through their annihilator lines.  The dual's numeric matrices
-are anti-transposes of phi's at every point, so both searches share one
-list of eigen-forms, and a field without one passes at once: it has no
-invariant subbundle of any rank.  FAILS carries the first witness found, a
-certificate; PASSES only rules out destabilizing subbundles rational over
-the chosen field, so confidence comes from passing at several primes.
+The same lemma bounds what is left: a saturated line of degree above m_1
+has sections only in O(m_0), so it is the top summand.  Once that is not
+invariant, the line search covers only [threshold, m_1], which is empty
+when the threshold is above m_1: rank 2 with a gap of 1 or 2, in either
+mode, then answers from the top-summand test alone, at any prime.  For
+rank 3 the dual's top summand O(-m_2) is invariant exactly when phi_20 =
+phi_21 = 0, read off phi without building the dual; it is the witness
+when the line search finds nothing, and otherwise the dual search covers
+[dual threshold, -m_1].  These ranges follow from the degrees alone, and
+the eigen-forms below are computed once, only when one has a degree.
+
+Within those ranges the oracle searches.  A saturated line is invariant
+exactly when ``phi s = form * s`` for a degree-2 form (the spectral
+picture of a Higgs field).  Such a line vanishes nowhere, so at every
+point the form's value is an eigenvalue of phi there.  Over a prime field
+the oracle takes the candidate forms from the eigenvalues (``poly.roots``)
+of the numeric matrices phi([1:0]), phi([0:1]) and phi([1:1]), sieves them
+at [2:1], [3:1], ... up to 2r + 1 points in all, and for each form left
+looks for a nonzero kernel of ``phi - form`` on the section space, from
+m_1 down to the destabilizing slope threshold.  One Gaussian elimination
+over GF(p), from the last column to the first, yields the kernel vector
+leading at the first free column, which is the witness the enumeration
+meets first.  For rank 3, when no line is found, it repeats the search on
+the dual splitting with the transposed matrix, which detects invariant
+rank-2 subbundles through their annihilator lines.  The dual's numeric
+matrices are anti-transposes of phi's at every point, so both searches
+share one list of eigen-forms, and a field without one passes at once: it
+has no invariant subbundle of any rank.  FAILS carries the first witness
+found, a certificate; PASSES only rules out destabilizing subbundles
+rational over the chosen field, so confidence comes from passing at
+several primes.
 
 ``enumerate_line_subbundles`` and ``is_invariant`` remain as the slow
 reference.  All randomness is driven by seeds through ``random.Random``,
@@ -434,8 +446,12 @@ def _top_invariant_line(
     phi: CoHiggsMatrix, forms: list[tuple[int, int, int]], threshold: int
 ) -> tuple[int, tuple[str, ...]] | None:
     """The invariant line subbundle ``enumerate_line_subbundles`` and
-    ``is_invariant`` would find first, from the top degree down to the
-    threshold, as its degree and section strings; None when there is none.
+    ``is_invariant`` would find first, from the second degree m_1 down to
+    the threshold, as its degree and section strings; None when there is
+    none.  The caller has found the top summand O(m_0) not invariant: a
+    kernel vector of degree above m_1 has entries only in O(m_0), and
+    (phi - form) maps it to zero only if phi_i0 vanishes for every i > 0.
+    So no degree in (m_1, m_0] has a kernel, and none is eliminated.
 
     A saturated line is invariant iff its section tuple lies in the kernel
     of ``phi - form`` for one of the eigen-forms ``forms``.  At the highest
@@ -447,7 +463,7 @@ def _top_invariant_line(
     vector, wins across forms.
     """
     st, p = phi.splitting, phi.field.p
-    for d in range(st.degrees[0], threshold - 1, -1):
+    for d in range(st.degrees[1], threshold - 1, -1):
         # s -> (phi - form) s from H^0(E(-d)) to H^0(E(-d + 2)); columns
         # follow the enumerator's slot order: summand, then coefficient
         cols, ncols = _blocks(st, d)
@@ -483,25 +499,45 @@ def _top_summand_witness(st: SplittingType) -> OracleWitness:
 
 
 def _first_witness(phi: CoHiggsMatrix, mode: str) -> OracleWitness | None:
-    """The witness of the first of ``semistability_oracle``'s checks that finds one."""
-    st = phi.splitting
-    degree, rank = st.degree, st.rank
+    """The witness of the first of ``semistability_oracle``'s checks that finds one.
+
+    The degrees alone decide which search has a degree to visit: the line
+    search covers [threshold, m_1] and the dual's [dual threshold, -m_1],
+    since a line above m_1 is the top summand (see the module docstring).
+    The eigen-forms, whose root scans are linear in p, are computed once,
+    only when one does, so a rank-2 splitting with a gap of 1 or 2 needs
+    none, at any prime.
+    """
+    st, entries = phi.splitting, phi.entries
+    m, degree, rank = st.degrees, st.degree, st.rank
     threshold = _violation_threshold(mode, degree, rank)
     # a line bundle has no proper subbundles, and a constant splitting in
     # semistable mode no degree to visit, on phi or on its dual
-    if rank == 1 or st.degrees[0] < threshold:
+    if rank == 1 or m[0] < threshold:
         return None
-    if all(phi.entries[i][0].is_zero for i in range(1, rank)):
+    if all(entries[i][0].is_zero for i in range(1, rank)):
         return _top_summand_witness(st)  # phi keeps the top summand
-    forms = _eigen_forms(phi)
-    if not forms:  # no invariant subbundle of any rank
+    forms = None
+    if threshold <= m[1]:
+        forms = _eigen_forms(phi)
+        if not forms:  # no invariant subbundle of any rank
+            return None
+        if hit := _top_invariant_line(phi, forms, threshold):
+            return OracleWitness(1, *hit)
+    if rank == 2:
         return None
-    if hit := _top_invariant_line(phi, forms, threshold):
-        return OracleWitness(1, *hit)
-    if rank == 3:
-        dual_threshold = _violation_threshold(mode, -degree, rank)
-        if hit := _top_invariant_line(phi.transpose_dual(), forms, dual_threshold):
-            return OracleWitness(2, degree + hit[0], hit[1])
+    if entries[2][0].is_zero and entries[2][1].is_zero:
+        # the dual keeps its top summand O(-m_2), the first line of its
+        # enumeration; -m_2 >= -slope reaches the dual threshold, since the
+        # balanced splitting in semistable mode returned above
+        return OracleWitness(2, degree - m[2], ("1", "0", "0"))
+    dual_threshold = _violation_threshold(mode, -degree, rank)
+    if dual_threshold > -m[1]:
+        return None
+    if forms is None:
+        forms = _eigen_forms(phi)
+    if forms and (hit := _top_invariant_line(phi.transpose_dual(), forms, dual_threshold)):
+        return OracleWitness(2, degree + hit[0], hit[1])
     return None
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import cohiggs.cli
 import cohiggs.strata
-from cohiggs import build_root_system, parse_group
+from cohiggs import PrimeField, SplittingType, build_root_system, parse_group, random_field
 from cohiggs.cli import (
     _STRATA_COLUMNS, _STRATA_WIDTHS, _json_text, _strata_layout, build_parser, main,
 )
@@ -1095,3 +1095,18 @@ def test_double_dash_value_in_equals_form_is_a_usage_error(capsys, monkeypatch):
     # 25 options and 21 abbreviations: none for --hn, beside --help, nor for
     # --mode and --model, one a prefix of the other
     assert cases == 2 * (25 + 21)
+
+
+def test_oracle_gap_one_answers_at_a_large_prime(capsys):
+    # rank 2 with a gap of 1: lines above m_1 = 0 lie in O(1), and the
+    # threshold is 1 in both modes, so only the top-summand test runs and
+    # no eigenvalue scan tries every t < p
+    phi = random_field(SplittingType((1, 0)), PrimeField(1000000000039))
+    verdict = "FAILS" if phi.entries[1][0].is_zero else "PASSES"
+    for mode in ("stable", "semistable"):
+        with deadline(2):
+            code, out, _ = run(
+                capsys, "oracle", "--splitting=1,0", "--prime=1000000000039", f"--mode={mode}"
+            )
+        assert code == (2 if verdict == "FAILS" else 0), (mode, out)
+        assert json.loads(out)["verdict"] == verdict

@@ -1014,3 +1014,85 @@ def test_top_summand_decided_without_a_search(monkeypatch):
     assert [v.to_json_dict() for v in got] == [v.to_json_dict() for v in want]
     # only the balanced (0, 0, 0) in semistable mode has no degree to visit
     assert sum(v.passes for v in got) == 12
+
+
+# ------------------------------------------------- the second summand degree
+
+def _line_range(st, mode):
+    # whether the line search has a degree left once the top summand is not
+    # invariant: lines above m_1 lie in O(m_0)
+    return _violation_threshold(mode, st.degree, st.rank) <= st.degrees[1]
+
+
+def _is_dual_top(st, witness):
+    # the dual's top summand O(-m_2), the first line of the dual enumeration
+    return witness == {"rank": 2, "degree": st.degree - st.degrees[2],
+                       "dual_sections": ["1", "0", "0"]}
+
+
+def test_second_degree_shortcuts_match_the_reference():
+    # splittings with m_0 > m_1 or m_1 > m_2, where the line search starts
+    # below the top degree or has no degree at all, the dual search starts
+    # below -m_2, or the dual's top summand answers from phi_20 and phi_21
+    splittings = ((2, 1, 0), (1, 1, -1), (2, 2, 0), (1, 0, 0), (2, 0, -1))
+    fields = _seeded_fields(splittings, (2, 3, 5, 7), range(6)) + [
+        _block_triangular(SplittingType(degrees), PrimeField(p), seed, zeros)
+        for p in (2, 3, 5, 7)
+        for degrees in splittings
+        for seed in range(4)
+        for zeros in (((2, 0), (2, 1)), ((1, 0), (2, 0)))
+    ]
+    witness_ranks = set()
+    dual_top = {True: 0, False: 0}  # by whether the line search had a range
+    for phi in fields:
+        st = phi.splitting
+        for mode in ("stable", "semistable"):
+            got = semistability_oracle(phi, mode).to_json_dict()
+            assert got == _reference_oracle(phi, mode).to_json_dict(), (phi.to_json_dict(), mode)
+            for w in got["witnesses"]:
+                witness_ranks.add(w["rank"])
+                if _is_dual_top(st, w):
+                    dual_top[_line_range(st, mode)] += 1
+    assert witness_ranks == {1, 2}
+    assert min(dual_top.values()) >= 10, dual_top
+
+
+def test_second_degree_work_guard(monkeypatch):
+    # rank 2 with a gap of 1 or 2: the threshold is above m_1 in both
+    # modes, so the top-summand test alone decides every field
+    rank_two = [
+        (phi, mode)
+        for degrees in ((1, 0), (2, 0), (1, -1))
+        for phi in enumerate_all_fields(SplittingType(degrees), F2)
+        for mode in ("stable", "semistable")
+    ]
+    # rank 3 with no line degree to search, whose witness is the dual's top
+    # summand; and (1, 0, -1) in semistable mode, with neither range
+    rank_three = [
+        (phi, mode)
+        for phi in (
+            _block_triangular(SplittingType(degrees), PrimeField(p), seed, ((2, 0), (2, 1)))
+            for p in (2, 3, 5, 7)
+            for degrees in ((1, 0, 0), (2, 0, 0), (2, 0, -1), (2, 1, 0))
+            for seed in range(6)
+        )
+        for mode in ("stable", "semistable")
+        if not _line_range(phi.splitting, mode)
+        and _is_dual_top(phi.splitting, _reference_oracle(phi, mode).to_json_dict()["witnesses"][0])
+    ]
+    neither = [
+        (phi, "semistable") for phi in _seeded_fields(((1, 0, -1),), (2, 3, 5, 7), range(10))
+    ]
+    cases = rank_two + rank_three + neither
+    assert len(rank_two) == 3 * 2**13 and len(rank_three) >= 100
+
+    def refuse(*args):
+        raise AssertionError("a search the degrees rule out")
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "roots", refuse)
+        m.setattr(oracle, "_kernel_head", refuse)
+        m.setattr(CoHiggsMatrix, "transpose_dual", refuse)
+        got = [semistability_oracle(phi, mode).to_json_dict() for phi, mode in cases]
+    assert got == [_reference_oracle(phi, mode).to_json_dict() for phi, mode in cases]
+    assert any(v["witnesses"] for v in got) and any(not v["witnesses"] for v in got)
