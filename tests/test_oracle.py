@@ -1096,3 +1096,34 @@ def test_second_degree_work_guard(monkeypatch):
         got = [semistability_oracle(phi, mode).to_json_dict() for phi, mode in cases]
     assert got == [_reference_oracle(phi, mode).to_json_dict() for phi, mode in cases]
     assert any(v["witnesses"] for v in got) and any(not v["witnesses"] for v in got)
+
+
+# ------------------------------------------------------ long line searches
+
+def _long_range_fields(gaps, seeds):
+    # seeded fields on the splittings with top degree 0 and these gap pairs,
+    # over F2-F7, also with a zero at phi_01 or at phi_12 (the dual's entry
+    # (0, 1)), which makes the top 2 x 2 block of phi or of its dual
+    # triangular, so that its eigen-forms are rational
+    return [
+        _block_triangular(st, PrimeField(p), seed, zeros)
+        for st in _top_degree_zero(gaps)
+        for p in (2, 3, 5, 7)
+        for seed in seeds
+        for zeros in ((), ((0, 1),), ((1, 2),))
+    ]
+
+
+def test_long_range_verdicts_pinned():
+    # 2880 verdicts on splittings with a first gap of 0-2 and a second gap
+    # of 4-13, whose stable line search spans up to six degrees below m_1;
+    # recorded when it visited every one of them
+    fields = _long_range_fields([(a, b) for a in (0, 1, 2) for b in (4, 7, 10, 13)], range(10))
+    verdicts = [
+        semistability_oracle(phi, mode).to_json_dict()
+        for phi in fields
+        for mode in ("stable", "semistable")
+    ]
+    assert len(verdicts) == 2880
+    digest = hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest()
+    assert digest == "496913910fb1017fc164f80f2eb0b7a18410105adf777ce2a306f6a626b42dad"
