@@ -23,7 +23,10 @@ rank 3 the dual's top summand O(-m_2) is invariant exactly when phi_20 =
 phi_21 = 0, read off phi without building the dual; it is the witness
 when the line search finds nothing, and otherwise the dual search covers
 [dual threshold, -m_1].  These ranges follow from the degrees alone, and
-the eigen-forms below are computed once, only when one has a degree.
+the eigen-forms below are computed once, only when one has a degree.  No
+kernel starts below m_1 - 2 (see ``_first_witness``), so the line search
+stops there, and the dual's range has at most one degree: each scan
+covers at most three degrees, however large the gaps.
 
 Within those ranges the oracle searches.  A saturated line is invariant
 exactly when ``phi s = form * s`` for a degree-2 form (the spectral
@@ -33,18 +36,18 @@ the oracle takes the candidate forms from the eigenvalues (``poly.roots``)
 of the numeric matrices phi([1:0]), phi([0:1]) and phi([1:1]), sieves them
 at [2:1], [3:1], ... up to 2r + 1 points in all, and for each form left
 looks for a nonzero kernel of ``phi - form`` on the section space, from
-m_1 down to the destabilizing slope threshold.  One Gaussian elimination
-over GF(p), from the last column to the first, yields the kernel vector
-leading at the first free column, which is the witness the enumeration
-meets first.  For rank 3, when no line is found, it repeats the search on
-the dual splitting with the transposed matrix, which detects invariant
-rank-2 subbundles through their annihilator lines.  The dual's numeric
-matrices are anti-transposes of phi's at every point, so both searches
-share one list of eigen-forms, and a field without one passes at once: it
-has no invariant subbundle of any rank.  FAILS carries the first witness
-found, a certificate; PASSES only rules out destabilizing subbundles
-rational over the chosen field, so confidence comes from passing at
-several primes.
+m_1 down to the destabilizing slope threshold or m_1 - 2, whichever is
+higher.  One Gaussian elimination over GF(p), from the last column to the
+first, yields the kernel vector leading at the first free column, which is
+the witness the enumeration meets first.  For rank 3, when no line is
+found, it repeats the search on the dual splitting with the transposed
+matrix, which detects invariant rank-2 subbundles through their
+annihilator lines.  The dual's numeric matrices are anti-transposes of
+phi's at every point, so both searches share one list of eigen-forms, and
+a field without one passes at once: it has no invariant subbundle of any
+rank.  FAILS carries the first witness found, a certificate; PASSES only
+rules out destabilizing subbundles rational over the chosen field, so
+confidence comes from passing at several primes.
 
 ``enumerate_line_subbundles`` and ``is_invariant`` remain as the slow
 reference.  All randomness is driven by seeds through ``random.Random``,
@@ -507,6 +510,26 @@ def _first_witness(phi: CoHiggsMatrix, mode: str) -> OracleWitness | None:
     The eigen-forms, whose root scans are linear in p, are computed once,
     only when one does, so a rank-2 splitting with a gap of 1 or 2 needs
     none, at any prime.
+
+    The line search stops at m_1 - 2, since no kernel of phi - form starts
+    lower.  Rank 2 has at most the one degree m_1 to visit, so take r = 3.
+    The search runs once the top summand is found not invariant, and its
+    degrees lie above m_2, except for the balanced splitting, where it
+    visits only m_1.  Above m_2 a kernel section vanishes in O(m_2), so the
+    kernel lies in E' = O(m_0) + O(m_1), inside ker(phi_20, phi_21).  It is
+    not all of E', or phi_10 = phi_20 = 0 would keep the top summand, so it
+    is 0 or one line L.  If the block A = phi' - form on E' has rank 1, L is
+    ker A, which holds its nonzero adjugate column (-A_01, A_00) or (A_11,
+    -A_10), a section of degree m_1 - 2 or m_0 - 2.  If A = 0, L is
+    ker(phi_20, phi_21), which holds (phi_21, -phi_20), of degree m_0 + m_1
+    - m_2 - 2.  Either way deg L >= m_1 - 2.  Kernels only grow as the
+    degree falls (multiply by x), so a form with no kernel on [m_1 - 2,
+    m_1] has none lower.  The dual search needs no stop: it runs only when
+    phi_20 or phi_21 is nonzero, so m_1 - m_2 <= 2, and m_0 - m_1 <= 2
+    since the top summand is not invariant; its range [dual threshold,
+    -m_1] then holds at most the one degree -m_1, as -m_1 + degree / 3 =
+    (m_0 - 2 m_1 + m_2) / 3 < 1.  For rank 4 and above the stop must be
+    derived anew.
     """
     st, entries = phi.splitting, phi.entries
     m, degree, rank = st.degrees, st.degree, st.rank
@@ -522,7 +545,7 @@ def _first_witness(phi: CoHiggsMatrix, mode: str) -> OracleWitness | None:
         forms = _eigen_forms(phi)
         if not forms:  # no invariant subbundle of any rank
             return None
-        if hit := _top_invariant_line(phi, forms, threshold):
+        if hit := _top_invariant_line(phi, forms, max(threshold, m[1] - 2)):
             return OracleWitness(1, *hit)
     if rank == 2:
         return None

@@ -446,6 +446,25 @@ def test_oracle_eigenvalues_at_a_large_prime_pinned(capsys):
     assert digest == "05f2925acf23405f883f643d3bea0e3a62de7538c50d113fa2e3798fbcd04622"
 
 
+def test_oracle_long_second_gap_answers_quickly(capsys):
+    # the line search stops at m_1 - 2, so a second gap of G costs only the
+    # field draw and Horner evaluation, both linear in G; the bytes of G =
+    # 384 were recorded when the search walked from 0 down to -128, which
+    # took about two minutes
+    with deadline(2):
+        code, out, _ = run(capsys, "oracle", "--splitting=0,0,-384", "--prime=3", "--mode=stable")
+        assert code == 2
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "c6bfeb53da2ab703e8aad1a25b8769dbc894b57f7881671cce005c35d376f5a5"
+        code, out, _ = run(
+            capsys, "oracle", "--splitting=0,0,-100000", "--prime=3", "--mode=stable"
+        )
+    assert code == 2
+    assert json.loads(out)["witnesses"] == [
+        {"degree": 0, "dual_sections": ["1", "0", "0"], "rank": 2}
+    ]
+
+
 # oracle requests with a first gap above 2, whose output (exit code and
 # stdout) was recorded when every field was drawn and searched
 _FIRST_GAP_ABOVE_TWO = [

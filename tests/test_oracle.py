@@ -1116,7 +1116,7 @@ def _long_range_fields(gaps, seeds):
 
 def test_long_range_verdicts_pinned():
     # 2880 verdicts on splittings with a first gap of 0-2 and a second gap
-    # of 4-13, whose stable line search spans up to six degrees below m_1;
+    # of 4-13, whose stable line search spans up to four degrees below m_1;
     # recorded when it visited every one of them
     fields = _long_range_fields([(a, b) for a in (0, 1, 2) for b in (4, 7, 10, 13)], range(10))
     verdicts = [
@@ -1127,3 +1127,56 @@ def test_long_range_verdicts_pinned():
     assert len(verdicts) == 2880
     digest = hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest()
     assert digest == "496913910fb1017fc164f80f2eb0b7a18410105adf777ce2a306f6a626b42dad"
+
+
+def test_no_kernel_starts_below_m1_minus_two():
+    # the lemma of _first_witness: once the top summand is not invariant,
+    # the kernel of phi - form above m_2 is 0 or one line of degree at least
+    # m_1 - 2; checked down to m_2 + 1, where the last summand still has no
+    # sections, on phi where its second gap is 4-7, and on the dual of the
+    # mirror splittings, whose first gap is 4-7
+    gaps = [(a, b) for a in (0, 1, 2) for b in (4, 5, 6, 7)]
+    fields = _long_range_fields(gaps + [(b, a) for a, b in gaps], range(10))
+    starts = ([], [])  # top kernel degree minus m_1, on phi and on the dual
+    for phi in fields:
+        forms = _eigen_forms(phi)
+        for side, psi in enumerate((phi, phi.transpose_dual())):
+            m = psi.splitting.degrees
+            if all(psi.entries[i][0].is_zero for i in (1, 2)):
+                continue  # the top summand is invariant; no search runs
+            for form in forms:
+                if hit := _top_invariant_line(psi, [form], m[2] + 1):
+                    starts[side].append(hit[0] - m[1])
+    for found in starts:
+        assert set(found) == {0, -1, -2}
+        assert found.count(-2) >= 100
+
+
+def test_line_search_visits_three_degrees(monkeypatch):
+    # the line search makes at most three eliminations per eigen-form, at
+    # m_1, m_1 - 1 and m_1 - 2, however long its range; the dual search at
+    # most one, at -m_1
+    scans = []  # per search: the field searched, the eigen-form count, the eliminations
+    kernel_head, top_invariant_line = oracle._kernel_head, oracle._top_invariant_line
+
+    def counted_kernel_head(rows, p):
+        scans[-1][2] += 1
+        return kernel_head(rows, p)
+
+    def counted_search(psi, forms, floor):
+        scans.append([psi, len(forms), 0])
+        return top_invariant_line(psi, forms, floor)
+
+    monkeypatch.setattr(oracle, "_kernel_head", counted_kernel_head)
+    monkeypatch.setattr(oracle, "_top_invariant_line", counted_search)
+    fields = _seeded_fields(((0, 0, -12), (0, 0, -96)) + _RANK_THREE, (2, 3, 5, 7), range(20))
+    eliminations = {"line": 0, "dual": 0}
+    for phi in fields:
+        for mode in ("stable", "semistable"):
+            scans.clear()
+            semistability_oracle(phi, mode)
+            for psi, forms, count in scans:
+                side = "line" if psi is phi else "dual"
+                assert count <= (3 if side == "line" else 1) * forms, (phi.to_json_dict(), mode)
+                eliminations[side] += count
+    assert min(eliminations.values()) > 100, eliminations
