@@ -65,6 +65,13 @@ def _write_chunks(pieces: Iterator[str]) -> None:
         write(chunk)
 
 
+def _write_degrees(head: str, degrees: Sequence[int]) -> None:
+    # the line head + "d,d,...", _CHUNK degrees to a piece, as in JSON
+    pieces = (("," if i else "") + ",".join(map(str, degrees[i : i + _CHUNK]))
+              for i in range(0, len(degrees), _CHUNK))
+    _write_chunks(chain((head,), pieces, ("\n",)))
+
+
 def _json_pieces(value, indent: str = "\n") -> Iterator[str]:
     """``json.dumps(value, sort_keys=True, indent=2)`` for the CLI payloads
     (strings, ints, bools, lists, tuples, dicts), in pieces: a dict key by
@@ -135,7 +142,7 @@ def _cmd_criterion(args) -> int:
     print(f"admits_stable: {str(report.admits_stable).lower()}")
     for v in report.violating_roots:
         print(f"obstruction: factor {v.factor} simple root {v.root} value {v.value}")
-    print(f"adjoint splitting: {report.adjoint_degrees}")
+    _write_degrees("adjoint splitting: ", report.adjoint_degrees.degrees)
     return 0
 
 
@@ -144,7 +151,7 @@ def _cmd_adjoint(args) -> int:
     if args.format == "json":
         _emit_json({"adjoint_degrees": list(adjoint.degrees)})
         return 0
-    print(adjoint)
+    _write_degrees("", adjoint.degrees)
     return 0
 
 

@@ -6,48 +6,42 @@ when that degree is negative.  A line subbundle of degree d is a section
 tuple with entry i of degree ``m_i - d``, saturated when the nonzero entries
 share no projective zero, i.e. their gcd is a nonzero constant.
 
-The oracle first tests the line the enumeration meets first, e_0 =
-(1, 0, ..., 0) at the top degree m_0, which spans the top summand O(m_0).
-It is invariant exactly when every entry below the diagonal in column 0
-vanishes, and then it is the witness.  A first simple-root value
-``m_0 - m_1`` above 2 puts all those entries in zero spaces: the paper's
-obstruction at the first simple root, decided with no search, and by
-``splitting_verdict`` with no field at all.
+The oracle looks for a destabilizing invariant subbundle on phi, whose
+invariant lines are subbundles of rank 1, then for rank 3 on the dual
+splitting under the transposed matrix, whose invariant lines annihilate
+invariant rank-2 subbundles.  Each side runs the same two checks (see
+``_first_witness``) up to the first witness.  First the line its
+enumeration meets first, e_0 = (1, 0, ..., 0) at its top degree, which
+spans the top summand: it is invariant exactly when every entry below
+the diagonal in column 0 vanishes, and then it is the witness.  On phi a
+first simple-root value ``m_0 - m_1`` above 2 puts all those entries in
+zero spaces: the paper's obstruction at the first simple root, decided
+with no search, and by ``splitting_verdict`` with no field at all.
+Otherwise the line search runs from the side's second degree, as a line
+above it lies in the top summand, down to the destabilizing slope
+threshold, but not below that degree minus 2, where no kernel starts: at
+most three degrees, however large the gaps, and none when the threshold
+is above it, as for rank 2 with a gap of 1 or 2, which then answers at
+any prime.
 
-The same lemma bounds what is left: a saturated line of degree above m_1
-has sections only in O(m_0), so it is the top summand.  Once that is not
-invariant, the line search covers only [threshold, m_1], which is empty
-when the threshold is above m_1: rank 2 with a gap of 1 or 2, in either
-mode, then answers from the top-summand test alone, at any prime.  For
-rank 3 the dual's top summand O(-m_2) is invariant exactly when phi_20 =
-phi_21 = 0, read off phi without building the dual; it is the witness
-when the line search finds nothing, and otherwise the dual search covers
-[dual threshold, -m_1].  These ranges follow from the degrees alone, and
-the eigen-forms below are computed once, only when one has a degree.  No
-kernel starts below m_1 - 2 (see ``_first_witness``), so the line search
-stops there, and the dual's range has at most one degree: each scan
-covers at most three degrees, however large the gaps.
-
-Within those ranges the oracle searches.  A saturated line is invariant
+Within that range the oracle searches.  A saturated line is invariant
 exactly when ``phi s = form * s`` for a degree-2 form (the spectral
 picture of a Higgs field).  Such a line vanishes nowhere, so at every
 point the form's value is an eigenvalue of phi there.  Over a prime field
 the oracle takes the candidate forms from the eigenvalues (``poly.roots``)
 of the numeric matrices phi([1:0]), phi([0:1]) and phi([1:1]), sieves them
 at [2:1], [3:1], ... up to 2r + 1 points in all, and for each form left
-looks for a nonzero kernel of ``phi - form`` on the section space, from
-m_1 down to the destabilizing slope threshold or m_1 - 2, whichever is
-higher.  One Gaussian elimination over GF(p), from the last column to the
-first, yields the kernel vector leading at the first free column, which is
-the witness the enumeration meets first.  For rank 3, when no line is
-found, it repeats the search on the dual splitting with the transposed
-matrix, which detects invariant rank-2 subbundles through their
-annihilator lines.  The dual's numeric matrices are anti-transposes of
-phi's at every point, so both searches share one list of eigen-forms, and
-a field without one passes at once: it has no invariant subbundle of any
-rank.  FAILS carries the first witness found, a certificate; PASSES only
-rules out destabilizing subbundles rational over the chosen field, so
-confidence comes from passing at several primes.
+looks for a nonzero kernel of ``phi - form`` on the section space, degree
+by degree.  One Gaussian elimination over GF(p), from the last column to
+the first, yields the kernel vector leading at the first free column,
+which is the witness the enumeration meets first.  The dual's numeric
+matrices are anti-transposes of phi's at every point, so both sides share
+one list of eigen-forms, computed when a search first runs, and a field
+without one passes at once: it has no invariant subbundle of any rank.
+The dual matrix is built only when its search runs.  FAILS carries the
+first witness found, a certificate; PASSES only rules out destabilizing
+subbundles rational over the chosen field, so confidence comes from
+passing at several primes.
 
 ``enumerate_line_subbundles`` and ``is_invariant`` remain as the slow
 reference.  All randomness is driven by seeds through ``random.Random``,
@@ -67,6 +61,7 @@ from .glr import SplittingType, splitting_to_hn
 from .poly import HomogPoly, PrimeField, gcd_many, horner, random_nonzero_poly, random_poly, roots
 
 ORACLE_MAX_RANK = 3
+MAX_FIELD_COEFFS = 2_500_000  # per random field; 0,0,-1000000 has 2,000,021
 
 
 def require_oracle_rank(st: SplittingType) -> None:
@@ -180,8 +175,13 @@ def random_field(st: SplittingType, field: PrimeField, seed: int = 0) -> CoHiggs
     """A field with every admissible entry drawn uniformly at random.
 
     Entries whose space has negative degree stay zero regardless of the
-    seed.  Deterministic per (splitting, field, seed).
+    seed.  Deterministic per (splitting, field, seed).  A field of more
+    than ``MAX_FIELD_COEFFS`` coefficients is refused before any is drawn.
     """
+    count = sum(max(0, mi - mj + 3) for mi in st.degrees for mj in st.degrees)
+    if count > MAX_FIELD_COEFFS:
+        raise ValueError(f"a random field on {st} has {count} coefficients, above the bound "
+                         f"{MAX_FIELD_COEFFS}")
     rng = _rng("random", st, field, seed)
     return _grid(st, field, lambda i, j, d: random_poly(field, d, rng))
 
@@ -495,102 +495,94 @@ def _top_invariant_line(
     return None
 
 
-def _top_summand_witness(st: SplittingType) -> OracleWitness:
-    # the top summand O(m_0), spanned by e_0: the enumerator's first line,
-    # and the least kernel head (0, e_0) of the search
-    return OracleWitness(1, st.degrees[0], ("1",) + ("0",) * (st.rank - 1))
+def _top_summand_witness(k: int, degree: int, rank: int) -> OracleWitness:
+    # a side's top summand, spanned by e_0 at its top degree: the first line
+    # of its enumeration, and the least kernel head (0, e_0) of its search
+    return OracleWitness(k, degree, ("1",) + ("0",) * (rank - 1))
 
 
 def _first_witness(phi: CoHiggsMatrix, mode: str) -> OracleWitness | None:
     """The witness of the first of ``semistability_oracle``'s checks that finds one.
 
-    The degrees alone decide which search has a degree to visit: the line
-    search covers [threshold, m_1] and the dual's [dual threshold, -m_1],
-    since a line above m_1 is the top summand (see the module docstring).
-    The eigen-forms, whose root scans are linear in p, are computed once,
-    only when one does, so a rank-2 splitting with a gap of 1 or 2 needs
-    none, at any prime.
+    The checks of the module docstring run on phi, then for rank 3 on the
+    dual: the degrees (-m_2, -m_1, -m_0) under the transposed matrix, with
+    phi_21 and phi_20 below its top summand and its threshold at -deg E,
+    where a line of degree e is a rank-2 witness of degree deg E + e.  On
+    a side with degrees n_0 >= n_1 >= ..., a kept top summand reaches the
+    threshold, as n_0 is at least the side's slope, strictly unless the
+    splitting is balanced, which returns at once in semistable mode.
 
-    The line search stops at m_1 - 2, since no kernel of phi - form starts
-    lower.  Rank 2 has at most the one degree m_1 to visit, so take r = 3.
-    The search runs once the top summand is found not invariant, and its
-    degrees lie above m_2, except for the balanced splitting, where it
-    visits only m_1.  Above m_2 a kernel section vanishes in O(m_2), so the
-    kernel lies in E' = O(m_0) + O(m_1), inside ker(phi_20, phi_21).  It is
-    not all of E', or phi_10 = phi_20 = 0 would keep the top summand, so it
-    is 0 or one line L.  If the block A = phi' - form on E' has rank 1, L is
-    ker A, which holds its nonzero adjugate column (-A_01, A_00) or (A_11,
-    -A_10), a section of degree m_1 - 2 or m_0 - 2.  If A = 0, L is
-    ker(phi_20, phi_21), which holds (phi_21, -phi_20), of degree m_0 + m_1
-    - m_2 - 2.  Either way deg L >= m_1 - 2.  Kernels only grow as the
-    degree falls (multiply by x), so a form with no kernel on [m_1 - 2,
-    m_1] has none lower.  The dual search needs no stop: it runs only when
+    No kernel of psi - form starts below n_1 - 2, on either side.  Rank 2
+    has at most the one degree n_1 to visit, so take r = 3.  The search
+    runs once the top summand is found not invariant, and its degrees lie
+    above n_2, except for the balanced splitting, where it visits only n_1.
+    Above n_2 a kernel section vanishes in O(n_2), so the kernel lies in E'
+    = O(n_0) + O(n_1), inside ker(psi_20, psi_21).  It is not all of E', or
+    psi_10 = psi_20 = 0 would keep the top summand, so it is 0 or one line
+    L.  If the block A = psi' - form on E' has rank 1, L is ker A, which
+    holds its nonzero adjugate column (-A_01, A_00) or (A_11, -A_10), a
+    section of degree n_1 - 2 or n_0 - 2.  If A = 0, L is ker(psi_20,
+    psi_21), which holds (psi_21, -psi_20), of degree n_0 + n_1 - n_2 - 2.
+    Either way deg L >= n_1 - 2.  Kernels only grow as the degree falls
+    (multiply by x), so a form with no kernel on [n_1 - 2, n_1] has none
+    lower.  On the dual the stop never binds: its search runs only when
     phi_20 or phi_21 is nonzero, so m_1 - m_2 <= 2, and m_0 - m_1 <= 2
-    since the top summand is not invariant; its range [dual threshold,
-    -m_1] then holds at most the one degree -m_1, as -m_1 + degree / 3 =
-    (m_0 - 2 m_1 + m_2) / 3 < 1.  For rank 4 and above the stop must be
-    derived anew.
+    since phi's top summand is not invariant; its range [threshold, -m_1]
+    then holds at most the one degree -m_1, as -m_1 + deg E / 3 = (m_0 -
+    2 m_1 + m_2) / 3 < 1.  For rank 4 and above the stop must be derived
+    anew.
     """
-    st, entries = phi.splitting, phi.entries
+    st, e = phi.splitting, phi.entries
     m, degree, rank = st.degrees, st.degree, st.rank
     threshold = _violation_threshold(mode, degree, rank)
     # a line bundle has no proper subbundles, and a constant splitting in
     # semistable mode no degree to visit, on phi or on its dual
     if rank == 1 or m[0] < threshold:
         return None
-    if all(entries[i][0].is_zero for i in range(1, rank)):
-        return _top_summand_witness(st)  # phi keeps the top summand
+    # per side: witness rank, shift from line to witness degrees, top and
+    # second degrees, threshold, the first and last entries below the top
+    sides = ((1, 0, m[0], m[1], threshold, e[1][0], e[-1][0]),)
+    if rank == 3:
+        dual_threshold = _violation_threshold(mode, -degree, rank)
+        sides += ((2, degree, -m[2], -m[1], dual_threshold, e[2][1], e[2][0]),)
     forms = None
-    if threshold <= m[1]:
-        forms = _eigen_forms(phi)
-        if not forms:  # no invariant subbundle of any rank
-            return None
-        if hit := _top_invariant_line(phi, forms, max(threshold, m[1] - 2)):
-            return OracleWitness(1, *hit)
-    if rank == 2:
-        return None
-    if entries[2][0].is_zero and entries[2][1].is_zero:
-        # the dual keeps its top summand O(-m_2), the first line of its
-        # enumeration; -m_2 >= -slope reaches the dual threshold, since the
-        # balanced splitting in semistable mode returned above
-        return OracleWitness(2, degree - m[2], ("1", "0", "0"))
-    dual_threshold = _violation_threshold(mode, -degree, rank)
-    if dual_threshold > -m[1]:
-        return None
-    if forms is None:
-        forms = _eigen_forms(phi)
-    if forms and (hit := _top_invariant_line(phi.transpose_dual(), forms, dual_threshold)):
-        return OracleWitness(2, degree + hit[0], hit[1])
+    for k, shift, top, second, threshold, first, last in sides:
+        if first.is_zero and last.is_zero:  # the side keeps its top summand
+            return _top_summand_witness(k, shift + top, rank)
+        if threshold <= second:
+            if forms is None:
+                forms = _eigen_forms(phi)
+            if not forms:  # no invariant subbundle of any rank
+                return None
+            psi = phi if k == 1 else phi.transpose_dual()
+            if hit := _top_invariant_line(psi, forms, max(threshold, second - 2)):
+                return OracleWitness(k, shift + hit[0], hit[1])
     return None
 
 
 def splitting_verdict(st: SplittingType, field: PrimeField, mode: str) -> OracleVerdict | None:
     """``semistability_oracle``'s verdict on every field over ``field`` on
-    ``st``, when the splitting alone decides it; None otherwise.
-
-    A first simple-root value ``m_0 - m_1`` above 2 puts every entry below
-    the diagonal in column 0 in a zero space, so every field keeps the top
-    summand, and ``m_0``, above the slope, reaches the threshold of either
-    mode: the oracle's first check FAILS with that summand, and no field
-    need be drawn.
-    """
+    ``st`` when the splitting alone decides it, else None: a first gap
+    ``m_0 - m_1`` above 2 leaves every entry below the top summand in a
+    zero space, and ``m_0``, above the slope, reaches the threshold of
+    either mode, so every field FAILS with that summand."""
     require_oracle_rank(st)
     _violation_threshold(mode, st.degree, st.rank)  # a bad mode raises, as in the oracle
     if st.rank == 1 or st.degrees[0] - st.degrees[1] <= 2:
         return None
     slope = _slope_text(st.degree, st.rank)
-    return OracleVerdict(mode, field.name, slope, _top_summand_witness(st))
+    return OracleVerdict(mode, field.name, slope, _top_summand_witness(1, st.degrees[0], st.rank))
 
 
 def semistability_oracle(phi: CoHiggsMatrix, mode: str) -> OracleVerdict:
     """Search for a destabilizing invariant subbundle over the prime field.
 
-    The checks of the module docstring run in order (the top summand, the
-    line search, the rank-3 dual search) up to the first witness, which is
-    the one the enumerator would return: top degree first, first nonzero
-    coefficient 1, smallest tuple.  A field with none PASSES, which only
-    certifies the absence of destabilizing subbundles rational over this
-    field.
+    The checks of the module docstring run in order (the top summand and
+    the line search, on phi, then on the rank-3 dual) up to the first
+    witness, which is the one the enumerator would return: top degree
+    first, first nonzero coefficient 1, smallest tuple.  A field with none
+    PASSES, which only certifies the absence of destabilizing subbundles
+    rational over this field.
     """
     st = phi.splitting
     require_oracle_rank(st)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import cohiggs.cli
+import cohiggs.oracle
 import cohiggs.strata
 from cohiggs import PrimeField, SplittingType, build_root_system, parse_group, random_field
 from cohiggs.cli import (
@@ -508,6 +510,53 @@ def test_oracle_first_gap_above_two_draws_no_field(capsys, monkeypatch):
     assert model[2].endswith("has a gap above 2; a subdiagonal space is zero\n")
 
 
+# fields of about 2 * 10^20 coefficients, none of them decided by the
+# splitting alone; drawing one never answered
+_OVERSIZED_DRAWS = [
+    ["oracle", "--splitting=0,0,-99999999999999999999", "--prime=3", "--mode=stable"],
+    ["oracle", "--splitting=1,-100000000000000000000,0", "--prime=3", "--mode=stable"],
+    ["oracle", "--splitting=0,100000000000000000000,100000000000000000000", "--prime=1000003",
+     "--mode=stable"],
+]
+
+
+@pytest.mark.parametrize("argv", _OVERSIZED_DRAWS, ids=" ".join)
+def test_oracle_oversized_field_refused_before_any_draw(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("a coefficient drawn for an oversized field")
+
+    monkeypatch.setattr(cohiggs.oracle, "random_poly", refuse)
+    with deadline(2):
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert err.endswith(f"coefficients, above the bound {cohiggs.oracle.MAX_FIELD_COEFFS}\n")
+
+
+def test_oracle_field_at_the_draw_bound_is_drawn(capsys, monkeypatch):
+    # (2,0,-2) has 3 + 5 + 7 + 1 + 3 + 5 + 0 + 1 + 3 = 28 coefficients
+    argv = ["oracle", "--splitting=2,0,-2", "--prime=5", "--mode=stable"]
+    monkeypatch.setattr(cohiggs.oracle, "MAX_FIELD_COEFFS", 28)
+    assert run(capsys, *argv)[0] in (0, 2)
+    monkeypatch.setattr(cohiggs.oracle, "MAX_FIELD_COEFFS", 27)
+    assert run(capsys, *argv) == (
+        1, "", "cohiggs: error: a random field on 2,0,-2 has 28 coefficients, above the bound 27\n")
+
+
+def test_oracle_draw_bound_pinned(capsys, monkeypatch):
+    # 1,0,-G has 2G + 22 coefficients and 0,0,-G has 2G + 21: 2,500,000 is
+    # drawn and 2,500,001 is refused
+    def drawn(*args):
+        raise LookupError("drawn")
+
+    monkeypatch.setattr(cohiggs.oracle, "random_poly", drawn)
+    with pytest.raises(LookupError):
+        main(["oracle", "--splitting=1,0,-1249989", "--prime=3", "--mode=stable"])
+    code, out, err = run(capsys, "oracle", "--splitting=0,0,-1249990", "--prime=3", "--mode=stable")
+    assert (code, out) == (1, "")
+    assert err.endswith("has 2500001 coefficients, above the bound 2500000\n")
+
+
 def test_oracle_composite_modulus_rejected_quickly(capsys):
     # 1000000007 * 1000000009: trial division to its square root took minutes
     start = time.perf_counter()
@@ -757,6 +806,23 @@ def test_emit_json_writes_long_lists_in_chunks(monkeypatch, chunk):
     # each write holds at most chunk pieces of at most chunk lines
     assert max(part.count("\n") for part in out.parts) <= chunk * chunk
     assert len(out.parts) > 2 if chunk == 4 else len(out.parts) == 2
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["criterion", "--group=A4", "--hn=0,1,2,3"],
+     "a148b908233e5a34afefebf51f1380fe4940f2b7e73b1e868d7e625608ede3cf"),
+    (["adjoint", "--group=A4", "--hn=0,1,2,3"],
+     "98de2215d2c78941cc15b9c27588bedfcd63bb1c1ab93b75662e6821d5900966"),
+], ids=["criterion", "adjoint"])
+def test_text_degree_list_written_in_chunks(monkeypatch, argv, digest):
+    # the 24 adjoint degrees of A4 in pieces of 4, at most 4 pieces a write;
+    # the bytes were recorded when the line was printed as one string
+    monkeypatch.setattr(cohiggs.cli, "_CHUNK", 4)
+    out = _Writes()
+    monkeypatch.setattr(cohiggs.cli.sys, "stdout", out)
+    assert main(argv) == 0
+    assert hashlib.sha256("".join(out.parts).encode()).hexdigest() == digest
+    assert max(len(re.findall(r"-?\d+", part)) for part in out.parts) <= 16
 
 
 def test_model_field_gap_error(capsys):
