@@ -7,7 +7,6 @@ from .criterion import (
     admits_stable_cohiggs,
     adjoint_splitting,
     evaluate_criterion,
-    hom_vanishing_certificate,
     semistable_obstruction,
 )
 from .glr import (
@@ -26,24 +25,14 @@ from .lie import (
 )
 from .oracle import (
     CoHiggsMatrix,
-    LineSubbundle,
     OracleVerdict,
     OracleWitness,
-    apply_field,
     build_model_field,
-    enumerate_line_subbundles,
-    is_invariant,
     random_field,
     semistability_oracle,
 )
 from .poly import HomogPoly, PrimeField
-from .strata import (
-    StratumRecord,
-    dim_automorphisms,
-    dim_cohiggs_space,
-    dim_stratum,
-    enumerate_strata,
-)
+from .strata import strata_rows
 from .symplectic import SymplecticSplitting, sp_to_hn
 
 __version__ = "0.1.0"
@@ -54,35 +43,26 @@ __all__ = [
     "CriterionReport",
     "HNType",
     "HomogPoly",
-    "LineSubbundle",
     "OracleVerdict",
     "OracleWitness",
     "PrimeField",
     "ReductiveGroup",
     "RootViolation",
     "SplittingType",
-    "StratumRecord",
     "SymplecticSplitting",
     "admits_stable_cohiggs",
     "adjoint_splitting",
     "all_root_values",
-    "apply_field",
     "build_model_field",
     "build_root_system",
     "cartan_matrix",
-    "dim_automorphisms",
-    "dim_cohiggs_space",
-    "dim_stratum",
-    "enumerate_line_subbundles",
-    "enumerate_strata",
     "evaluate_criterion",
-    "hom_vanishing_certificate",
     "is_dominant",
-    "is_invariant",
     "parse_group",
     "random_field",
     "semistability_oracle",
     "semistable_obstruction",
     "sp_to_hn",
     "splitting_to_hn",
+    "strata_rows",
 ]

@@ -6,13 +6,12 @@ most 2, and any value of 3 or more rules out even a semistable field.  There
 is no intermediate band.  The obstruction comes with a vanishing certificate
 (every root space outside the offending maximal parabolic sits in a line
 bundle of degree at most -3, so twisting by the degree-2 tangent bundle
-leaves no sections).  The rank-r gap rule and the symplectic rule are this
-criterion on the data of ``splitting_to_hn`` and ``sp_to_hn``.
+leaves no sections); the tests list and check it with a helper in
+``tests/reference.py``.  The rank-r gap rule and the symplectic rule are
+this criterion on the data of ``splitting_to_hn`` and ``sp_to_hn``.
 """
 
 from __future__ import annotations
-
-import operator
 
 from .frozen import Frozen
 from .glr import SplittingType
@@ -20,7 +19,6 @@ from .lie import (
     HNType,
     ReductiveGroup,
     all_root_values,
-    build_root_system,
     require_dominant,
 )
 
@@ -75,42 +73,6 @@ def semistable_obstruction(group: ReductiveGroup, hn: HNType) -> list[RootViolat
         for i, v in enumerate(vec)
         if v >= OBSTRUCTION_BOUND
     ]
-
-
-def hom_vanishing_certificate(
-    group: ReductiveGroup, hn: HNType, factor: int, root: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """Certify that every co-Higgs field preserves the offending parabolic.
-
-    For a simple root with value >= 3 the quotient of the adjoint bundle by
-    the adjoint of its maximal parabolic is the sum of the root spaces whose
-    coefficient on that simple root is negative, i.e. the negative roots of
-    the factor using it.  Each such root pairs to at most -3, so its line
-    bundle twisted by the tangent bundle has no sections.  Returns the list
-    of (root, degree) pairs; the degree bound is asserted.
-    """
-    require_dominant(group, hn)
-    if not (0 <= factor < len(group.simple_factors)):
-        raise ValueError(f"no factor {factor}")
-    vec = hn.simple_values[factor]
-    if not (0 <= root < len(vec)):
-        raise ValueError(f"no simple root {root} in factor {factor}")
-    if vec[root] < OBSTRUCTION_BOUND:
-        raise ValueError(
-            f"simple root {root} of factor {factor} has value {vec[root]} < "
-            f"{OBSTRUCTION_BOUND}; nothing to certify"
-        )
-    summands = []
-    for pos in build_root_system(group.simple_factors[factor]):
-        if pos[root] == 0:
-            continue
-        neg = tuple(-c for c in pos)
-        degree = sum(map(operator.mul, neg, vec))
-        assert degree <= -OBSTRUCTION_BOUND, (
-            f"BUG: summand {neg} has degree {degree} > -3"
-        )
-        summands.append((neg, degree))
-    return summands
 
 
 def adjoint_splitting(group: ReductiveGroup, hn: HNType) -> SplittingType:

@@ -280,6 +280,11 @@ def _positive_values(ct: CartanType, vec: tuple[int, ...]) -> list[int]:
     return [sum(map(operator.mul, root, vec)) for root in build_root_system(ct)]
 
 
+# all_root_values refuses a group with more roots than this before it
+# builds any value; A6000, with 36,006,000, still answers
+MAX_ROOT_VALUES = 40_000_000
+
+
 def all_root_values(group: ReductiveGroup, hn: HNType) -> list[int]:
     """The multiset of pairings over the full root set of the group.
 
@@ -288,9 +293,13 @@ def all_root_values(group: ReductiveGroup, hn: HNType) -> list[int]:
     factor by factor, each positive root's value followed by its negative.
     Within a factor the positive roots come in the order of
     ``_positive_values``: formula by formula for the classical families,
-    by height for E, F and G.
+    by height for E, F and G.  More than ``MAX_ROOT_VALUES`` entries are
+    refused with a ``ValueError`` before any is built.
     """
     check_shapes(group, hn)
+    n = group.dim - group.rank
+    if n > MAX_ROOT_VALUES:
+        raise ValueError(f"{group}: {n} root values exceed the limit of {MAX_ROOT_VALUES}")
     out: list[int] = []
     for ct, vec in zip(group.simple_factors, hn.simple_values):
         positive = _positive_values(ct, vec)

@@ -43,9 +43,10 @@ first witness found, a certificate; PASSES only rules out destabilizing
 subbundles rational over the chosen field, so confidence comes from
 passing at several primes.
 
-``enumerate_line_subbundles`` and ``is_invariant`` remain as the slow
-reference.  All randomness is driven by seeds through ``random.Random``,
-so every run is reproducible bit for bit.
+``enumerate_line_subbundles`` and ``is_invariant`` remain here, not
+exported, as the slow reference the tests import.  All randomness is
+driven by seeds through ``random.Random``, so every run is reproducible
+bit for bit.
 """
 
 from __future__ import annotations
@@ -194,6 +195,9 @@ class LineSubbundle(Frozen):
     The tuple must not vanish identically; it defines an actual
     subbundle, rather than a subsheaf with smaller saturation, exactly when
     the nonzero entries have constant gcd.
+
+    Not exported: it stays in ``src`` only for the enumerate-and-test
+    reference, until ROADMAP item 9 moves them out.
     """
 
     __slots__ = ("splitting", "field", "degree", "sections")
@@ -226,7 +230,11 @@ class LineSubbundle(Frozen):
 
 
 def apply_field(phi: CoHiggsMatrix, line: LineSubbundle) -> tuple[HomogPoly, ...]:
-    """Evaluate the field on a section tuple; entry i has degree m_i - d + 2."""
+    """Evaluate the field on a section tuple; entry i has degree m_i - d + 2.
+
+    Not exported: it stays in ``src`` only for the benchmark's span tracer,
+    until ROADMAP item 9 moves it out.
+    """
     if phi.splitting != line.splitting:
         raise ValueError("field and subbundle live on different splittings")
     r = phi.rank
@@ -248,6 +256,9 @@ def is_invariant(phi: CoHiggsMatrix, line: LineSubbundle) -> bool:
 
     Exact test: the image tuple is proportional to the section tuple iff all
     two-by-two wedges vanish identically: ``p_i (phi p)_j == p_j (phi p)_i``.
+
+    Not exported: it stays in ``src`` only for the benchmark's span tracer,
+    until ROADMAP item 9 moves it out.
     """
     image = apply_field(phi, line)
     s = line.sections
@@ -288,6 +299,9 @@ def enumerate_line_subbundles(
     (summands in order, coefficients within each section in order) whose
     first nonzero slot is 1, by pivot slot and then lexicographically; the
     stream is empty when the degree exceeds the largest summand degree.
+
+    Not exported: it stays in ``src`` only for the benchmark's span tracer,
+    until ROADMAP item 9 moves it out.
     """
     blocks, n = _blocks(st, degree)
     for pivot in range(n):

@@ -47,7 +47,11 @@ from .lie import (
 
 class StratumRecord(Frozen):
     """One stratum: its HN type, three dimensions and whether it is the
-    zero type (``is_generic``)."""
+    zero type (``is_generic``).
+
+    Not exported: it stays in ``src`` only for ``enumerate_strata``, until
+    ROADMAP item 9 moves both out.
+    """
 
     __slots__ = ("hn", "dim_cohiggs", "dim_aut", "dim_stratum", "is_generic")
 
@@ -98,6 +102,9 @@ def dim_cohiggs_space(group: ReductiveGroup, hn: HNType) -> int:
     Three sections per torus direction plus, for each root, the sections of
     a line bundle of degree ``value + 2``: that is ``value + 3`` when the
     value is at least -3 and zero otherwise.
+
+    Not exported: it stays in ``src`` only for the benchmark's span tracer,
+    until ROADMAP item 9 moves it out.
     """
     return _dimensions(group, hn)[0]
 
@@ -109,6 +116,9 @@ def dim_automorphisms(group: ReductiveGroup, hn: HNType) -> int:
     nonnegative value.  ``reference_dimensions`` in the tests and acceptance
     criterion 05 check the equivalent form dim(G) + sum of (value - 1) over
     roots with value > 1 against it.
+
+    Not exported: it stays in ``src`` only for the benchmark's span tracer,
+    until ROADMAP item 9 moves it out.
     """
     return _dimensions(group, hn)[1]
 
@@ -120,6 +130,9 @@ def dim_stratum(group: ReductiveGroup, hn: HNType) -> int:
     subtract.  ``reference_dimensions`` in the tests and acceptance
     criterion 05 check the form 2 dim(G) - 2 #{value > 3} - sum of
     (value - 1) over 1 < value <= 3 against the subtraction.
+
+    Not exported: it stays in ``src`` only for the benchmark's span tracer,
+    until ROADMAP item 9 moves it out.
     """
     return _dimensions(group, hn)[2]
 
@@ -211,7 +224,11 @@ def enumerate_strata(
     bound of the criterion) appears exactly once, in lexicographic order of
     the flattened value vector.  The central part is carried through
     unchanged; a wrong length is rejected before any work.  ``is_generic``
-    is true for the zero type only.
+    is true for the zero type only.  The tests import it from here as the
+    slow reference for ``strata_rows``.
+
+    Not exported: it stays in ``src`` only for the benchmark's span tracer,
+    until ROADMAP item 9 moves it out.
     """
     rows = strata_rows(group, central_degrees)  # checks the request
     return [

@@ -7,9 +7,9 @@ Run from the repository root, naming one module or more:
 Each mutant changes one node of the module's syntax tree: a comparison
 flipped (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``is`` and
 ``is not``, ``in`` and ``not in``), an integer constant plus one, or
-``and`` swapped with ``or``.  The harness copies ``src``, ``tests``,
-``bench`` and ``pyproject.toml`` to a temporary directory and writes one
-mutant at a time into the copy.  For each it runs pytest on the module's
+``and`` swapped with ``or``.  The harness copies ``src``, ``tests`` and
+``pyproject.toml`` to a temporary directory and writes one mutant at a
+time into the copy.  For each it runs pytest on the module's
 test files from ``TESTS``, one child process at a time, under a timeout,
 stopping at the first failure.  Tests that already fail on the unmutated module are
 deselected, so only a test that passes without the mutant can kill it.
@@ -47,7 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # the test files run against each module's mutants, fastest killers first
 TESTS = {
     "frozen": ["test_frozen.py", "test_modules.py", "test_oracle.py"],
-    "lie": ["test_lie.py", "test_criterion.py", "test_strata.py"],
+    "lie": ["test_lie.py", "test_criterion.py", "test_strata.py", "test_cli.py"],
     "criterion": ["test_criterion.py", "test_glr.py", "test_symplectic.py", "test_acceptance.py"],
     "strata": ["test_strata.py", "test_acceptance.py", "test_cli.py"],
     "glr": ["test_glr.py", "test_oracle.py"],
@@ -236,8 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {}
     with tempfile.TemporaryDirectory(prefix="cohiggs-mutate-") as tmp:
         copy = Path(tmp)
-        # test_modules.py looks for the users of public names in bench/
-        for part in ("src", "tests", "bench"):
+        for part in ("src", "tests"):
             skip = shutil.ignore_patterns("__pycache__", "*.egg-info", "out")
             shutil.copytree(ROOT / part, copy / part, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")

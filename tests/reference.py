@@ -5,10 +5,11 @@ forms of the criterion (Rayan, *Co-Higgs bundles on P^1*, New York J. Math.
 2013, for rank r).  The library decides both through
 ``admits_stable_cohiggs`` on ``splitting_to_hn`` and ``sp_to_hn``; the rules
 here are what the tests compare that path against, as ``per_root_values``
-is for ``all_root_values``.  The rest builds inputs: the inverse of
-``splitting_to_hn``, splitting types in a degree box, entry degrees and
-space dimensions, and the zero and exhaustive co-Higgs fields; ``deadline``
-bounds a test's time.
+is for ``all_root_values``.  ``hom_vanishing_certificate`` lists the root
+spaces behind the criterion's obstruction; no library path prints it.  The
+rest builds inputs: the inverse of ``splitting_to_hn``, splitting types in
+a degree box, entry degrees and space dimensions, and the zero and
+exhaustive co-Higgs fields; ``deadline`` bounds a test's time.
 """
 
 import contextlib
@@ -16,8 +17,16 @@ import operator
 import signal
 from itertools import combinations_with_replacement, product
 
-from cohiggs import CoHiggsMatrix, HomogPoly, SplittingType, build_root_system
-from cohiggs.lie import check_shapes
+from cohiggs import (
+    CoHiggsMatrix,
+    HNType,
+    HomogPoly,
+    ReductiveGroup,
+    SplittingType,
+    build_root_system,
+)
+from cohiggs.criterion import OBSTRUCTION_BOUND
+from cohiggs.lie import check_shapes, require_dominant
 
 
 def glr_admits_semistable(st):
@@ -70,6 +79,43 @@ def per_root_values(group, hn):
             v = sum(map(operator.mul, root, vec))
             out += (v, -v)
     return out
+
+
+def hom_vanishing_certificate(
+    group: ReductiveGroup, hn: HNType, factor: int, root: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """Certify that every co-Higgs field preserves the offending parabolic.
+
+    For a simple root with value >= 3 the quotient of the adjoint bundle by
+    the adjoint of its maximal parabolic is the sum of the root spaces whose
+    coefficient on that simple root is negative, i.e. the negative roots of
+    the factor using it.  Each such root pairs to at most -3, so its line
+    bundle twisted by the tangent bundle has no sections.  Returns the list
+    of (root, degree) pairs; the degree bound is asserted.
+    """
+    require_dominant(group, hn)
+    if not (0 <= factor < len(group.simple_factors)):
+        raise ValueError(f"no factor {factor}")
+    vec = hn.simple_values[factor]
+    if not (0 <= root < len(vec)):
+        raise ValueError(f"no simple root {root} in factor {factor}")
+    if vec[root] < OBSTRUCTION_BOUND:
+        raise ValueError(
+            f"simple root {root} of factor {factor} has value {vec[root]} < "
+            f"{OBSTRUCTION_BOUND}; nothing to certify"
+        )
+    summands = []
+    for pos in build_root_system(group.simple_factors[factor]):
+        if pos[root] == 0:
+            continue
+        neg = tuple(-c for c in pos)
+        degree = sum(map(operator.mul, neg, vec))
+        assert degree <= -OBSTRUCTION_BOUND, (
+            f"BUG: summand {neg} has degree {degree} > -3"
+        )
+        summands.append((neg, degree))
+    return summands
+
 
 
 def hn_to_splitting(group, hn):

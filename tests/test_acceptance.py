@@ -24,22 +24,19 @@ from cohiggs import (
     adjoint_splitting,
     all_root_values,
     build_model_field,
-    dim_automorphisms,
-    dim_cohiggs_space,
-    dim_stratum,
-    enumerate_strata,
-    hom_vanishing_certificate,
     parse_group,
     semistability_oracle,
     semistable_obstruction,
     sp_to_hn,
     splitting_to_hn,
 )
+from cohiggs.strata import dim_automorphisms, dim_cohiggs_space, dim_stratum, enumerate_strata
 from cohiggs.symplectic import SymplecticSplitting
 from reference import (
     enumerate_all_fields,
     enumerate_splitting_types,
     glr_admits_semistable,
+    hom_vanishing_certificate,
     sp_admits_stable,
 )
 

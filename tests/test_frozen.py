@@ -9,20 +9,20 @@ from cohiggs import (
     CriterionReport,
     HNType,
     HomogPoly,
-    LineSubbundle,
     OracleVerdict,
     OracleWitness,
     PrimeField,
     ReductiveGroup,
     RootViolation,
     SplittingType,
-    StratumRecord,
     SymplecticSplitting,
     build_root_system,
     evaluate_criterion,
     parse_group,
 )
 from cohiggs.frozen import Frozen
+from cohiggs.oracle import LineSubbundle
+from cohiggs.strata import StratumRecord
 from reference import zero_field
 
 F5 = PrimeField(5)

@@ -7,9 +7,9 @@ from cohiggs import (
     SplittingType,
     adjoint_splitting,
     admits_stable_cohiggs,
-    dim_cohiggs_space,
     splitting_to_hn,
 )
+from cohiggs.strata import dim_cohiggs_space
 from reference import (
     enumerate_splitting_types,
     glr_admits_semistable,

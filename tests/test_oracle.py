@@ -12,23 +12,20 @@ import pytest
 from cohiggs import (
     CoHiggsMatrix,
     HomogPoly,
-    LineSubbundle,
     OracleVerdict,
     OracleWitness,
     PrimeField,
     SplittingType,
-    apply_field,
     build_model_field,
-    enumerate_line_subbundles,
-    is_invariant,
     random_field,
     semistability_oracle,
 )
 from cohiggs import oracle
 from cohiggs.frozen import set_slot
 from cohiggs.oracle import (
+    LineSubbundle,
     _eigen_forms, _kernel_head, _slope_text, _top_invariant_line, _violation_threshold,
-    splitting_verdict,
+    apply_field, enumerate_line_subbundles, is_invariant, splitting_verdict,
 )
 from cohiggs.poly import horner, random_poly
 from reference import (

@@ -9,14 +9,19 @@ from cohiggs import (
     HNType,
     ReductiveGroup,
     build_root_system,
+    parse_group,
+)
+from cohiggs.criterion import STABLE_BOUND
+from cohiggs.strata import (
+    MAX_STRATA_RANK,
+    StratumRecord,
+    _count_sums,
     dim_automorphisms,
     dim_cohiggs_space,
     dim_stratum,
     enumerate_strata,
-    parse_group,
+    strata_rows,
 )
-from cohiggs.criterion import STABLE_BOUND
-from cohiggs.strata import MAX_STRATA_RANK, StratumRecord, _count_sums, strata_rows
 from reference import per_root_values
 
 A1 = ReductiveGroup((CartanType("A", 1),))
