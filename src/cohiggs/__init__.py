@@ -4,8 +4,8 @@ strata, and exact finite-field certification."""
 from .criterion import (
     CriterionReport,
     RootViolation,
+    adjoint_multiplicities,
     admits_stable_cohiggs,
-    adjoint_splitting,
     evaluate_criterion,
     semistable_obstruction,
 )
@@ -22,6 +22,7 @@ from .lie import (
     cartan_matrix,
     is_dominant,
     parse_group,
+    positive_value_counts,
 )
 from .oracle import (
     CoHiggsMatrix,
@@ -50,8 +51,8 @@ __all__ = [
     "RootViolation",
     "SplittingType",
     "SymplecticSplitting",
+    "adjoint_multiplicities",
     "admits_stable_cohiggs",
-    "adjoint_splitting",
     "all_root_values",
     "build_model_field",
     "build_root_system",
@@ -59,6 +60,7 @@ __all__ = [
     "evaluate_criterion",
     "is_dominant",
     "parse_group",
+    "positive_value_counts",
     "random_field",
     "semistability_oracle",
     "semistable_obstruction",

@@ -15,12 +15,10 @@ argparse, built from the same table on first use, renders help and every
 other usage error, and parses every argv the strict parser leaves to it.
 """
 
-from __future__ import annotations
-
 import functools
 import sys
 from collections.abc import Iterator, Sequence
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from types import SimpleNamespace
 
 try:
@@ -29,7 +27,7 @@ try:
 except ImportError:  # an interpreter without the _json accelerator
     from json.encoder import encode_basestring_ascii
 
-from .criterion import adjoint_splitting, admits_stable_cohiggs, evaluate_criterion
+from .criterion import adjoint_multiplicities, admits_stable_cohiggs, evaluate_criterion
 from .glr import SplittingType, splitting_to_hn
 from .lie import HNType, parse_group
 from .oracle import (
@@ -65,18 +63,34 @@ def _write_chunks(pieces: Iterator[str]) -> None:
         write(chunk)
 
 
-def _write_degrees(head: str, degrees: Sequence[int]) -> None:
+class _Runs(tuple):
+    """A pair of tuples, distinct values decreasing and the count of each,
+    that stands for the list of each value repeated count times: the
+    adjoint degrees.  A group has rank at least 1, so there is a run."""
+
+
+def _run_pieces(runs: _Runs, sep: str) -> Iterator[str]:
+    # the items joined by sep, _CHUNK to a piece, each piece after the first
+    # led by sep; each value is formatted once and its string repeated
+    values, counts = runs
+    items = chain.from_iterable(map(repeat, map(str, values), counts))
+    lead = ""
+    while chunk := sep.join(islice(items, _CHUNK)):
+        yield lead + chunk
+        lead = sep
+
+
+def _write_degrees(head: str, runs: _Runs) -> None:
     # the line head + "d,d,...", _CHUNK degrees to a piece, as in JSON
-    pieces = (("," if i else "") + ",".join(map(str, degrees[i : i + _CHUNK]))
-              for i in range(0, len(degrees), _CHUNK))
-    _write_chunks(chain((head,), pieces, ("\n",)))
+    _write_chunks(chain((head,), _run_pieces(runs, ","), ("\n",)))
 
 
 def _json_pieces(value, indent: str = "\n") -> Iterator[str]:
     """``json.dumps(value, sort_keys=True, indent=2)`` for the CLI payloads
     (strings, ints, bools, lists, tuples, dicts), in pieces: a dict key by
     key, a list ``_CHUNK`` items at a time, a chunk of plain ints one join.
-    ``indent`` opens the value's own line; other types raise TypeError."""
+    A ``_Runs`` is written as the list it stands for.  ``indent`` opens the
+    value's own line; other types raise TypeError."""
     kind = type(value)
     if kind is str:
         yield encode_basestring_ascii(value)
@@ -99,6 +113,11 @@ def _json_pieces(value, indent: str = "\n") -> Iterator[str]:
                 lead = sep
                 yield from _json_pieces(v, inner)
             yield indent + "}"
+            return
+        if kind is _Runs:
+            yield "[" + inner
+            yield from _run_pieces(value, sep)
+            yield indent + "]"
             return
         plain = set(map(type, value)) == {int}  # plain ints, not bools
         yield "["
@@ -134,24 +153,28 @@ def _group_and_hn(args) -> tuple:
 def _cmd_criterion(args) -> int:
     group, hn = _group_and_hn(args)
     report = evaluate_criterion(group, hn)
+    degrees = _Runs(report.adjoint_multiplicities)
     if args.format == "json":
-        _emit_json(report.to_json_dict())
+        obstruction = [{"factor": v.factor, "root": v.root, "value": v.value}
+                       for v in report.violating_roots]
+        _emit_json({"admits_stable": report.admits_stable, "obstruction": obstruction,
+                    "adjoint_degrees": degrees})
         return 0
     print(f"group: {group}")
     print(f"simple-root values: {','.join(map(str, hn.flat_values))}")
     print(f"admits_stable: {str(report.admits_stable).lower()}")
     for v in report.violating_roots:
         print(f"obstruction: factor {v.factor} simple root {v.root} value {v.value}")
-    _write_degrees("adjoint splitting: ", report.adjoint_degrees.degrees)
+    _write_degrees("adjoint splitting: ", degrees)
     return 0
 
 
 def _cmd_adjoint(args) -> int:
-    adjoint = adjoint_splitting(*_group_and_hn(args))
+    degrees = _Runs(adjoint_multiplicities(*_group_and_hn(args)))
     if args.format == "json":
-        _emit_json({"adjoint_degrees": list(adjoint.degrees)})
+        _emit_json({"adjoint_degrees": degrees})
         return 0
-    _write_degrees("", adjoint.degrees)
+    _write_degrees("", degrees)
     return 0
 
 

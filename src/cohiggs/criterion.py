@@ -9,16 +9,21 @@ bundle of degree at most -3, so twisting by the degree-2 tangent bundle
 leaves no sections); the tests list and check it with a helper in
 ``tests/reference.py``.  The rank-r gap rule and the symplectic rule are
 this criterion on the data of ``splitting_to_hn`` and ``sp_to_hn``.
+
+The adjoint splitting is a multiset of at most 2h + 1 distinct degrees, h
+the highest root's value, so it is held as its multiplicity table and
+expanded into a ``SplittingType`` only on request.
 """
 
-from __future__ import annotations
+from itertools import chain, repeat
+from operator import neg
 
 from .frozen import Frozen
 from .glr import SplittingType
 from .lie import (
     HNType,
     ReductiveGroup,
-    all_root_values,
+    positive_value_counts,
     require_dominant,
 )
 
@@ -33,23 +38,18 @@ class RootViolation(Frozen):
 
 
 class CriterionReport(Frozen):
-    """The obstructing simple roots of one HN type and its adjoint splitting."""
+    """The obstructing simple roots of one HN type and the multiplicity
+    table of its adjoint splitting (``adjoint_multiplicities``)."""
 
-    __slots__ = ("violating_roots", "adjoint_degrees")
+    __slots__ = ("violating_roots", "adjoint_multiplicities")
 
     @property
     def admits_stable(self) -> bool:
         return not self.violating_roots
 
-    def to_json_dict(self) -> dict:
-        return {
-            "admits_stable": self.admits_stable,
-            "obstruction": [
-                {"factor": v.factor, "root": v.root, "value": v.value}
-                for v in self.violating_roots
-            ],
-            "adjoint_degrees": list(self.adjoint_degrees.degrees),
-        }
+    @property
+    def adjoint_degrees(self) -> SplittingType:
+        return _expand(self.adjoint_multiplicities)
 
 
 def admits_stable_cohiggs(group: ReductiveGroup, hn: HNType) -> bool:
@@ -75,17 +75,47 @@ def semistable_obstruction(group: ReductiveGroup, hn: HNType) -> list[RootViolat
     ]
 
 
+def adjoint_multiplicities(
+    group: ReductiveGroup, hn: HNType
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The adjoint splitting as runs: its distinct degrees, decreasing, and
+    the multiplicity of each, as two tuples of the same length.
+
+    ad E is the sum of O(alpha(mu)) over the roots alpha, plus one O(0)
+    per torus direction: each positive value d > 0 gives the degrees d
+    and -d, and the zeros are twice the positive roots of value 0 plus
+    the rank.  The counts sum to dim G and the table is symmetric under
+    negation.  Two tuples, not one pair per run, because a type with
+    large values has about as many distinct degrees as roots.
+    """
+    require_dominant(group, hn)
+    counts = positive_value_counts(group, hn)
+    zeros = 2 * counts.pop(0, 0) + group.rank
+    top = sorted(counts, reverse=True)
+    tally = list(map(counts.__getitem__, top))
+    middle = 1 if zeros else 0
+    return (
+        (*top, *[0] * middle, *map(neg, reversed(top))),
+        (*tally, *[zeros] * middle, *reversed(tally)),
+    )
+
+
+def _expand(multiplicities: tuple[tuple[int, ...], tuple[int, ...]]) -> SplittingType:
+    return SplittingType(chain.from_iterable(map(repeat, *multiplicities)))
+
+
 def adjoint_splitting(group: ReductiveGroup, hn: HNType) -> SplittingType:
     """Splitting type of the adjoint bundle through the torus reduction.
 
-    Root values over the full root set plus one zero per torus direction,
-    sorted weakly decreasing; the total degree is always zero.
+    ``adjoint_multiplicities`` expanded: root values over the full root
+    set plus one zero per torus direction, sorted weakly decreasing; the
+    total degree is always zero.  No library path calls it; it stays for
+    callers that want the degrees one by one.
     """
-    require_dominant(group, hn)
-    values = all_root_values(group, hn)
-    values += [0] * group.rank
-    return SplittingType(values)
+    return _expand(adjoint_multiplicities(group, hn))
 
 
 def evaluate_criterion(group: ReductiveGroup, hn: HNType) -> CriterionReport:
-    return CriterionReport(tuple(semistable_obstruction(group, hn)), adjoint_splitting(group, hn))
+    return CriterionReport(
+        tuple(semistable_obstruction(group, hn)), adjoint_multiplicities(group, hn)
+    )

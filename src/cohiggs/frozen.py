@@ -9,8 +9,6 @@ not dataclasses because importing ``dataclasses``, and running its
 decorator, took most of the package's import time.
 """
 
-from __future__ import annotations
-
 from operator import attrgetter
 
 # the one way to set a field; plain assignment raises

@@ -10,8 +10,6 @@ pair is the rank-r criterion: a semistable (for generic fields, stable)
 co-Higgs field exists exactly when no gap exceeds 2.
 """
 
-from __future__ import annotations
-
 import operator
 from collections.abc import Iterable
 

@@ -7,7 +7,8 @@ simple Cartan factors plus a central torus rank; a Harder-Narasimhan type is
 the dominant cocharacter of the group recorded through its simple-root values
 (one integer vector per factor) together with the degrees on the center.
 The values of all roots of a classical factor are partial sums of its
-simple-root values, so ``all_root_values`` builds roots only for E, F and G.
+simple-root values, so ``all_root_values`` and ``positive_value_counts``
+build roots only for E, F and G.
 
 Conventions:
 
@@ -19,11 +20,10 @@ Conventions:
 * For G2 the first simple root is short, so the highest root is (3, 2).
 """
 
-from __future__ import annotations
-
 import functools
 import operator
-import re
+from collections import Counter
+from collections.abc import Iterator
 from itertools import accumulate, combinations, starmap
 
 from .frozen import Frozen, set_slot
@@ -280,9 +280,28 @@ def _positive_values(ct: CartanType, vec: tuple[int, ...]) -> list[int]:
     return [sum(map(operator.mul, root, vec)) for root in build_root_system(ct)]
 
 
-# all_root_values refuses a group with more roots than this before it
-# builds any value; A6000, with 36,006,000, still answers
+# a group with more root values than this is refused before any is built;
+# A6000, with 36,006,000, still answers
 MAX_ROOT_VALUES = 40_000_000
+
+
+def _checked_positive_values(group: ReductiveGroup, hn: HNType) -> Iterator[list[int]]:
+    """``_positive_values`` of each factor in turn, its count checked.
+
+    The shapes are checked and more than ``MAX_ROOT_VALUES`` root values
+    are refused with a ``ValueError``, both before any value is built.
+    """
+    check_shapes(group, hn)
+    n = group.dim - group.rank
+    if n > MAX_ROOT_VALUES:
+        raise ValueError(f"{group}: {n} root values exceed the limit of {MAX_ROOT_VALUES}")
+    for ct, vec in zip(group.simple_factors, hn.simple_values):
+        positive = _positive_values(ct, vec)
+        expected = (ct.dim - ct.rank) // 2
+        assert len(positive) == expected, (
+            f"BUG: {ct} gave {len(positive)} positive root values, expected {expected}"
+        )
+        yield positive
 
 
 def all_root_values(group: ReductiveGroup, hn: HNType) -> list[int]:
@@ -296,22 +315,25 @@ def all_root_values(group: ReductiveGroup, hn: HNType) -> list[int]:
     by height for E, F and G.  More than ``MAX_ROOT_VALUES`` entries are
     refused with a ``ValueError`` before any is built.
     """
-    check_shapes(group, hn)
-    n = group.dim - group.rank
-    if n > MAX_ROOT_VALUES:
-        raise ValueError(f"{group}: {n} root values exceed the limit of {MAX_ROOT_VALUES}")
     out: list[int] = []
-    for ct, vec in zip(group.simple_factors, hn.simple_values):
-        positive = _positive_values(ct, vec)
-        expected = (ct.dim - ct.rank) // 2
-        assert len(positive) == expected, (
-            f"BUG: {ct} gave {len(positive)} positive root values, expected {expected}"
-        )
-        signed = [0] * (2 * expected)
+    for positive in _checked_positive_values(group, hn):
+        signed = [0] * (2 * len(positive))
         signed[::2] = positive
         signed[1::2] = [-v for v in positive]
         out += signed
     return out
+
+
+def positive_value_counts(group: ReductiveGroup, hn: HNType) -> Counter:
+    """How many positive roots of the group take each value.
+
+    The positive half of ``all_root_values`` as a table, each factor's
+    values counted once and none kept; the same checks and refusal.
+    """
+    counts: Counter = Counter()
+    for positive in _checked_positive_values(group, hn):
+        counts.update(positive)
+    return counts
 
 
 def is_dominant(group: ReductiveGroup, hn: HNType) -> bool:
@@ -325,22 +347,25 @@ def require_dominant(group: ReductiveGroup, hn: HNType) -> None:
         raise ValueError(f"HN type {hn.simple_values} is not dominant")
 
 
-_FACTOR_RE = re.compile(r"([A-G])([0-9]+)")
-_GROUP_RE = re.compile(r"^([A-G][0-9]+(?:x[A-G][0-9]+)*)?(?:\+z([0-9]+))?$")
+def _uint(text: str) -> bool:
+    """True iff ``text`` is one or more ASCII digits."""
+    return text.isascii() and text.isdigit()
 
 
 def parse_group(text: str) -> ReductiveGroup:
     """Parse a compact group string such as ``A2``, ``C3xA1+z2`` or ``+z1``.
 
     Grammar: TYPE := FACTOR ("x" FACTOR)* ("+z" UINT)? | "+z" UINT with
-    FACTOR := [ABCDEFG] UINT; a pure torus needs a positive rank.
+    FACTOR := [ABCDEFG] UINT and UINT := [0-9]+; a pure torus needs a
+    positive rank.  Surrounding white space is ignored.
     """
-    m = _GROUP_RE.match(text.strip())
-    factors_text, central_text = m.groups("") if m else ("", "")
-    central = int(central_text or 0)
-    if not (factors_text or central):
-        raise ValueError(f"cannot parse group {text!r}")
-    factors = tuple(
-        CartanType(fam, int(rank)) for fam, rank in _FACTOR_RE.findall(factors_text)
+    factors_text, plus, central_text = text.strip().partition("+z")
+    pieces = factors_text.split("x") if factors_text else []
+    well_formed = (_uint(central_text) or not plus) and all(
+        p[:1] in "ABCDEFG" and _uint(p[1:]) for p in pieces
     )
+    central = int(central_text) if well_formed and plus else 0
+    if not (well_formed and (pieces or central)):
+        raise ValueError(f"cannot parse group {text!r}")
+    factors = tuple(CartanType(p[0], int(p[1:])) for p in pieces)
     return ReductiveGroup(factors, central)

@@ -49,8 +49,6 @@ driven by seeds through ``random.Random``, so every run is reproducible
 bit for bit.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from collections.abc import Iterator, Sequence

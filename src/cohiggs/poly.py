@@ -18,8 +18,6 @@ which is the saturation test for line subbundles.  Univariate lists, for
 Horner, the root scan and the gcd, lead with the top coefficient.
 """
 
-from __future__ import annotations
-
 import operator
 import random
 from collections.abc import Iterable, Sequence

@@ -27,8 +27,6 @@ criterion 05.  The generic stratum has twice the group dimension.  The
 top-dimension row of the class of 0 alone, not of the other classes.
 """
 
-from __future__ import annotations
-
 import functools
 from collections.abc import Iterator
 from itertools import product

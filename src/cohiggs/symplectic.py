@@ -8,8 +8,6 @@ root last, so ``admits_stable_cohiggs`` on that pair is the symplectic
 criterion: a stable co-Higgs field exists iff all r values are at most 2.
 """
 
-from __future__ import annotations
-
 import operator
 
 from .frozen import Frozen, set_slot

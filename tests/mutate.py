@@ -69,7 +69,7 @@ EQUIVALENT = {
         "a raising by k = 0 gives back the root itself, which is already seen",
     "lie.py:build_root_system:0->1#0 in k < 0":
         "k < 1 is k <= 0, and a raising by k = 0 gives back the root itself, already seen",
-    "lie.py:all_root_values:0->1#0 in [0] * (2 * expected)":
+    "lie.py:all_root_values:0->1#0 in [0] * (2 * len(positive))":
         "both slices overwrite every slot, so the fill value is never read",
     "poly.py:_univariate_gcd:0->1#1 in pow(a[0], p - 2, p) if a else 0":
         "with a empty the result is the empty list, and the inverse is never read",

@@ -5,28 +5,43 @@ forms of the criterion (Rayan, *Co-Higgs bundles on P^1*, New York J. Math.
 2013, for rank r).  The library decides both through
 ``admits_stable_cohiggs`` on ``splitting_to_hn`` and ``sp_to_hn``; the rules
 here are what the tests compare that path against, as ``per_root_values``
-is for ``all_root_values``.  ``hom_vanishing_certificate`` lists the root
-spaces behind the criterion's obstruction; no library path prints it.  The
-rest builds inputs: the inverse of ``splitting_to_hn``, splitting types in
-a degree box, entry degrees and space dimensions, and the zero and
-exhaustive co-Higgs fields; ``deadline`` bounds a test's time.
+is for ``all_root_values``, ``flat_adjoint_degrees`` for
+``adjoint_multiplicities`` and ``regex_parse_group`` for ``parse_group``.
+``hom_vanishing_certificate`` lists the root spaces behind the criterion's
+obstruction; no library path prints it.  The rest builds inputs: the
+simple types of the sweeps, the inverse of ``splitting_to_hn``, splitting
+types in a degree box, entry degrees and space dimensions, and the zero
+and exhaustive co-Higgs fields; ``deadline`` bounds a test's time.
 """
 
 import contextlib
 import operator
+import re
 import signal
 from itertools import combinations_with_replacement, product
 
 from cohiggs import (
+    CartanType,
     CoHiggsMatrix,
     HNType,
     HomogPoly,
     ReductiveGroup,
     SplittingType,
+    all_root_values,
     build_root_system,
 )
 from cohiggs.criterion import OBSTRUCTION_BOUND
 from cohiggs.lie import check_shapes, require_dominant
+
+
+# the simple types that the strata and adjoint-table sweeps cover
+SWEEP_TYPES = [
+    CartanType("A", 1), CartanType("A", 2), CartanType("A", 3), CartanType("A", 4),
+    CartanType("B", 2), CartanType("B", 3), CartanType("B", 4),
+    CartanType("C", 2), CartanType("C", 3), CartanType("C", 4),
+    CartanType("D", 3), CartanType("D", 4),
+    CartanType("F", 4), CartanType("G", 2),
+]
 
 
 def glr_admits_semistable(st):
@@ -79,6 +94,32 @@ def per_root_values(group, hn):
             v = sum(map(operator.mul, root, vec))
             out += (v, -v)
     return out
+
+
+def flat_adjoint_degrees(group, hn):
+    """Slow reference for ``adjoint_multiplicities``: the adjoint splitting
+    as one flat list, every root value plus one zero per torus direction,
+    sorted decreasing.  The CLI printed this list before it printed runs."""
+    require_dominant(group, hn)
+    return sorted(all_root_values(group, hn) + [0] * group.rank, reverse=True)
+
+
+_FACTOR_RE = re.compile(r"([A-G])([0-9]+)")
+_GROUP_RE = re.compile(r"^([A-G][0-9]+(?:x[A-G][0-9]+)*)?(?:\+z([0-9]+))?$")
+
+
+def regex_parse_group(text):
+    """Slow reference for ``parse_group``: its grammar as two regular
+    expressions, with the same refusals in the same order."""
+    m = _GROUP_RE.match(text.strip())
+    factors_text, central_text = m.groups("") if m else ("", "")
+    central = int(central_text or 0)
+    if not (factors_text or central):
+        raise ValueError(f"cannot parse group {text!r}")
+    factors = tuple(
+        CartanType(fam, int(rank)) for fam, rank in _FACTOR_RE.findall(factors_text)
+    )
+    return ReductiveGroup(factors, central)
 
 
 def hom_vanishing_certificate(

@@ -21,7 +21,6 @@ from cohiggs import (
     ReductiveGroup,
     SplittingType,
     admits_stable_cohiggs,
-    adjoint_splitting,
     all_root_values,
     build_model_field,
     parse_group,
@@ -30,6 +29,7 @@ from cohiggs import (
     sp_to_hn,
     splitting_to_hn,
 )
+from cohiggs.criterion import adjoint_splitting
 from cohiggs.strata import dim_automorphisms, dim_cohiggs_space, dim_stratum, enumerate_strata
 from cohiggs.symplectic import SymplecticSplitting
 from reference import (

@@ -22,10 +22,10 @@ from cohiggs import (
     HomogPoly,
     PrimeField,
     SplittingType,
-    adjoint_splitting,
     parse_group,
     semistability_oracle,
 )
+from cohiggs.criterion import adjoint_splitting
 from reference import hom_degree
 
 A1 = parse_group("A1")

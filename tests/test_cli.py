@@ -18,12 +18,15 @@ import cohiggs.cli
 import cohiggs.lie
 import cohiggs.oracle
 import cohiggs.strata
-from cohiggs import PrimeField, SplittingType, build_root_system, parse_group, random_field
+from cohiggs import (
+    HNType, PrimeField, SplittingType, build_root_system, parse_group, random_field,
+    semistable_obstruction,
+)
 from cohiggs.cli import (
-    _STRATA_COLUMNS, _STRATA_WIDTHS, _json_text, _strata_layout, build_parser, main,
+    _STRATA_COLUMNS, _STRATA_WIDTHS, _json_text, _Runs, _strata_layout, build_parser, main,
 )
 from cohiggs.strata import strata_rows
-from reference import deadline
+from reference import deadline, flat_adjoint_degrees
 
 
 def run(capsys, *argv):
@@ -803,16 +806,28 @@ def test_json_text_matches_json_dumps(capsys, monkeypatch, argv):
     monkeypatch.setattr(cohiggs.cli, "_emit_json", payloads.append)
     main([*argv, "--format=json"])
     (payload,) = payloads
-    assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    # the adjoint degrees travel as runs, which stand for their expanded list
+    plain = _expanded(payload)
+    assert (argv[0] in ("criterion", "adjoint")) == (plain != payload)
+    assert _json_text(payload) == json.dumps(plain, sort_keys=True, indent=2)
     # strings as keys and as values: the escapes, DEL, a non-ASCII letter, a
     # line separator and a character outside the BMP (a surrogate pair)
     strings = ["", "key", '"', "\\", "\n\t\x00\x1f", "\x7f", "\u00e9", "\u2028", "\U0001F600"]
-    mixed = {**payload, **{s: s for s in strings}, "strings": strings}
-    assert _json_text(mixed) == json.dumps(mixed, sort_keys=True, indent=2)
+    mixed = {s: s for s in strings} | {"strings": strings}
+    assert _json_text(payload | mixed) == json.dumps(plain | mixed, sort_keys=True, indent=2)
     # a payload holds no other type: a float or None has no rendering
     for bad in (0.5, None):
         with pytest.raises(TypeError):
             _json_text({**payload, "z": [bad]})
+
+
+def _expanded(value):
+    # a _Runs as the list it stands for, inside dicts too
+    if isinstance(value, _Runs):
+        return [d for d, count in zip(*value) for _ in range(count)]
+    if isinstance(value, dict):
+        return {k: _expanded(v) for k, v in value.items()}
+    return value
 
 
 class _Writes:
@@ -861,6 +876,79 @@ def test_text_degree_list_written_in_chunks(monkeypatch, argv, digest):
     assert main(argv) == 0
     assert hashlib.sha256("".join(out.parts).encode()).hexdigest() == digest
     assert max(len(re.findall(r"-?\d+", part)) for part in out.parts) <= 16
+
+
+# groups with adjoint runs longer than _CHUNK (A40's 1,680 zeros, and 930
+# ones and 930 minus ones in A60) and groups whose every run is short
+_ADJOINT_CASES = [
+    ("A40", (0,) * 40, None),
+    ("A60", (0,) * 30 + (1,) + (0,) * 29, None),
+    ("A30xB12+z2", tuple(i % 3 for i in range(42)), (1, -1)),
+    ("E8", (1, 0, 2, 0, 1, 0, 0, 1), None),
+    ("G2", (3, 1), None),
+    ("+z2", (), (0, 5)),
+]
+
+
+def _flat_list_output(sub, fmt, group, hn):
+    # what criterion and adjoint printed when they wrote the sorted flat list
+    # of adjoint degrees as one join, or through json.dumps
+    degrees = flat_adjoint_degrees(group, hn)
+    obstruction = semistable_obstruction(group, hn)
+    if sub == "adjoint":
+        payload, lines = {"adjoint_degrees": degrees}, []
+    else:
+        payload = {
+            "admits_stable": not obstruction,
+            "obstruction": [{"factor": v.factor, "root": v.root, "value": v.value}
+                            for v in obstruction],
+            "adjoint_degrees": degrees,
+        }
+        lines = [
+            f"group: {group}",
+            f"simple-root values: {','.join(map(str, hn.flat_values))}",
+            f"admits_stable: {str(not obstruction).lower()}",
+            *(f"obstruction: factor {v.factor} simple root {v.root} value {v.value}"
+              for v in obstruction),
+        ]
+    if fmt == "json":
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    head = "adjoint splitting: " if sub == "criterion" else ""
+    return "".join(line + "\n" for line in lines) + head + ",".join(map(str, degrees)) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [4, cohiggs.cli._CHUNK])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("sub", ["criterion", "adjoint"])
+def test_adjoint_runs_written_as_the_flat_list(capsys, monkeypatch, sub, fmt, chunk):
+    # the same bytes as the flat-list writer; every piece holds at most
+    # _CHUNK items and every write of _write_chunks at most _CHUNK pieces
+    monkeypatch.setattr(cohiggs.cli, "_CHUNK", chunk)
+    pieces, writes = [], []
+    write_chunks = cohiggs.cli._write_chunks
+
+    def recorded(it):
+        it = list(it)
+        pieces.extend(it)
+        out = _Writes()
+        with monkeypatch.context() as m:
+            m.setattr(cohiggs.cli.sys, "stdout", out)
+            write_chunks(iter(it))
+        writes.extend(out.parts)
+        sys.stdout.write("".join(out.parts))
+
+    monkeypatch.setattr(cohiggs.cli, "_write_chunks", recorded)
+    for name, values, central in _ADJOINT_CASES:
+        group = parse_group(name)
+        hn = HNType.from_flat(group, values, central or (0,) * group.central_rank)
+        argv = [sub, f"--group={name}", "--hn=" + ",".join(map(str, values)), f"--format={fmt}"]
+        if central:
+            argv.append("--central=" + ",".join(map(str, central)))
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, _flat_list_output(sub, fmt, group, hn)), name
+    items = [len(re.findall(r"-?\d+", piece)) for piece in pieces]
+    assert max(items) == chunk
+    assert max(len(re.findall(r"-?\d+", part)) for part in writes) <= chunk * chunk
 
 
 def test_model_field_gap_error(capsys):

@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -7,13 +9,17 @@ from cohiggs import (
     CartanType,
     HNType,
     ReductiveGroup,
+    RootViolation,
+    adjoint_multiplicities,
     admits_stable_cohiggs,
-    adjoint_splitting,
     build_root_system,
     evaluate_criterion,
+    parse_group,
     semistable_obstruction,
 )
-from reference import hom_vanishing_certificate
+from cohiggs.cli import main
+from cohiggs.criterion import adjoint_splitting
+from reference import SWEEP_TYPES, flat_adjoint_degrees, hom_vanishing_certificate
 
 A1 = ReductiveGroup((CartanType("A", 1),))
 A2 = ReductiveGroup((CartanType("A", 2),))
@@ -167,14 +173,66 @@ def test_stable_types_have_adjoint_gaps_at_most_two():
             assert all(gap <= 2 for gap in st.gaps()), (ct, values)
 
 
-def test_report_consistency_and_json():
+def test_report_consistency_and_json(capsys):
     report = evaluate_criterion(A2, HNType(((1, 5),)))
     assert not report.admits_stable
-    payload = report.to_json_dict()
+    assert report.violating_roots == (RootViolation(0, 1, 5),)
+    assert report.adjoint_degrees == adjoint_splitting(A2, HNType(((1, 5),)))
+    assert report.adjoint_multiplicities == adjoint_multiplicities(A2, HNType(((1, 5),)))
+    # the CLI writes the report's JSON document, degrees expanded
+    assert main(["criterion", "--group=A2", "--hn=1,5", "--format=json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"admits_stable", "obstruction", "adjoint_degrees"}
     assert payload["obstruction"] == [{"factor": 0, "root": 1, "value": 5}]
-    assert payload["adjoint_degrees"] == sorted(payload["adjoint_degrees"], reverse=True)
+    assert payload["adjoint_degrees"] == list(report.adjoint_degrees.degrees)
 
     ok = evaluate_criterion(A2, HNType(((1, 1),)))
     assert ok.admits_stable
-    assert ok.to_json_dict()["obstruction"] == []
+    assert ok.violating_roots == ()
+
+
+def assert_table_matches_flat_list(group, hn):
+    degrees, counts = adjoint_multiplicities(group, hn)
+    assert len(degrees) == len(counts)
+    assert dict(zip(degrees, counts)) == Counter(flat_adjoint_degrees(group, hn)), (str(group), hn)
+    assert all(a > b for a, b in zip(degrees, degrees[1:]))
+    assert all(c > 0 for c in counts)
+    assert sum(counts) == group.dim
+    assert degrees == tuple(-d for d in reversed(degrees)) and counts == counts[::-1]
+
+
+@pytest.mark.parametrize(
+    "ct", SWEEP_TYPES + [CartanType("E", 6), CartanType("E", 7), CartanType("E", 8)], ids=str
+)
+def test_adjoint_table_matches_flat_list_on_sweep_groups(ct):
+    # every value vector in 0..3 up to rank 4, seeded ones above; with a
+    # central line, which adds one zero
+    g = ReductiveGroup((ct,), central_rank=1)
+    rng = random.Random(f"table-{ct}")
+    vectors = (
+        product(range(4), repeat=ct.rank) if ct.rank <= 4
+        else (tuple(rng.randrange(4) for _ in range(ct.rank)) for _ in range(200))
+    )
+    for values in vectors:
+        assert_table_matches_flat_list(g, HNType((values,), (2,)))
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_adjoint_table_matches_flat_list_up_to_rank_300(family):
+    rng = random.Random(f"table-{family}")
+    low = {"A": 1, "B": 2, "C": 2, "D": 3}[family]
+    for rank in [*range(low, 13), 40, 100, 300]:
+        g = ReductiveGroup((CartanType(family, rank),))
+        for top in (2, 6):
+            values = tuple(rng.randint(0, top) for _ in range(rank))
+            assert_table_matches_flat_list(g, HNType((values,)))
+
+
+def test_adjoint_table_matches_flat_list_across_factors():
+    g = parse_group("C3xA2xD4xG2xB2xE6+z2")
+    rng = random.Random(7)
+    for _ in range(50):
+        values = tuple(rng.randint(0, 4) for _ in range(g.semisimple_rank))
+        assert_table_matches_flat_list(g, HNType.from_flat(g, values, (1, -1)))
+    torus = ReductiveGroup((), central_rank=3)
+    assert adjoint_multiplicities(torus, HNType((), (1, 2, 3))) == ((0,), (3,))

@@ -77,12 +77,19 @@ PINNED_REPRS = [
     "witness=OracleWitness(rank=2, degree=1, sections=('y',)))",
     "RootViolation(factor=0, root=1, value=3)",
     "CriterionReport(violating_roots=(RootViolation(factor=0, root=0, value=3),), "
-    "adjoint_degrees=SplittingType(degrees=(3, 0, -3)))",
+    "adjoint_multiplicities=((3, 0, -3), (1, 1, 1)))",
     "StratumRecord(hn=HNType(simple_values=((0,),), central_degrees=()), dim_cohiggs=6, "
     "dim_aut=4, dim_stratum=2, is_generic=True)",
 ]
 
 IDS = [type(obj).__name__ for obj in _instances()]
+
+
+def test_criterion_report_expands_its_table_to_the_adjoint_splitting():
+    # the report holds the multiplicity table that its repr pins; expanded,
+    # it is the splitting the report held before it held the table
+    report = _instances()[IDS.index("CriterionReport")]
+    assert repr(report.adjoint_degrees) == "SplittingType(degrees=(3, 0, -3))"
 
 
 def _fields(obj):

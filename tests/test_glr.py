@@ -5,10 +5,10 @@ import pytest
 from cohiggs import (
     CartanType,
     SplittingType,
-    adjoint_splitting,
     admits_stable_cohiggs,
     splitting_to_hn,
 )
+from cohiggs.criterion import adjoint_splitting
 from cohiggs.strata import dim_cohiggs_space
 from reference import (
     enumerate_splitting_types,

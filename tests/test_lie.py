@@ -21,7 +21,7 @@ from cohiggs import (
     is_dominant,
     parse_group,
 )
-from reference import deadline, per_root_values
+from reference import deadline, per_root_values, regex_parse_group
 
 ALL_TYPES = [
     ("A", 1, 3), ("A", 2, 8), ("A", 3, 15), ("A", 4, 24), ("A", 5, 35),
@@ -304,6 +304,46 @@ def test_parse_group(text, factors, central):
 def test_parse_group_rejects(text):
     with pytest.raises(ValueError):
         parse_group(text)
+
+
+_GROUP_ALPHABET = "ABCDEFGaxz+0123456789 \uff12"  # \uff12: a fullwidth digit two
+
+
+def _group_corpus(rng, n):
+    # half random strings over the alphabet, half well-formed strings with
+    # up to two characters inserted, deleted or replaced
+    for i in range(n):
+        if i % 2:
+            yield "".join(rng.choices(_GROUP_ALPHABET, k=rng.randrange(13)))
+            continue
+        factors = [rng.choice("ABCDEFG") + str(rng.randrange(13))
+                   for _ in range(rng.randrange(4))]
+        text = "x".join(factors)
+        if rng.random() < 0.5:
+            text += "+z" + str(rng.randrange(4))
+        text = " " * rng.randrange(2) + text + " " * rng.randrange(2)
+        for _ in range(rng.randrange(3)):
+            at = rng.randrange(len(text) + 1)
+            cut = rng.randrange(2)
+            text = text[:at] + rng.choice(["", rng.choice(_GROUP_ALPHABET)]) + text[at + cut:]
+        yield text
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parse_group_agrees_with_regex_reference_on_seeded_corpus():
+    # the same group, or the same refusal in the same words, on every string
+    accepted = 0
+    for text in _group_corpus(random.Random("parse-group"), 10_000):
+        got = _parsed(parse_group, text)
+        assert got == _parsed(regex_parse_group, text), repr(text)
+        accepted += isinstance(got, ReductiveGroup)
+    assert 500 < accepted < 9_500
 
 
 @pytest.mark.parametrize("g", [

@@ -102,8 +102,8 @@ def test_no_init_only_sets_slots(path):
 
 
 # each took a large share of ``import cohiggs, cohiggs.cli``, which every
-# CLI request pays; statistics loads fractions
-IMPORT_COSTLY = {"argparse", "json", "fractions", "decimal", "statistics"}
+# CLI request pays; statistics loads fractions, and re loads enum
+IMPORT_COSTLY = {"argparse", "json", "fractions", "decimal", "statistics", "re"}
 
 
 def _import_time_modules(body):
@@ -138,11 +138,13 @@ def test_no_costly_import_at_module_level(path):
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter, since the test run itself has loaded both
+    # a fresh interpreter, since the test run itself has loaded them all;
+    # nor re, which parse_group does without, nor __future__, since every
+    # annotation evaluates as it stands
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import cohiggs, cohiggs.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 're', '__future__'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code, str(src)], capture_output=True, text=True, check=True

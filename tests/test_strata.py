@@ -22,18 +22,9 @@ from cohiggs.strata import (
     enumerate_strata,
     strata_rows,
 )
-from reference import per_root_values
+from reference import SWEEP_TYPES, per_root_values
 
 A1 = ReductiveGroup((CartanType("A", 1),))
-
-SWEEP_TYPES = [
-    CartanType("A", 1), CartanType("A", 2), CartanType("A", 3), CartanType("A", 4),
-    CartanType("B", 2), CartanType("B", 3), CartanType("B", 4),
-    CartanType("C", 2), CartanType("C", 3), CartanType("C", 4),
-    CartanType("D", 3), CartanType("D", 4),
-    CartanType("F", 4), CartanType("G", 2),
-]
-
 
 @pytest.mark.parametrize("a,expected", [(0, 9), (2, 9), (4, 10)])
 def test_field_space_dimension_rank_two(a, expected):
