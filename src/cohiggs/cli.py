@@ -18,7 +18,7 @@ other usage error, and parses every argv the strict parser leaves to it.
 import functools
 import sys
 from collections.abc import Iterator, Sequence
-from itertools import chain, islice, repeat
+from itertools import chain, islice, product, repeat
 from types import SimpleNamespace
 
 try:
@@ -27,14 +27,16 @@ try:
 except ImportError:  # an interpreter without the _json accelerator
     from json.encoder import encode_basestring_ascii
 
-from .criterion import adjoint_multiplicities, admits_stable_cohiggs, evaluate_criterion
+from .criterion import (
+    STABLE_BOUND, adjoint_multiplicities, admits_stable_cohiggs, evaluate_criterion,
+)
 from .glr import SplittingType, splitting_to_hn
 from .lie import HNType, parse_group
 from .oracle import (
     build_model_field, random_field, require_oracle_rank, semistability_oracle, splitting_verdict,
 )
 from .poly import PrimeField
-from .strata import strata_rows
+from .strata import dimension_columns
 from .symplectic import SymplecticSplitting, sp_to_hn
 
 USAGE_ERROR = 1
@@ -180,43 +182,49 @@ def _cmd_adjoint(args) -> int:
 
 _STRATA_COLUMNS = ("a", "dim_VM", "dim_aut", "dim_stratum", "generic")
 _STRATA_WIDTHS = (12, 7, 8, 12, 8)
-_BOOLS = ("false", "true")
 
 
-def _strata_layout(fmt: str, rank: int) -> tuple[str, str, str, str]:
-    """Head, row template, row separator and tail of the strata table.
+def _strata_layout(fmt: str, rank: int) -> tuple[str, str, str, str, str]:
+    """Head, row template, row separator, tail and value separator of the
+    strata table.
 
     A row of a group of semisimple ``rank`` fills the template with its
-    simple-root values, its three dimensions and "true" or "false".  The
-    JSON row is ``_json_text`` of a row dict of quoted placeholders, then
-    unquoted; a CSV cell is quoted, as ``csv.writer`` does, when it holds a
-    comma.
+    simple-root values joined by the value separator (one ``%s`` cell, empty
+    at rank 0), its three dimensions and "true" or "false".  The JSON row is
+    ``_json_text`` of a row dict of quoted placeholders, then unquoted; a
+    CSV cell is quoted, as ``csv.writer`` does, when it holds a comma.
     """
-    values = ",".join(["%d"] * rank)
-    cells = ("%d", "%d", "%d", "%s")
     if fmt == "json":
-        row = _json_text(dict(zip(_STRATA_COLUMNS, (["%d"] * rank, *cells))), "\n  ")
-        row = row.replace('"%d"', "%d").replace('"%s"', "%s")
-        return "[", "\n  " + row, ",", "\n]\n"
+        # the values fill the list of "a", one a line at the indent
+        # _json_text gives the items of a list in a row of the table
+        inner = "\n      "
+        a = f"[{inner}%s\n    ]" if rank else "[]%s"
+        row = _json_text(dict(zip(_STRATA_COLUMNS, ("@a", "%d", "%d", "%d", "%s"))), "\n  ")
+        row = row.replace('"@a"', a).replace('"%d"', "%d").replace('"%s"', "%s")
+        return "[", "\n  " + row, ",", "\n]\n", "," + inner
+    cells = ("%d", "%d", "%d", "%s")
     if fmt == "csv":
-        a = f'"{values}"' if rank > 1 else values
-        return ",".join(_STRATA_COLUMNS) + "\n", ",".join((a, *cells)) + "\n", "", ""
+        a = '"%s"' if rank > 1 else "%s"
+        return ",".join(_STRATA_COLUMNS) + "\n", ",".join((a, *cells)) + "\n", "", "", ","
     # text: every cell right-aligned to its width, "-" for no values; the
     # values are single digits, so the first cell holds 2 * rank - 1 characters
-    a = " " * (_STRATA_WIDTHS[0] - max(1, 2 * rank - 1)) + (values or "-")
+    a = " " * (_STRATA_WIDTHS[0] - max(1, 2 * rank - 1)) + ("%s" if rank else "-%s")
     cells = (f"%{w}{kind}" for w, kind in zip(_STRATA_WIDTHS[1:], "ddds"))
     head = " ".join(f"{c:>{w}}" for c, w in zip(_STRATA_COLUMNS, _STRATA_WIDTHS))
-    return head + "\n", " ".join((a, *cells)) + "\n", "", ""
+    return head + "\n", " ".join((a, *cells)) + "\n", "", "", ","
 
 
 def _cmd_strata(args) -> int:
     group = parse_group(args.group)
-    rows = strata_rows(group, _central(args, group))
-    head, template, sep, tail = _strata_layout(args.format, group.semisimple_rank)
+    fields, aut, dim = dimension_columns(group, _central(args, group))  # checks the request
+    rank = group.semisimple_rank
+    head, template, sep, tail, comma = _strata_layout(args.format, rank)
+    cells = map(comma.join, product(map(str, range(STABLE_BOUND + 1)), repeat=rank))
+    # the zero type comes first and is the one generic row
+    generic = chain(("true",), repeat("false"))
     # each row after the first carries its separator; every group has the
     # zero type, so there is a first row
-    template = sep + template
-    lines = (template % (*a, vm, aut, dim, _BOOLS[generic]) for a, vm, aut, dim, generic in rows)
+    lines = map((sep + template).__mod__, zip(cells, fields, aut, dim, generic))
     first = next(lines)[len(sep) :]
     _write_chunks(chain((head, first), lines, (tail,)))
     return 0

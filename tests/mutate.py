@@ -83,13 +83,13 @@ EQUIVALENT = {
     "args.central if args.central is not None else (0,) * group.central_rank":
         "central degrees reach no output: simple roots vanish on the center, and strata "
         "checks only their count",
-    "strata.py:_factor_table:Lt->LtE#0 in top < 256":
+    "strata.py:_packed_counts:Lt->LtE#0 in top < 256":
         "under MAX_STRATA_RANK the largest highest-root value is 58 (E8), far below 256",
-    "strata.py:_factor_table:256->257#0 in top < 256":
+    "strata.py:_packed_counts:256->257#0 in top < 256":
         "under MAX_STRATA_RANK the largest highest-root value is 58 (E8), far below 256",
-    "strata.py:_factor_table:2->3#0 in ct.rank // 2":
+    "strata.py:_packed_counts:2->3#0 in ct.rank // 2":
         "the split only moves where the table is cut into two halves; the rows are the same",
-    "strata.py:strata_rows:0->1#0 in (0,) * group.semisimple_rank":
+    "strata.py:dimension_columns:0->1#0 in (0,) * group.semisimple_rank":
         "the probe only checks shape and dominance, which any nonnegative vector passes",
 }
 

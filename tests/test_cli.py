@@ -23,10 +23,10 @@ from cohiggs import (
     semistable_obstruction,
 )
 from cohiggs.cli import (
-    _STRATA_COLUMNS, _STRATA_WIDTHS, _json_text, _Runs, _strata_layout, build_parser, main,
+    _STRATA_COLUMNS, _STRATA_WIDTHS, _json_text, _Runs, build_parser, main,
 )
-from cohiggs.strata import strata_rows
-from reference import deadline, flat_adjoint_degrees
+from cohiggs.strata import enumerate_strata
+from reference import SWEEP_TYPES, deadline, flat_adjoint_degrees
 
 
 def run(capsys, *argv):
@@ -165,11 +165,34 @@ _TEMPLATE_GROUPS = pytest.mark.parametrize("group,central", [
 ])
 
 
+def reference_strata_layout(fmt, rank):
+    """Slow reference for ``cli._strata_layout``: head, row template, row
+    separator and tail, the template with one ``%d`` cell per simple-root
+    value, filled one row at a time."""
+    values = ",".join(["%d"] * rank)
+    cells = ("%d", "%d", "%d", "%s")
+    if fmt == "json":
+        row = _json_text(dict(zip(_STRATA_COLUMNS, (["%d"] * rank, *cells))), "\n  ")
+        row = row.replace('"%d"', "%d").replace('"%s"', "%s")
+        return "[", "\n  " + row, ",", "\n]\n"
+    if fmt == "csv":
+        a = f'"{values}"' if rank > 1 else values
+        return ",".join(_STRATA_COLUMNS) + "\n", ",".join((a, *cells)) + "\n", "", ""
+    a = " " * (_STRATA_WIDTHS[0] - max(1, 2 * rank - 1)) + (values or "-")
+    cells = (f"%{w}{kind}" for w, kind in zip(_STRATA_WIDTHS[1:], "ddds"))
+    head = " ".join(f"{c:>{w}}" for c, w in zip(_STRATA_COLUMNS, _STRATA_WIDTHS))
+    return head + "\n", " ".join((a, *cells)) + "\n", "", ""
+
+
 def render_strata(fmt, group, central):
-    """The rows of a group through its layout, and the rows themselves."""
+    """Slow formatter: each record of ``enumerate_strata`` through one ``%``
+    of the reference template, and the records as plain rows."""
     g = parse_group(group)
-    rows = list(strata_rows(g, central or (0,) * g.central_rank))
-    head, template, sep, tail = _strata_layout(fmt, g.semisimple_rank)
+    rows = [
+        (r.hn.flat_values, r.dim_cohiggs, r.dim_aut, r.dim_stratum, r.is_generic)
+        for r in enumerate_strata(g, central or (0,) * g.central_rank)
+    ]
+    head, template, sep, tail = reference_strata_layout(fmt, g.semisimple_rank)
     lines = (template % (*a, vm, aut, dim, str(generic).lower())
              for a, vm, aut, dim, generic in rows)
     return head + sep.join(lines) + tail, rows
@@ -212,6 +235,97 @@ def test_strata_text_template_matches_aligned_cells(group, central):
         for a, *rest in [_STRATA_COLUMNS, *strata_cells(rows)]
     )
     assert text == expected
+
+
+class RowSink:
+    """A write-only text stream that hashes what is written and counts the
+    most strata rows in one write; each row holds one "true" or "false",
+    its generic cell."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+        self.most_rows = 0
+
+    def write(self, s):
+        self.hash.update(s.encode())
+        self.most_rows = max(self.most_rows, s.count("true") + s.count("false"))
+        return len(s)
+
+    def flush(self):
+        pass
+
+
+def strata_output(monkeypatch, name, central, fmt):
+    argv = ["strata", f"--group={name}", f"--format={fmt}"]
+    argv += [f"--central={','.join(map(str, central))}"] * bool(central)
+    sink = RowSink()
+    with monkeypatch.context() as m:
+        m.setattr("sys.stdout", sink)
+        assert main(argv) == 0
+    return sink
+
+
+# each group bare and with two central degrees (or, for +z2, without and
+# with the option); the A1 products and A4xE8 against E8xA4 cut the inner
+# block of the strata columns at different factors
+_CORPUS = [str(ct) for ct in SWEEP_TYPES] + ["E6", "E7", "E8"] + [
+    "x".join(["A1"] * k) for k in range(2, 9)
+]
+
+
+@pytest.mark.parametrize("name,central", [
+    *((name, ()) for name in _CORPUS), *((name + "+z2", (1, -2)) for name in _CORPUS),
+    ("+z2", ()), ("+z2", (1, -1)),
+])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_strata_output_equals_the_slow_formatter(monkeypatch, name, central, fmt):
+    # written in chunks of at most _CHUNK rows, so no write holds more than
+    # _CHUNK^2 rows
+    monkeypatch.setattr(cohiggs.cli, "_CHUNK", 4)
+    sink = strata_output(monkeypatch, name, central, fmt)
+    expected = render_strata(fmt, name, central)[0]
+    assert sink.hash.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
+    assert sink.most_rows <= 4**2
+
+
+# groups of 3^12 rows, each bare and with two central degrees: the sha256 of
+# render_strata's text, which is also what the CLI printed when it filled
+# one template cell per value from a row tuple per stratum
+@pytest.mark.parametrize("name,central,fmt,digest", [
+    ("A4xE8", (), "text", "da74ca67ea23862a176100bf9d535514a3849fbbf72d2660e950ee0f9c7c88bb"),
+    ("A4xE8", (), "json", "ca51d738540a87c5c9fe8294b57f9f948a41e467f8654dff0fa2e2f1ad8d58fd"),
+    ("A4xE8", (), "csv", "f84dc79b10c957c992eb9061bb88103a27926f7aac70149ade9ebb4829f1fc0f"),
+    ("A4xE8+z2", (1, -2), "text",
+     "4728494df542bbd4bf9ca9944840cb4458f265786fb644fccd307d29b24df3f2"),
+    ("A4xE8+z2", (1, -2), "json",
+     "2b8d07df92f70cc1f80e4dfb3500048cb9c0e3b65750abba70afc7db8eb6c511"),
+    ("A4xE8+z2", (1, -2), "csv",
+     "dab49f478944702ec5716fc0f2e7cbe4ab96631fd2f7919251c136bb5e9d23eb"),
+    ("E8xA4", (), "text", "bf1547d459b41199d0b4d73166f5be45db5bd61aaccd6aefb406a8f1242cbd4a"),
+    ("E8xA4", (), "json", "9ff92416c947987c01018b9521948852b08c00dfb1f979e220768ba50566a989"),
+    ("E8xA4", (), "csv", "10d50b4ddc9f170f2e33a5bc22b555b947264da4668b18f027011830a523e515"),
+    ("E8xA4+z2", (1, -2), "text",
+     "eb64dfec5c5f06e3119df47546064545abad458c96641953d9b4156b9971f11b"),
+    ("E8xA4+z2", (1, -2), "json",
+     "d3a67065fac1506b3cad70b8b424557858e731da605a459cdbcf8f64b116d666"),
+    ("E8xA4+z2", (1, -2), "csv",
+     "6db76aac975601b37fd8c1fdc08bbf7bdd863be2794f63f14f387f8128981ca1"),
+    ("A4xA4xA4", (), "text", "8d23477efca7df2c72a2756e19b3e67bbb6bbefbe6dd6cd019c3193e21a57e40"),
+    ("A4xA4xA4", (), "json", "5a4cd9b1276dfebc6bf8fc8be0719f706bc7d2692f033e73b53d5bb1fb61369a"),
+    ("A4xA4xA4", (), "csv", "9ad4bf1ba3c7d550380d4bb634583c24a9ffeb4271a8a116bd9f7492afb52ca5"),
+    ("A4xA4xA4+z2", (1, -2), "text",
+     "1157e7c75b6481989f24d43d284bd964e4e28db776290b8e99c7c9d717e326e0"),
+    ("A4xA4xA4+z2", (1, -2), "json",
+     "09c67f30631d4771a4e15b04a91bfe13a8a77bd69b272b12ab25eb505a9b27a3"),
+    ("A4xA4xA4+z2", (1, -2), "csv",
+     "d141994cd9d23de71f7267a9f0e021b61343bfbca7e2a96abe80989c7913b059"),
+])
+def test_large_strata_output_pinned(monkeypatch, name, central, fmt, digest):
+    # 531,441 records are too many to build in a test, so the slow
+    # formatter's text is pinned by its digest
+    sink = strata_output(monkeypatch, name, central, fmt)
+    assert sink.hash.hexdigest() == digest
+    assert sink.most_rows <= cohiggs.cli._CHUNK**2
 
 
 class WriteOnly:

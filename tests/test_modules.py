@@ -47,7 +47,7 @@ def test_every_absolute_import_is_stdlib_or_cohiggs(path):
 
 
 def test_only_strata_packs_integers():
-    # strata._factor_table owns the packed root format; a second module
+    # strata._packed_counts owns the packed root format; a second module
     # that packs integers would need to keep its byte bounds in step
     packers = {
         path.name

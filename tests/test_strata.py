@@ -1,4 +1,5 @@
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 from itertools import product
 
 import pytest
@@ -144,13 +145,11 @@ def reference_root_sums(positive):
     "ct", SWEEP_TYPES + [CartanType("E", 6), CartanType("E", 7)], ids=str
 )
 def test_root_value_histogram_matches_reference_exhaustively(ct, monkeypatch):
-    # the packed pass of the factor tables, run uncached over the values
-    # 0..3 and kept as its five counts, agrees with pairing one root at a
-    # time; values 3 and, past rank 1, above 3 occur, so the sums from
-    # counts are checked past every breakpoint
+    # the packed pass of the factor tables, run over the values 0..3, agrees
+    # with pairing one root at a time; values 3 and, past rank 1, above 3
+    # occur, so the sums from counts are checked past every breakpoint
     monkeypatch.setattr(cohiggs.strata, "STABLE_BOUND", 3)
-    monkeypatch.setattr(cohiggs.strata, "_count_sums", lambda *counts: counts)
-    packed = cohiggs.strata._factor_table.__wrapped__(ct)
+    packed = list(cohiggs.strata._packed_counts(ct))
     vectors = list(product(range(4), repeat=ct.rank))
     assert len(packed) == len(vectors)
     top = 0
@@ -166,7 +165,7 @@ def test_row_bound_comes_before_any_table(monkeypatch):
     # 3^12 strata are listed; one more simple root is refused unbuilt
     def table(ct):
         assert ct.rank <= MAX_STRATA_RANK, "table built for a refused request"
-        return [(0, 0)]
+        return (0,), (0,)
 
     monkeypatch.setattr(cohiggs.strata, "_factor_table", table)
     for name in ("A12", "C6xD6", "E8xA2xA1xA1"):
@@ -214,7 +213,61 @@ def test_factor_table_matches_checked_kernel(ct):
         histogram = reference_histogram(ct, values)
         expected.append(reference_root_sums(histogram))
         assert _count_sums(*reference_counts(histogram)) == expected[-1], values
-    assert list(cohiggs.strata._factor_table(ct)) == expected
+    fields, aut = cohiggs.strata._factor_table(ct)
+    assert type(fields) is type(aut) is tuple
+    assert list(zip(fields, aut)) == expected
+
+
+@pytest.mark.parametrize("name,start", [
+    ("+z1", 0), ("A12", 0), ("A2xB2", 0), ("E8", 0), ("E8xA1", 1), ("A1xE8", 1),
+    ("E8xA4", 1), ("A4xE8", 1), ("A4xA4xA4", 1), ("A2xA7xA1", 1), ("A1xA11", 1),
+    ("x".join(["A1"] * 8), 0), ("x".join(["A1"] * 9), 1), ("x".join(["A1"] * 12), 4),
+])
+def test_inner_block_holds_the_last_factor_and_at_most_3_8_rows(name, start):
+    # the inner block starts at the returned factor: it always holds the
+    # last one, and the ones before it while it stays within 3^8 rows
+    ranks = [ct.rank for ct in parse_group(name).simple_factors]
+    assert cohiggs.strata._inner_start(ranks) == start
+
+
+def reference_rows(g, central):
+    """Slow reference for ``strata_rows``: each row from one entry of every
+    factor's table, added up per row over the product of the tables."""
+    pairs = [list(zip(*cohiggs.strata._factor_table(ct))) for ct in g.simple_factors]
+    flats = product(range(STABLE_BOUND + 1), repeat=g.semisimple_rank)
+    for flat, sums in zip(flats, product(*pairs)):
+        fields = 3 * g.rank + sum(f for f, _ in sums)
+        aut = g.rank + sum(a for _, a in sums)
+        yield flat, fields, aut, fields - aut, not any(flat)
+
+
+# the inner block is one factor (A1xE8, E8xA1, A10), several up to 3^8 rows
+# with (A1^9, A4xA4xA1, A2xA7xA1) or without (A1^k, G2xA2+z1) outer
+# factors, or empty (+z2)
+@pytest.mark.parametrize("name,central", [
+    *(("x".join(["A1"] * k), ()) for k in range(1, 10)),
+    ("A1xE8", ()), ("E8xA1", ()), ("A10", ()), ("A4xA4xA1", ()), ("A2xA7xA1", ()),
+    ("G2xA2+z1", (4,)), ("+z2", (1, -1)), ("C3xA1+z2", (1, -2)),
+])
+def test_strata_rows_match_the_product_of_factor_tables(name, central):
+    g = parse_group(name)
+    assert list(strata_rows(g, central)) == list(reference_rows(g, central))
+
+
+@pytest.mark.parametrize("name", ["x".join(["A1"] * 10), "A10", "A1xA9", "E8xA2"])
+def test_strata_rows_stream_without_a_list_per_row(name):
+    # with the factor tables cached, consuming every row holds at most two
+    # inner blocks of 3^8 entries, far below one pointer per row (a list of
+    # 3^10 rows holds 472 KB of pointers alone)
+    g = parse_group(name)
+    deque(strata_rows(g), maxlen=0)  # builds and caches the tables
+    tracemalloc.start()
+    try:
+        deque(strata_rows(g), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * 3**8 + 64_000 < 8 * 3**g.semisimple_rank // 2, peak
 
 
 def test_highest_root_height_from_coxeter_number():
